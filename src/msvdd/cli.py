@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -26,7 +27,6 @@ from .exact import MsvddProblem, incumbent_gap_rows, solve_exact
 from .experiments import (
     ExperimentConfig,
     config_from_dict,
-    config_to_dict,
     emit_plot_data,
     run_cross_validation,
     run_gap_study,
@@ -58,7 +58,6 @@ def _add_solver_flags(sub):
     sub.add_argument("--sigma2", type=float, default=None, help="RBF bandwidth (denominator)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--time-limit", type=float, default=None)
-    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument(
         "--cardinality", choices=["on", "off"], default="on",
         help="enforce the ceil(1/C) member floor per sphere",
@@ -172,22 +171,7 @@ def _config_from_args(args) -> ExperimentConfig:
         overrides["enforce_cardinality"] = args.cardinality == "on"
     if args.out:
         overrides["out_dir"] = args.out
-    if overrides:
-        merged = config_to_dict(config)
-        merged.update(
-            {
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in overrides.items()
-                if k != "kernels"
-            }
-        )
-        if "kernels" in overrides:
-            merged["kernels"] = [
-                {"kind": k.kind.value, "sigma_squared": k.sigma_squared}
-                for k in overrides["kernels"]
-            ]
-        config = config_from_dict(merged)
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 def _add_grid_flags(sub):
@@ -217,7 +201,7 @@ def cmd_cv(args) -> int:
 def cmd_gap(args) -> int:
     config = _config_from_args(args)
     if args.mode is None and config.mode != "exact":
-        config = config_from_dict({**config_to_dict(config), "mode": "exact"})
+        config = dataclasses.replace(config, mode="exact")
     rows = run_gap_study(config)
     print(f"incumbents: {os.path.join(config.out_dir, 'incumbents.csv')} ({len(rows)} rows)")
     return EXIT_OK

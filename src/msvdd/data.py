@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,8 +152,9 @@ def parse_libsvm(text: str, strict_indices: bool = True) -> Dataset:
     """Parse sparse 'label idx:val ...' lines (1-based indices) into dense rows.
 
     Absent indices are zero.  In strict mode (default) feature indices must be
-    strictly increasing within a line.  Malformed input raises with the line
-    number.  Class labels are kept as raw integers.
+    strictly increasing within a line.  Malformed input, including NaN or
+    infinite values, raises with the line number.  Class labels are kept as
+    raw integers.
     """
     rows: list[dict[int, float]] = []
     labels: list[int] = []
@@ -166,7 +168,7 @@ def parse_libsvm(text: str, strict_indices: bool = True) -> Dataset:
             label_val = float(tokens[0])
         except ValueError:
             raise ParseError(f"unparseable label {tokens[0]!r}", line=lineno)
-        if label_val != int(label_val):
+        if not math.isfinite(label_val) or label_val != int(label_val):
             raise ParseError(f"non-integer class label {tokens[0]!r}", line=lineno)
         feats: dict[int, float] = {}
         prev_idx = 0
@@ -179,6 +181,8 @@ def parse_libsvm(text: str, strict_indices: bool = True) -> Dataset:
                 val = float(part[1])
             except ValueError:
                 raise ParseError(f"malformed feature token {tok!r}", line=lineno)
+            if not math.isfinite(val):
+                raise ParseError(f"non-finite feature value {tok!r}", line=lineno)
             if idx < 1:
                 raise ParseError(f"feature index {idx} must be >= 1", line=lineno)
             if strict_indices and idx <= prev_idx:

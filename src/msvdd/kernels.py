@@ -62,6 +62,8 @@ class GramMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InputError("Gram matrix must be square")
+        if not np.all(np.isfinite(v)):
+            raise InputError("Gram matrix has NaN or infinite entries")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -107,6 +109,8 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise InputError("cannot build a Gram matrix from an empty point set")
+    if not np.all(np.isfinite(pts)):
+        raise InputError("points contain NaN or infinite coordinates")
     values = cross_kernel(spec, pts, pts)
     values = 0.5 * (values + values.T)
     if spec.kind is KernelKind.RBF:

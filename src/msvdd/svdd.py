@@ -5,12 +5,16 @@ sphere is found by maximizing
 
     f(a) = sum_i a_i K[i, i] - a' K a      over  {a : sum a = 1, 0 <= a_i <= C}
 
-by projected-gradient ascent with exact sort-based projection onto the capped
-simplex, an anchored damped-Newton polish on the free coordinates, and a
-primal-dual gap certificate.  The radius and per-point errors are then
-recovered from the induced distances by a one-dimensional piecewise-linear
-minimization (`recover_radius`), which is total (it needs no free support
-vector) and returns the smallest minimizer on ties.
+by sequential minimal optimization (SMO): each step moves weight between one
+pair of points, chosen by second-order working-set selection (Fan, Chen & Lin,
+JMLR 2005), with the exact step length of the pair's one-dimensional quadratic.
+The start is the warm-start vector, or the uniform weight, projected once onto
+the capped simplex.  Every few steps a primal-dual gap certificate is computed
+from a fresh K @ a, and the solve returns once that gap is within tolerance.
+The radius and per-point errors are recovered from the induced distances by a
+one-dimensional piecewise-linear minimization (`recover_radius`), which is
+total (it needs no free support vector) and returns the smallest minimizer on
+ties.
 """
 
 from __future__ import annotations
@@ -23,7 +27,10 @@ from .errors import ConvergenceError, InfeasibleSubproblemError, InputError
 from .kernels import GramMatrix
 
 MAX_ITERATIONS = 50_000
-_POLISH_EVERY = 5
+# pair steps between two fresh-gradient certificates
+_CHECK_EVERY = 16
+# pair-curvature floor, relative to the largest kernel diagonal
+_ETA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -123,69 +130,6 @@ def recover_radius(distances_sq, C: float) -> tuple[float, np.ndarray]:
     return R, xi
 
 
-def _newton_polish(K, q, a, cap, rounds=8):
-    """Damped Newton rounds on the free set, anchored at the current iterate.
-
-    Each round solves the Levenberg-damped KKT system for an ascent direction
-    on the currently free coordinates (sum held fixed via a multiplier),
-    line-searches it to the nearest bound, and keeps the move only if the
-    dual value improves.  Anchoring at the iterate keeps this safe on the
-    near-singular Gram blocks where a cold active-set jump lands nowhere.
-    Returns an improved point or None.
-    """
-    m = a.size
-    x = a
-    Kx = K @ x
-    fx = float(q @ x - x @ Kx)
-    lam = 1e-10 * max(1.0, float(np.trace(K)) / m)
-    improved_any = False
-    for _ in range(rounds):
-        g = q - 2.0 * Kx
-        up = x >= cap - 1e-9
-        low = (x <= 1e-9) & ~up
-        free = ~(low | up)
-        nf = int(free.sum())
-        if nf == 0:
-            break
-        A = np.zeros((nf + 1, nf + 1))
-        A[:nf, :nf] = 2.0 * K[np.ix_(free, free)]
-        A[:nf, :nf].flat[:: nf + 1] += lam
-        A[:nf, nf] = -1.0
-        A[nf, :nf] = 1.0
-        rhs = np.empty(nf + 1)
-        rhs[:nf] = g[free]
-        rhs[nf] = 0.0
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(sol)):
-            break
-        d = np.zeros(m)
-        d[free] = sol[:nf]
-        dmax = np.abs(d).max()
-        if dmax < 1e-16:
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_hi = np.where(d > 0, (cap - x) / d, np.inf)
-            t_lo = np.where(d < 0, -x / d, np.inf)
-        t = min(1.0, float(np.minimum(t_hi, t_lo).min()))
-        improved = False
-        for _ in range(30):
-            xc = project_capped_simplex(np.clip(x + t * d, 0.0, cap), cap)
-            Kxc = K @ xc
-            fc = float(q @ xc - xc @ Kxc)
-            if fc > fx + 1e-16:
-                x, Kx, fx = xc, Kxc, fc
-                improved = True
-                improved_any = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return x if improved_any else None
-
-
 def _as_member_tuple(members) -> tuple[int, ...]:
     idx = tuple(sorted(int(i) for i in members))
     if not idx:
@@ -206,10 +150,12 @@ def solve_svdd(
     """Solve the single-sphere subproblem on the given member set.
 
     ``warm_alpha`` (length len(members), aligned with the sorted member order)
-    is projected onto the capped simplex to seed the ascent; on any problem
-    with it the solver falls back to the uniform weight 1/|S| clipped to C.
+    is projected onto the capped simplex to seed the pair steps; if it has the
+    wrong length or a non-finite entry the solver starts from the uniform
+    weight 1/|S| instead.  ``max_iters`` caps the number of pair steps.
     Raises InfeasibleSubproblemError when C * |S| < 1 and ConvergenceError
-    (carrying the best iterate and its gap) if the iteration cap is hit.
+    (carrying the best iterate and its gap) if the iteration cap is hit or no
+    pair step can close the gap.
     """
     idx = _as_member_tuple(members)
     m = len(idx)
@@ -222,67 +168,58 @@ def solve_svdd(
     K = gram_matrix.values[np.ix_(idx, idx)]
     q = np.ascontiguousarray(np.diag(K))
 
-    a = None
+    a = np.full(m, 1.0 / m)
     if warm_alpha is not None:
         w = np.asarray(warm_alpha, dtype=float)
         if w.shape == (m,) and np.all(np.isfinite(w)):
-            a = project_capped_simplex(w, C)
-    if a is None:
-        a = np.full(m, min(1.0 / m, C))
-        a = project_capped_simplex(a, C)
+            a = w
+    a = project_capped_simplex(a, C)
 
-    # Gershgorin bound on the gradient Lipschitz constant 2*lambda_max(K)
-    L = 2.0 * max(float(np.abs(K).sum(axis=1).max()), 1e-12)
-    step = 1.0 / L
-    Ka = K @ a
+    # floor for the pair curvature, which is 0 on duplicate points
+    eta_floor = _ETA_FLOOR * max(float(q.max()), np.finfo(float).tiny)
     best_gap = np.inf
-    best = None
-
-    for it in range(max_iters):
+    best_alpha = None
+    it = 0
+    while True:
+        # certificate from a fresh K @ a, so drift in the incremental
+        # gradient can slow the loop but never certify a wrong point
+        Ka = K @ a
         dual = float(q @ a - a @ Ka)
-        d2 = q - 2.0 * Ka + float(a @ Ka)
-        np.maximum(d2, 0.0, out=d2)
+        d2 = np.maximum(q - 2.0 * Ka + float(a @ Ka), 0.0)
         R, xi = recover_radius(d2, C)
-        primal = float(R + C * xi.sum())
-        gap = max(primal - dual, 0.0)
+        gap = max(float(R + C * xi.sum()) - dual, 0.0)
         if gap < best_gap:
-            best_gap = gap
-            best = (a.copy(), d2.copy(), R, xi.copy(), primal, dual)
+            best_gap, best_alpha = gap, a.copy()
         if gap <= tols.duality_gap:
             return _assemble(idx, a, d2, R, xi, C, dual, gap, it, tols.feasibility)
 
-        # the gradient phase does the bulk moves; the anchored Newton polish
-        # takes over in the endgame, where projected gradient crawls on
-        # ill-conditioned faces
-        endgame = gap <= 1e-3 * max(1.0, abs(dual))
-        if endgame or it % _POLISH_EVERY == 0:
-            cand = _newton_polish(K, q, a, C)
-            if cand is not None:
-                Kc = K @ cand
-                if float(q @ cand - cand @ Kc) > dual:
-                    a, Ka = cand, Kc
-                    continue
-
-        g = q - 2.0 * Ka
-        trial = step
-        for _ in range(60):
-            a_new = project_capped_simplex(a + trial * g, C)
-            Ka_new = K @ a_new
-            d = a_new - a
-            # sufficient increase: by the projection inequality g @ d >=
-            # |d|^2 / trial, so this demands genuine ascent whenever d != 0
-            # and always holds once trial <= 1/L
-            needed = float(g @ d) - 0.5 * float(d @ d) / trial
-            if float(q @ a_new - a_new @ Ka_new) >= dual + needed - 1e-15:
+        # SMO pair steps on min a'Ka - q'a; G is its gradient
+        G = 2.0 * Ka - q
+        steps = 0
+        while steps < _CHECK_EVERY and it < max_iters:
+            G_up = np.where(a < C, G, np.inf)
+            i = int(np.argmin(G_up))
+            b = G - G_up[i]
+            # the gap is at most the largest violation b_j over a_j > 0
+            if np.max(b, where=a > 0.0, initial=-np.inf) <= tols.duality_gap:
                 break
-            trial *= 0.5
-        a, Ka = a_new, Ka_new
+            eta = np.maximum(q[i] + q - 2.0 * K[i], eta_floor)
+            j = int(np.argmax(np.where((a > 0.0) & (b > 0.0), b * b / eta, -1.0)))
+            t = min(b[j] / (2.0 * eta[j]), C - a[i], a[j])
+            a[i] = C if t == C - a[i] else a[i] + t
+            a[j] = 0.0 if t == a[j] else a[j] - t
+            G += 2.0 * t * (K[i] - K[j])
+            steps += 1
+            it += 1
+        if steps == 0:
+            break
 
+    reason = "iteration cap hit" if it >= max_iters else "stalled"
     raise ConvergenceError(
-        f"no convergence after {max_iters} iterations (gap {best_gap:.3e})",
-        alpha=best[0] if best else None,
+        f"no convergence after {it} iterations, {reason} (gap {best_gap:.3e})",
+        alpha=best_alpha,
         gap=best_gap,
-        iterations=max_iters,
+        iterations=it,
     )
 
 

@@ -79,6 +79,18 @@ class TestSolve:
     def test_missing_file_is_input_error(self, tmp_path):
         assert run_cli(["solve", "--data", tmp_path / "nope.csv"]) == 1
 
+    def test_nan_in_data_is_input_error(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("x1,x2,label,split\n0,0,1,\n1,nan,1,\n2,1,1,\n")
+        assert run_cli(["solve", "--data", path, "--out", tmp_path / "n"]) == 1
+
+    def test_workers_flag_removed(self, dataset_dir, tmp_path):
+        with pytest.raises(SystemExit):
+            run_cli(
+                ["solve", "--data", dataset_dir / "dataset.csv",
+                 "--workers", 2, "--out", tmp_path / "w"]
+            )
+
     def test_rbf_requires_sigma2(self, dataset_dir, tmp_path):
         code = run_cli(
             ["solve", "--data", dataset_dir / "dataset.csv", "--kernel", "rbf",
@@ -149,6 +161,39 @@ class TestCvAndGap:
         )
         assert run_cli(["cv", "--config", config_path]) == 0
         assert os.path.exists(out / "report.txt")
+
+    def test_flags_override_config_file(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        out = tmp_path / "cv3"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "mode": "both",
+                    "nu_grid": [0.25],
+                    "seeds": [0],
+                    "data": {
+                        "type": "synthetic",
+                        "n_train": 14,
+                        "n_val": 10,
+                        "n_test": 12,
+                        "noise_levels": [0.1],
+                    },
+                    "heuristic_restarts": 2,
+                }
+            )
+        )
+        code = run_cli(
+            ["cv", "--config", config_path, "--mode", "heuristic", "--p", 1,
+             "--kernel", "rbf", "--sigma2", 0.5, "--out", out]
+        )
+        assert code == 0
+        with open(out / "resolved_config.json") as fh:
+            resolved = json.load(fh)
+        assert resolved["mode"] == "heuristic"
+        assert resolved["p_grid"] == [1]
+        assert resolved["kernels"] == [{"kind": "rbf", "sigma_squared": 0.5}]
+        assert resolved["heuristic_restarts"] == 2
+        assert resolved["nu_grid"] == [0.25]
 
     def test_gap_then_plotdata(self, tmp_path):
         out = tmp_path / "gap"

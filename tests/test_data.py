@@ -98,6 +98,18 @@ class TestParseLibsvm:
             parse_libsvm("1 3:1 2:1\n")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(f"1 1:0.5\n1 1:{value} 2:1\n")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("label", ["nan", "inf"])
+    def test_non_finite_label_rejected(self, label):
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(f"{label} 1:0.5\n")
+        assert err.value.line == 1
+
     def test_unsorted_allowed_in_lenient_mode(self):
         ds = parse_libsvm("1 3:1 2:5\n", strict_indices=False)
         assert np.array_equal(ds.points[0], [0.0, 5.0, 1.0])

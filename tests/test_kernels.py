@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from msvdd.errors import InputError
 from msvdd.kernels import (
+    GramMatrix,
     KernelKind,
     KernelSpec,
     LINEAR,
@@ -68,6 +69,17 @@ class TestGram:
         for spec in (LINEAR, rbf(0.5)):
             eigs = np.linalg.eigvalsh(gram(spec, pts).values)
             assert eigs.min() >= -1e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.array([[0.0, 1.0], [bad, 2.0], [3.0, 4.0]])
+        for spec in (LINEAR, rbf(1.0)):
+            with pytest.raises(InputError):
+                gram(spec, pts)
+
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(InputError):
+            GramMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]]), LINEAR)
 
     def test_values_immutable(self, rng):
         g = gram(LINEAR, rng.normal(size=(4, 2)))

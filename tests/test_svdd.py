@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from msvdd.errors import ConvergenceError, InfeasibleSubproblemError, InputError
 from msvdd.kernels import LINEAR, gram, rbf
 from msvdd.svdd import (
+    DEFAULT_TOLS,
     project_capped_simplex,
     recover_radius,
     solve_svdd,
@@ -107,6 +108,15 @@ class TestRecoverRadius:
                 assert c + C * np.maximum(0.0, d2 - c).sum() > got + 1e-12
 
 
+def random_instance(seed):
+    r = np.random.default_rng(seed)
+    n = int(r.integers(1, 30))
+    C = float(r.uniform(1.0 / n, 1.5))
+    pts = r.normal(scale=2.0, size=(n, 2))
+    spec = rbf(float(r.uniform(0.1, 2.0))) if r.random() < 0.4 else LINEAR
+    return r, gram(spec, pts), n, C
+
+
 class TestSolveSvdd:
     def test_single_point(self):
         g = linear_gram([[3.0, 1.0]])
@@ -114,6 +124,10 @@ class TestSolveSvdd:
         assert np.array_equal(sol.alpha, [1.0])
         assert sol.radius_sq == 0.0
         assert sol.objective == 0.0
+        warm = solve_svdd(g, [0], 1.5, warm_alpha=[0.3])
+        assert np.array_equal(warm.alpha, [1.0])
+        assert warm.gap == 0.0
+        assert warm.iterations == 0
 
     def test_two_identical_points(self):
         g = linear_gram([[2.0], [2.0]])
@@ -141,11 +155,11 @@ class TestSolveSvdd:
         assert err.value.alpha is not None
         assert err.value.gap is not None and err.value.gap >= 0.0
 
-    def test_warm_start_agrees_with_cold(self, rng):
-        pts = rng.normal(size=(10, 2))
-        g = gram(LINEAR, pts)
-        cold = solve_svdd(g, range(10), 0.3)
-        warm = solve_svdd(g, range(10), 0.3, warm_alpha=rng.dirichlet(np.ones(10)))
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_warm_start_agrees_with_cold(self, seed):
+        r, g, n, C = random_instance(seed)
+        cold = solve_svdd(g, range(n), C)
+        warm = solve_svdd(g, range(n), C, warm_alpha=r.dirichlet(np.ones(n)))
         assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -167,6 +181,10 @@ class TestSolveSvdd:
         )
         # strong duality at the reported tolerance
         assert abs(sol.dual_objective - sol.objective) <= 1e-6
+        assert 0.0 <= sol.gap <= DEFAULT_TOLS.duality_gap
+        assert sol.objective - sol.dual_objective <= DEFAULT_TOLS.duality_gap
+        # weak duality, up to the rounding of the two sums
+        assert sol.dual_objective <= sol.objective + 1e-12 * max(1.0, sol.objective)
         # KKT complementarity
         inside = sol.distances_sq < sol.radius_sq - 1e-6
         outside = sol.distances_sq > sol.radius_sq + 1e-6
@@ -186,6 +204,57 @@ class TestSolveSvdd:
         assert scaled.objective == pytest.approx(
             t * t * base.objective, rel=1e-6, abs=1e-6
         )
+
+
+class TestSmoCases:
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_duplicated_points_double_the_penalty(self, seed):
+        # two copies of every point at C cost what one copy costs at 2C
+        r = np.random.default_rng(seed)
+        n = int(r.integers(1, 10))
+        C = float(r.uniform(1.0 / (2 * n), 1.0))
+        pts = r.normal(size=(n, 2))
+        spec = rbf(float(r.uniform(0.2, 2.0))) if r.random() < 0.4 else LINEAR
+        doubled = solve_svdd(gram(spec, np.vstack([pts, pts])), range(2 * n), C)
+        single = solve_svdd(gram(spec, pts), range(n), 2.0 * C)
+        assert doubled.gap <= DEFAULT_TOLS.duality_gap
+        assert doubled.objective == pytest.approx(
+            single.objective, abs=DEFAULT_TOLS.objective
+        )
+
+    def test_every_weight_at_the_cap(self, rng):
+        # C * |S| == 1: the capped simplex is the single point a = C
+        pts = rng.normal(size=(4, 2))
+        g = gram(LINEAR, pts)
+        sol = solve_svdd(g, range(4), 0.25)
+        assert np.array_equal(sol.alpha, np.full(4, 0.25))
+        assert sol.radius_sq == 0.0
+        assert sol.support_bound == (0, 1, 2, 3)
+        assert sol.gap <= DEFAULT_TOLS.duality_gap
+        centroid = zero_radius_sphere(g, range(4), 0.25)
+        assert sol.objective == pytest.approx(centroid.objective, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "warm", [[0.5, 0.5], np.full(9, np.nan), [np.inf] + [0.0] * 8]
+    )
+    def test_unusable_warm_start_falls_back_to_cold(self, warm, rng):
+        g = gram(LINEAR, rng.normal(size=(9, 2)))
+        cold = solve_svdd(g, range(9), 0.3)
+        sol = solve_svdd(g, range(9), 0.3, warm_alpha=warm)
+        assert np.array_equal(sol.alpha, cold.alpha)
+        assert sol.iterations == cold.iterations
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_branch_style_warm_start(self, seed):
+        # the search seeds a child sphere with its parent's weights plus a 0
+        r, g, n, C = random_instance(seed)
+        if n < 2 or C * (n - 1) < 1.0:
+            return
+        parent = solve_svdd(g, range(n - 1), C)
+        warm = solve_svdd(g, range(n), C, warm_alpha=np.append(parent.alpha, 0.0))
+        cold = solve_svdd(g, range(n), C)
+        assert warm.objective == pytest.approx(cold.objective, abs=DEFAULT_TOLS.objective)
+        assert warm.objective >= parent.objective - DEFAULT_TOLS.objective
 
 
 class TestMonotoneCheck:
