@@ -2,13 +2,18 @@
 
 The search branches on one unassigned point at a time, restricting children to
 the currently nonempty spheres plus exactly one fresh empty sphere, which
-removes the p! label symmetry.  Node bounds use the decomposition bound: the
+removes the p! label symmetry.  The branching point is chosen max-min: the
+unassigned point whose squared feature distance to its nearest nonempty
+sphere center is largest, so every child of the split pays for a far point
+and the bound rises fastest.  Node bounds use the decomposition bound: the
 sum of single-sphere optima over the members assigned so far, which is valid
 because adding a point to a sphere can only raise that sphere's objective, and
-is tight at leaves.  Nodes are explored best-first (ties: deeper first), the
-root incumbent comes from seeded restarts of the alternating heuristic, and a
-node is discarded as soon as the remaining unassigned points cannot fill every
-sphere to its cardinality floor.
+is tight at leaves.  Each sphere enters that sum through its certified dual
+value, so pruning never rests on a primal value that carries the subsolver's
+gap tolerance; incumbents keep their primal values.  Nodes are explored
+best-first (ties: deeper first), the root incumbent comes from seeded restarts
+of the alternating heuristic, and a node is discarded as soon as the remaining
+unassigned points cannot fill every sphere to its cardinality floor.
 
 The big-M constants of the assignment-linearized formulation are not used by
 the search at all; they are computed only so `verify_bigM_feasibility` can
@@ -162,9 +167,9 @@ def lower_bound(
 ) -> float:
     """Decomposition bound for a partial assignment.
 
-    Sum of single-sphere optima over the members assigned so far; empty
-    spheres contribute 0.  Spheres still below the 1/C floor are bounded by
-    their radius-floored value, which no completion can undercut.
+    Sum of certified single-sphere dual values over the members assigned so
+    far; empty spheres contribute 0.  Spheres still below the 1/C floor are
+    bounded by their radius-floored value, which no completion can undercut.
     """
     labels = np.unique(assignment.sphere_of)
     total = 0.0
@@ -172,44 +177,24 @@ def lower_bound(
         if j == UNASSIGNED:
             continue
         members = tuple(int(i) for i in assignment.members(int(j)))
-        total += solve_sphere(gram_matrix, members, C, enforce_cardinality=False).objective
+        sol = solve_sphere(gram_matrix, members, C, enforce_cardinality=False)
+        total += sol.dual_objective
     return total
 
 
-def _insertion_costs(K, diag, sphere_members, sphere_alphas, unassigned):
-    """Approximate bound increase of inserting each unassigned point into each
-    nonempty sphere: squared distance to the sphere's current weighted center."""
-    cols = []
-    for idx, alpha in zip(sphere_members, sphere_alphas):
-        ids = list(idx)
-        w = K[np.ix_(unassigned, ids)] @ alpha
-        quad = float(alpha @ K[np.ix_(ids, ids)] @ alpha)
-        cols.append(diag[unassigned] - 2.0 * w + quad)
-    return np.maximum(np.stack(cols, axis=1), 0.0)
+def _pick_branch_point(gram_matrix, sphere_of, spheres):
+    """Max-min point: the unassigned point whose squared feature distance to
+    its nearest nonempty sphere center is largest; ties go to the lowest index.
 
-
-def _pick_branch_point(K, diag, sphere_of, sphere_members, sphere_alphas, has_empty):
-    """Most-decided unassigned point: largest gap between its best and
-    second-best insertion cost; ties go to the lowest index."""
+    ``spheres`` holds one solved sphere per label, None for an empty one; with
+    every sphere empty the lowest unassigned index is taken.
+    """
     unassigned = np.flatnonzero(sphere_of == UNASSIGNED)
-    nonempty = [k for k, m in enumerate(sphere_members) if m]
-    if not nonempty:
+    placed = [s for s in spheres if s is not None]
+    if not placed:
         return int(unassigned[0])
-    costs = _insertion_costs(
-        K,
-        diag,
-        [sphere_members[k] for k in nonempty],
-        [sphere_alphas[k] for k in nonempty],
-        unassigned,
-    )
-    if has_empty:
-        costs = np.concatenate([costs, np.zeros((unassigned.size, 1))], axis=1)
-    if costs.shape[1] == 1:
-        return int(unassigned[0])
-    part = np.partition(costs, 1, axis=1)
-    gaps = part[:, 1] - part[:, 0]
-    best = int(np.argmax(gaps))  # argmax takes the first maximum: lowest index
-    return int(unassigned[best])
+    nearest = sphere_distances_sq(gram_matrix, placed)[unassigned].min(axis=1)
+    return int(unassigned[np.argmax(nearest)])  # first maximum: lowest index
 
 
 def _child_sphere_ids(counts, p):
@@ -226,38 +211,32 @@ def branch(
 ) -> list[Assignment]:
     """Children of a partial assignment under the orbit rule.
 
-    The selected point is assigned to each currently nonempty sphere plus
-    exactly one empty sphere, eliminating label permutations.
+    The max-min branching point is assigned to each currently nonempty sphere
+    plus exactly one empty sphere, eliminating label permutations.
     """
     if assignment.is_complete():
         raise InputError("cannot branch on a complete assignment")
-    K = gram_matrix.values
-    diag = np.diag(K)
     counts = assignment.counts(p)
-    members = [tuple(int(i) for i in assignment.members(j)) for j in range(p)]
-    alphas = []
-    for j in range(p):
-        if members[j]:
-            alphas.append(
-                solve_sphere(gram_matrix, members[j], C, enforce_cardinality=False).alpha
-            )
-        else:
-            alphas.append(None)
-    point = _pick_branch_point(
-        K, diag, assignment.sphere_of, members, alphas, bool(np.any(counts == 0))
-    )
+    spheres = [
+        solve_sphere(gram_matrix, assignment.members(j), C, enforce_cardinality=False)
+        if counts[j] else None
+        for j in range(p)
+    ]
+    point = _pick_branch_point(gram_matrix, assignment.sphere_of, spheres)
     return [assignment.with_point(point, j) for j in _child_sphere_ids(counts, p)]
 
 
 class _Node:
-    __slots__ = ("sphere_of", "depth", "objs", "alphas", "lb")
+    """A partial assignment with one solved sphere (or None if empty) per label;
+    ``lb`` sums their certified dual values."""
 
-    def __init__(self, sphere_of, depth, objs, alphas):
+    __slots__ = ("sphere_of", "depth", "spheres", "lb")
+
+    def __init__(self, sphere_of, depth, spheres, lb):
         self.sphere_of = sphere_of
         self.depth = depth
-        self.objs = objs
-        self.alphas = alphas
-        self.lb = sum(objs)
+        self.spheres = spheres
+        self.lb = lb
 
 
 def _infeasible_solution(problem: MsvddProblem) -> MsvddSolution:
@@ -334,8 +313,6 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
 
     t0 = time.perf_counter()
     cache = _SubproblemCache(gram_mat, C)
-    K = gram_mat.values
-    diag = np.diag(K)
 
     incumbent_of = None
     incumbent = math.inf
@@ -349,9 +326,7 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
                 IncumbentRecord(incumbent, time.perf_counter() - t0, incumbent_of.copy())
             )
 
-    root = _Node(
-        np.full(n, UNASSIGNED, dtype=np.int16), 0, (0.0,) * p, (None,) * p
-    )
+    root = _Node(np.full(n, UNASSIGNED, dtype=np.int16), 0, (None,) * p, 0.0)
     counter = itertools.count()
     heap = [(root.lb, 0, next(counter), root)]
     node_count = 0
@@ -373,8 +348,9 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
         node_count += 1
 
         if node.depth == n:
-            if node.lb < incumbent - 1e-12:
-                incumbent = node.lb
+            value = canonical_objective([s.objective for s in node.spheres])
+            if value < incumbent - 1e-12:
+                incumbent = value
                 incumbent_of = node.sphere_of.copy()
                 log.append(
                     IncumbentRecord(incumbent, time.perf_counter() - t0, incumbent_of.copy())
@@ -384,12 +360,7 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
         counts = np.bincount(
             node.sphere_of[node.sphere_of >= 0], minlength=p
         )[:p]
-        members = [
-            tuple(int(i) for i in np.flatnonzero(node.sphere_of == j)) for j in range(p)
-        ]
-        point = _pick_branch_point(
-            K, diag, node.sphere_of, members, node.alphas, bool(np.any(counts == 0))
-        )
+        point = _pick_branch_point(gram_mat, node.sphere_of, node.spheres)
         unassigned_left = n - node.depth - 1
 
         for j in _child_sphere_ids(counts, p):
@@ -398,20 +369,21 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
             deficit = int(np.maximum(floor - child_counts, 0).sum())
             if deficit > unassigned_left:
                 continue
-            new_members = tuple(sorted(members[j] + (point,)))
+            old = node.spheres[j]
             warm = None
-            if node.alphas[j] is not None:
-                pos = new_members.index(point)
-                warm = np.insert(node.alphas[j], pos, 0.0)
+            if old is None:
+                new_members = (point,)
+            else:
+                new_members = tuple(sorted(old.members + (point,)))
+                warm = np.insert(old.alpha, new_members.index(point), 0.0)
             sol = cache.solve(new_members, warm_alpha=warm)
-            objs = node.objs[:j] + (sol.objective,) + node.objs[j + 1 :]
-            child_lb = sum(objs)
+            spheres = node.spheres[:j] + (sol,) + node.spheres[j + 1 :]
+            child_lb = sum(s.dual_objective for s in spheres if s is not None)
             if child_lb >= incumbent - prune_tol(incumbent):
                 continue
             child_of = node.sphere_of.copy()
             child_of[point] = j
-            alphas = node.alphas[:j] + (sol.alpha,) + node.alphas[j + 1 :]
-            child = _Node(child_of, node.depth + 1, objs, alphas)
+            child = _Node(child_of, node.depth + 1, spheres, child_lb)
             heapq.heappush(heap, (child.lb, -child.depth, next(counter), child))
 
     if final_lb is None:

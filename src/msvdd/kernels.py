@@ -107,6 +107,8 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     exactly 1.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim > 2:
+        raise InputError(f"points must be a 2-D array, got {pts.ndim} dimensions")
     if pts.size == 0:
         raise InputError("cannot build a Gram matrix from an empty point set")
     if not np.all(np.isfinite(pts)):

@@ -130,12 +130,14 @@ def recover_radius(distances_sq, C: float) -> tuple[float, np.ndarray]:
     return R, xi
 
 
-def _as_member_tuple(members) -> tuple[int, ...]:
+def _as_member_tuple(members, n: int) -> tuple[int, ...]:
     idx = tuple(sorted(int(i) for i in members))
     if not idx:
         raise InputError("member set is empty")
     if len(set(idx)) != len(idx):
         raise InputError("member set contains duplicates")
+    if idx[0] < 0 or idx[-1] >= n:
+        raise InputError(f"member indices must lie in [0, {n}), got {idx[0]}..{idx[-1]}")
     return idx
 
 
@@ -157,7 +159,7 @@ def solve_svdd(
     (carrying the best iterate and its gap) if the iteration cap is hit or no
     pair step can close the gap.
     """
-    idx = _as_member_tuple(members)
+    idx = _as_member_tuple(members, gram_matrix.n)
     m = len(idx)
     if not C > 0:
         raise InputError("C must be positive")
@@ -254,7 +256,7 @@ def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSoluti
     the radius collapses and the best center is the centroid).  The capped
     simplex bound on alpha does not apply in this regime; alpha is uniform.
     """
-    idx = _as_member_tuple(members)
+    idx = _as_member_tuple(members, gram_matrix.n)
     m = len(idx)
     K = gram_matrix.values[np.ix_(idx, idx)]
     a = np.full(m, 1.0 / m)
@@ -285,7 +287,7 @@ def svdd_objective_monotone_check(
     Must always hold (the added hinge term is nonnegative); exposed as a test
     hook because it is the validity basis for the branch-and-bound lower bound.
     """
-    idx = _as_member_tuple(members)
+    idx = _as_member_tuple(members, gram_matrix.n)
     if extra in idx:
         raise InputError(f"extra point {extra} already belongs to the member set")
     base = solve_svdd(gram_matrix, idx, C).objective

@@ -94,6 +94,14 @@ class TestBranch:
         spheres = sorted(int(c.sphere_of[c.sphere_of >= 0].size) for c in children)
         assert spheres == [3, 3, 3]
 
+    def test_splits_on_point_farthest_from_every_sphere(self):
+        # spheres at 0 and 10: a best-vs-second-best gap rule would take the
+        # point at 1 (costs 1 vs 81); the point at 5 is 25 from both centers
+        g = gram(LINEAR, [[0.0], [10.0], [1.0], [5.0]])
+        children = branch(Assignment(np.array([0, 1, -1, -1])), g, 1.0, p=2)
+        assert len(children) == 2
+        assert all(c.sphere_of[3] >= 0 and c.sphere_of[2] == -1 for c in children)
+
     def test_all_spheres_nonempty(self, rng):
         pts = rng.normal(size=(5, 2))
         g = gram(LINEAR, pts)
@@ -115,6 +123,17 @@ class TestLowerBound:
         g, sol = two_cluster_solution
         lb = lower_bound(sol.assignment, g, 1.0)
         assert lb == pytest.approx(sol.objective, abs=1e-8)
+
+    def test_sums_certified_dual_values(self, rng):
+        from msvdd.solution import solve_sphere
+
+        g = gram(rbf(0.5), rng.normal(size=(12, 2)))
+        C = 0.3
+        a = Assignment(np.array([0, 1, 0, -1, 1, 0, 1, 0, 2, 1, 0, 1]))
+        sols = [solve_sphere(g, a.members(j), C, enforce_cardinality=False) for j in range(3)]
+        # the primal values sit above the dual ones by up to the gap tolerance
+        assert sum(s.objective for s in sols) > sum(s.dual_objective for s in sols)
+        assert lower_bound(a, g, C) == sum(s.dual_objective for s in sols)
 
     def test_partial_equals_cluster_objective(self):
         from msvdd.svdd import solve_svdd
@@ -242,6 +261,17 @@ class TestSolveExact:
         if capped.status is SolveStatus.TIME_LIMIT_INCUMBENT:
             assert capped.lower_bound <= full.objective + 1e-9
             assert capped.objective >= full.objective - 1e-9
+
+    @pytest.mark.parametrize("spec,p,C,limit", [
+        (LINEAR, 2, 0.3, None), (rbf(0.5), 3, 0.3, None), (rbf(1.0), 2, 0.2, 0.01),
+    ])
+    def test_lower_bound_never_above_objective(self, spec, p, C, limit, rng):
+        g = gram(spec, rng.normal(size=(14, 2)))
+        sol = solve_exact(MsvddProblem(gram=g, p=p, C=C, time_limit=limit, seed=0))
+        assert sol.lower_bound <= sol.objective
+        # weak duality at the leaf, up to the rounding of the two sums
+        slack = 1e-12 * max(1.0, sol.objective)
+        assert lower_bound(sol.assignment, g, C) <= sol.objective + slack
 
     def test_infeasible_cardinality(self, rng):
         g = gram(LINEAR, rng.normal(size=(6, 2)))

@@ -56,6 +56,10 @@ class TestGram:
         with pytest.raises(InputError):
             gram(LINEAR, np.zeros((0, 2)))
 
+    def test_more_than_two_dimensions_rejected(self):
+        with pytest.raises(InputError):
+            gram(LINEAR, np.zeros((2, 3, 2)))
+
     def test_symmetry_exact_and_rbf_diag(self, rng):
         pts = rng.normal(size=(17, 3))
         for spec in (LINEAR, rbf(0.3)):

@@ -147,6 +147,14 @@ class TestSolveSvdd:
         with pytest.raises(InfeasibleSubproblemError):
             solve_svdd(g, [0, 1], 0.3)
 
+    @pytest.mark.parametrize("members", [[-1, 0, 1], [0, 1, 3]])
+    def test_member_index_out_of_range(self, members):
+        g = linear_gram([[0.0], [1.0], [2.0]])
+        with pytest.raises(InputError):
+            solve_svdd(g, members, 0.5)
+        with pytest.raises(InputError):
+            zero_radius_sphere(g, members, 0.1)
+
     def test_iteration_cap_carries_best_iterate(self, rng):
         pts = rng.normal(size=(12, 2))
         g = gram(LINEAR, pts)
