@@ -60,7 +60,12 @@ class DetectionModel:
 
 
 def model_distances_sq(model: DetectionModel, X) -> np.ndarray:
-    """(m, p) squared feature distances from query points to sphere centers."""
+    """(m, p) squared feature distances from query points to sphere centers.
+
+    The cross-kernel block is built against the support vectors only (the
+    training points with weight in some sphere): the other columns would
+    multiply zero weights.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.train_points.shape[1]:
         raise InputError(
@@ -71,8 +76,9 @@ def model_distances_sq(model: DetectionModel, X) -> np.ndarray:
         kxx = np.sum(X * X, axis=1)
     else:
         kxx = np.ones(X.shape[0])
-    kxt = cross_kernel(model.kernel_spec, X, model.train_points)
-    d2 = kxx[:, None] - 2.0 * (kxt @ model.alphas.T) + model.alpha_quad[None, :]
+    sv = np.flatnonzero(np.any(model.alphas != 0.0, axis=0))
+    kxt = cross_kernel(model.kernel_spec, X, model.train_points[sv])
+    d2 = kxx[:, None] - 2.0 * (kxt @ model.alphas[:, sv].T) + model.alpha_quad[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 

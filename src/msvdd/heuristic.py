@@ -56,13 +56,23 @@ def reassign(gram_matrix: GramMatrix, spheres) -> Assignment:
     """
     d2 = sphere_distances_sq(gram_matrix, spheres)
     radii = np.array([s.radius_sq for s in spheres])
+    return Assignment(_nearest_sphere(d2, radii))
+
+
+def _nearest_sphere(d2, radii) -> np.ndarray:
+    """Per-point sphere index with the smallest (excess, distance, index)."""
     excess = np.maximum(0.0, d2 - radii[None, :])
-    n = d2.shape[0]
-    choice = np.empty(n, dtype=np.int16)
-    for i in range(n):
-        # lexsort is stable: primary key excess, then distance, then index
-        choice[i] = np.lexsort((d2[i], excess[i]))[0]
-    return Assignment(choice)
+    choice = np.zeros(d2.shape[0], dtype=np.int16)
+    best_ex, best_d2 = excess[:, 0].copy(), d2[:, 0].copy()
+    for j in range(1, d2.shape[1]):
+        # strict comparisons keep the lower index on a full tie
+        better = (excess[:, j] < best_ex) | (
+            (excess[:, j] == best_ex) & (d2[:, j] < best_d2)
+        )
+        choice[better] = j
+        best_ex[better] = excess[better, j]
+        best_d2[better] = d2[better, j]
+    return choice
 
 
 def _initial_partition(n, p, rng) -> np.ndarray:
@@ -98,23 +108,30 @@ def _repair_empty(sphere_of, d2, radii, p):
     return sphere_of
 
 
-def _solve_clusters(gram_matrix, sphere_of, p, nu):
+def _solve_clusters(gram_matrix, sphere_of, p, nu, solved):
+    """One sphere per cluster, reusing any cluster already in ``solved``.
+
+    ``solved`` maps (member tuple, C_k) to its sphere; a solve is a function
+    of that key alone, so a reused sphere is the one a new solve would give.
+    """
     spheres = []
     for j in range(p):
-        members = np.flatnonzero(sphere_of == j)
-        C_k = 1.0 / (nu * members.size)
-        spheres.append(solve_svdd(gram_matrix, members, C_k))
+        members = tuple(np.flatnonzero(sphere_of == j).tolist())
+        key = (members, 1.0 / (nu * len(members)))
+        if key not in solved:
+            solved[key] = solve_svdd(gram_matrix, members, key[1])
+        spheres.append(solved[key])
     return spheres
 
 
-def _single_run(gram_matrix, p, nu, max_iters, rng, t0):
+def _single_run(gram_matrix, p, nu, max_iters, rng, t0, solved):
     n = gram_matrix.n
     sphere_of = _initial_partition(n, p, rng)
     history: list[float] = []
     log: list[IncumbentRecord] = []
     state = None
     for _ in range(max_iters):
-        spheres = _solve_clusters(gram_matrix, sphere_of, p, nu)
+        spheres = _solve_clusters(gram_matrix, sphere_of, p, nu, solved)
         obj = canonical_objective([s.objective for s in spheres])
         if state is not None and obj > state[2] + 1e-12:
             break  # alternation ticked upward; keep the previous state
@@ -122,10 +139,9 @@ def _single_run(gram_matrix, p, nu, max_iters, rng, t0):
         state = (sphere_of.copy(), spheres, obj)
         if not log or obj < log[-1].objective - 1e-12:
             log.append(IncumbentRecord(obj, time.perf_counter() - t0, sphere_of.copy()))
-        new_assign = reassign(gram_matrix, spheres).sphere_of
         d2 = sphere_distances_sq(gram_matrix, spheres)
         radii = np.array([s.radius_sq for s in spheres])
-        new_assign = _repair_empty(new_assign, d2, radii, p)
+        new_assign = _repair_empty(_nearest_sphere(d2, radii), d2, radii, p)
         if np.array_equal(new_assign, sphere_of):
             break
         sphere_of = new_assign
@@ -143,10 +159,12 @@ def solve_heuristic(gram_matrix: GramMatrix, config: HeuristicConfig) -> MsvddSo
         raise InputError(f"need at least p={config.p} points, got {n}")
     t0 = time.perf_counter()
     best = None
+    # restarts that reach the same cluster solve it once
+    solved: dict = {}
     for r in range(config.restarts):
         rng = np.random.default_rng([config.seed, r])
         state, history, log = _single_run(
-            gram_matrix, config.p, config.nu, config.max_iters, rng, t0
+            gram_matrix, config.p, config.nu, config.max_iters, rng, t0, solved
         )
         if best is None or state[2] < best[0][2] - 1e-12:
             best = (state, history, log)

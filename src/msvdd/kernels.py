@@ -106,9 +106,12 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     Symmetry is enforced by construction and the RBF diagonal is pinned to
     exactly 1.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim > 2:
-        raise InputError(f"points must be a 2-D array, got {pts.ndim} dimensions")
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        hint = "; use reshape(-1, 1) for one coordinate per point" if pts.ndim == 1 else ""
+        raise InputError(
+            f"points must be a 2-D array (n_points, n_dims), got {pts.ndim} dimensions{hint}"
+        )
     if pts.size == 0:
         raise InputError("cannot build a Gram matrix from an empty point set")
     if not np.all(np.isfinite(pts)):

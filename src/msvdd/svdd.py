@@ -8,9 +8,15 @@ sphere is found by maximizing
 by sequential minimal optimization (SMO): each step moves weight between one
 pair of points, chosen by second-order working-set selection (Fan, Chen & Lin,
 JMLR 2005), with the exact step length of the pair's one-dimensional quadratic.
-The start is the warm-start vector, or the uniform weight, projected once onto
-the capped simplex.  Every few steps a primal-dual gap certificate is computed
-from a fresh K @ a, and the solve returns once that gap is within tolerance.
+A cold solve starts at the far-point vertex of the capped simplex: weight C on
+the floor(1/C) members farthest from the member centroid and the remainder on
+the next one, the core-set start for minimum enclosing balls (Badoiu &
+Clarkson, SODA 2003).  A pair step zeroes at most one weight, so this start
+saves the m - |SV| steps that a start at the uniform weight spends zeroing
+interior points.  A warm start is used as given when it lies on the capped
+simplex and projected onto it otherwise.  Every few steps a primal-dual gap
+certificate is computed from a fresh K @ a, and the solve returns once that
+gap is within tolerance.
 The radius and per-point errors are recovered from the induced distances by a
 one-dimensional piecewise-linear minimization (`recover_radius`), which is
 total (it needs no free support vector) and returns the smallest minimizer on
@@ -31,6 +37,8 @@ MAX_ITERATIONS = 50_000
 _CHECK_EVERY = 16
 # pair-curvature floor, relative to the largest kernel diagonal
 _ETA_FLOOR = 1e-12
+# a warm start whose weights sum to 1 within this is used without projection
+_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -152,9 +160,10 @@ def solve_svdd(
     """Solve the single-sphere subproblem on the given member set.
 
     ``warm_alpha`` (length len(members), aligned with the sorted member order)
-    is projected onto the capped simplex to seed the pair steps; if it has the
-    wrong length or a non-finite entry the solver starts from the uniform
-    weight 1/|S| instead.  ``max_iters`` caps the number of pair steps.
+    seeds the pair steps: as given when it lies on the capped simplex, else
+    projected onto it.  Without one, or if it has the wrong length or a
+    non-finite entry, the solve starts cold at the far-point vertex (see
+    `_start`).  ``max_iters`` caps the number of pair steps.
     Raises InfeasibleSubproblemError when C * |S| < 1 and ConvergenceError
     (carrying the best iterate and its gap) if the iteration cap is hit or no
     pair step can close the gap.
@@ -170,12 +179,7 @@ def solve_svdd(
     K = gram_matrix.values[np.ix_(idx, idx)]
     q = np.ascontiguousarray(np.diag(K))
 
-    a = np.full(m, 1.0 / m)
-    if warm_alpha is not None:
-        w = np.asarray(warm_alpha, dtype=float)
-        if w.shape == (m,) and np.all(np.isfinite(w)):
-            a = w
-    a = project_capped_simplex(a, C)
+    a = _start(K, q, C, warm_alpha)
 
     # floor for the pair curvature, which is 0 on duplicate points
     eta_floor = _ETA_FLOOR * max(float(q.max()), np.finfo(float).tiny)
@@ -223,6 +227,35 @@ def solve_svdd(
         gap=best_gap,
         iterations=it,
     )
+
+
+def _start(K, q, C, warm_alpha) -> np.ndarray:
+    """Starting weights on {a : sum a = 1, 0 <= a_i <= C}, as a fresh array.
+
+    A warm start of the right length with finite entries is used as given
+    when it lies on the capped simplex and projected onto it otherwise.  The
+    cold start is the vertex with weight C on the k = floor(1/C) members
+    farthest from the member centroid, ranked by K_ii - 2 (K 1/m)_i with ties
+    broken stably, and the remainder 1 - kC on the next one; it is all C
+    when C * m = 1.
+    """
+    m = q.size
+    if warm_alpha is not None:
+        w = np.array(warm_alpha, dtype=float)
+        if w.shape == (m,) and np.all(np.isfinite(w)):
+            if w.min() >= 0.0 and w.max() <= C and abs(w.sum() - 1.0) <= _SUM_TOL:
+                return w
+            return project_capped_simplex(w, C)
+    if C * m <= 1.0 + 1e-12:
+        return np.full(m, C)
+    far = q - 2.0 * (K @ np.full(m, 1.0 / m))
+    order = np.argsort(-far, kind="stable")
+    # C * m > 1 leaves k < m, so the remainder has a member to go on
+    k = int(1.0 / C)
+    a = np.zeros(m)
+    a[order[:k]] = C
+    a[order[k]] = max(1.0 - k * C, 0.0)
+    return a
 
 
 def _assemble(idx, a, d2, R, xi, C, dual, gap, iters, feas_tol):

@@ -17,7 +17,7 @@ from msvdd.detection import (
 )
 from msvdd.errors import InputError, UndefinedMetricError
 from msvdd.exact import MsvddProblem, solve_exact
-from msvdd.kernels import LINEAR, KernelKind, KernelSpec, gram, rbf
+from msvdd.kernels import LINEAR, KernelKind, KernelSpec, cross_kernel, gram, rbf
 from oracles import trapezoid_auc
 
 
@@ -66,6 +66,24 @@ class TestScores:
         via_kernel = score_points(model, queries)
         via_geometry = geometric_scores(model, queries)
         assert np.allclose(via_kernel, via_geometry, atol=1e-9)
+
+    @pytest.mark.parametrize("spec", [LINEAR, rbf(0.5)], ids=["linear", "rbf"])
+    def test_support_vector_columns_match_all_columns(self, spec, rng):
+        pts = rng.normal(scale=1.5, size=(30, 2))
+        g = gram(spec, pts)
+        sol = solve_exact(MsvddProblem(gram=g, p=2, C=0.2, seed=0))
+        model = DetectionModel.from_solution(sol, g, pts)
+        assert np.any(np.all(model.alphas == 0.0, axis=0))
+        queries = rng.normal(scale=2.5, size=(50, 2))
+        kxx = np.diag(cross_kernel(spec, queries, queries))
+        full = (
+            kxx[:, None]
+            - 2.0 * cross_kernel(spec, queries, pts) @ model.alphas.T
+            + model.alpha_quad[None, :]
+        )
+        assert np.allclose(
+            model_distances_sq(model, queries), np.maximum(full, 0.0), rtol=0.0, atol=1e-12
+        )
 
     def test_linear_centers_shape(self, rng):
         pts = rng.normal(size=(8, 2))

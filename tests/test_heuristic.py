@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import msvdd.heuristic
 
 from msvdd.errors import InputError
 from msvdd.exact import MsvddProblem, solve_exact
-from msvdd.heuristic import HeuristicConfig, reassign, solve_heuristic
+from msvdd.heuristic import HeuristicConfig, _nearest_sphere, reassign, solve_heuristic
 from msvdd.kernels import LINEAR, gram
 from msvdd.solution import SolveStatus, evaluate_assignment
 from msvdd.svdd import solve_svdd
@@ -87,6 +91,20 @@ class TestSolveHeuristic:
             if under_c is not None:
                 assert under_c.objective >= exact.objective - 1e-6
 
+    def test_restarts_solve_each_cluster_once(self, rng, monkeypatch):
+        # with p = 1 every restart holds the same single cluster
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return solve_svdd(*args, **kwargs)
+
+        monkeypatch.setattr(msvdd.heuristic, "solve_svdd", counting)
+        g = gram(LINEAR, rng.normal(size=(12, 2)))
+        heur = solve_heuristic(g, HeuristicConfig(p=1, nu=0.25, restarts=4))
+        assert len(calls) == 1
+        assert heur.objective == solve_svdd(g, range(12), 1.0 / 3.0).objective
+
     def test_all_spheres_nonempty(self, rng):
         pts = rng.normal(size=(9, 2))
         g = gram(LINEAR, pts)
@@ -126,3 +144,14 @@ class TestReassign:
         spheres = self._spheres(g, [(0, 1), (2, 3)], 1.0)
         a = reassign(g, spheres)
         assert a.sphere_of[4] == 0
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_vectorized_rule_matches_lexsort(self, seed):
+        # few distinct values force ties in excess and in distance
+        r = np.random.default_rng(seed)
+        n, p = int(r.integers(1, 30)), int(r.integers(1, 5))
+        d2 = r.integers(0, 4, size=(n, p)).astype(float)
+        radii = r.integers(0, 3, size=p).astype(float)
+        excess = np.maximum(0.0, d2 - radii[None, :])
+        expected = [np.lexsort((d2[i], excess[i]))[0] for i in range(n)]
+        assert np.array_equal(_nearest_sphere(d2, radii), expected)

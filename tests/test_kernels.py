@@ -9,6 +9,7 @@ from msvdd.kernels import (
     KernelKind,
     KernelSpec,
     LINEAR,
+    cross_kernel,
     eval_kernel,
     feature_distance_sq,
     gram,
@@ -59,6 +60,14 @@ class TestGram:
     def test_more_than_two_dimensions_rejected(self):
         with pytest.raises(InputError):
             gram(LINEAR, np.zeros((2, 3, 2)))
+
+    def test_one_dimensional_points_rejected(self):
+        # three 1-D coordinates are not one 3-D point
+        with pytest.raises(InputError, match=r"reshape\(-1, 1\)"):
+            gram(LINEAR, [0.0, 1.0, 2.0])
+        assert gram(LINEAR, np.reshape([0.0, 1.0, 2.0], (-1, 1))).n == 3
+        # a 1-D query stays one point for cross_kernel
+        assert cross_kernel(LINEAR, [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]]).shape == (1, 2)
 
     def test_symmetry_exact_and_rbf_diag(self, rng):
         pts = rng.normal(size=(17, 3))

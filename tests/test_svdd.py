@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import msvdd.svdd
 from msvdd.errors import ConvergenceError, InfeasibleSubproblemError, InputError
 from msvdd.kernels import LINEAR, gram, rbf
 from msvdd.svdd import (
@@ -158,8 +159,10 @@ class TestSolveSvdd:
     def test_iteration_cap_carries_best_iterate(self, rng):
         pts = rng.normal(size=(12, 2))
         g = gram(LINEAR, pts)
+        # an instance the cold start does not solve within one pair step
+        assert solve_svdd(g, range(12), 0.5).iterations > 1
         with pytest.raises(ConvergenceError) as err:
-            solve_svdd(g, range(12), 0.25, max_iters=1)
+            solve_svdd(g, range(12), 0.5, max_iters=1)
         assert err.value.alpha is not None
         assert err.value.gap is not None and err.value.gap >= 0.0
 
@@ -169,6 +172,9 @@ class TestSolveSvdd:
         cold = solve_svdd(g, range(n), C)
         warm = solve_svdd(g, range(n), C, warm_alpha=r.dirichlet(np.ones(n)))
         assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+        # the uniform weight is feasible, since C * n >= 1
+        uniform = solve_svdd(g, range(n), C, warm_alpha=np.full(n, 1.0 / n))
+        assert uniform.objective == pytest.approx(cold.objective, abs=1e-7)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_solution_contract(self, seed):
@@ -263,6 +269,77 @@ class TestSmoCases:
         cold = solve_svdd(g, range(n), C)
         assert warm.objective == pytest.approx(cold.objective, abs=DEFAULT_TOLS.objective)
         assert warm.objective >= parent.objective - DEFAULT_TOLS.objective
+
+
+def cold_start(g, n, C):
+    """The weights a cold solve starts from, read off a zero-step solve."""
+    try:
+        return solve_svdd(g, range(n), C, max_iters=0).alpha
+    except ConvergenceError as err:
+        return err.alpha
+
+
+def count_projections(monkeypatch):
+    calls = []
+
+    def counting(v, cap):
+        calls.append(cap)
+        return project_capped_simplex(v, cap)
+
+    monkeypatch.setattr(msvdd.svdd, "project_capped_simplex", counting)
+    return calls
+
+
+class TestStart:
+    @pytest.mark.parametrize(
+        "n, C", [(12, 0.1), (12, 0.25), (12, 0.3), (12, 1 / 3), (12, 1.0),
+                 (12, 2.0), (10, 0.1), (4, 0.25)]
+    )
+    def test_cold_start_is_far_point_vertex(self, n, C, rng, monkeypatch):
+        projections = count_projections(monkeypatch)
+        g = gram(LINEAR, rng.normal(size=(n, 2)))
+        a = cold_start(g, n, C)
+        assert projections == []
+        assert abs(a.sum() - 1.0) <= 1e-12
+        assert a.min() >= 0.0 and a.max() <= C
+        k = min(math.floor(1.0 / C), n)
+        K = g.values
+        far = np.diag(K) - 2.0 * K.mean(axis=1)
+        farthest = np.argsort(-far, kind="stable")
+        assert np.array_equal(np.flatnonzero(a == C), np.sort(farthest[:k]))
+        assert np.count_nonzero(a) <= k + 1
+        if k < n:
+            assert a[farthest[k]] == pytest.approx(1.0 - k * C, abs=1e-15)
+
+    def test_optimal_feasible_warm_start_takes_no_step(self, rng, monkeypatch):
+        g = gram(rbf(1.0), rng.normal(size=(20, 2)))
+        sol = solve_svdd(g, range(20), 0.2)
+        assert sol.iterations > 0
+        projections = count_projections(monkeypatch)
+        again = solve_svdd(g, range(20), 0.2, warm_alpha=sol.alpha)
+        assert projections == []
+        assert again.iterations == 0
+        assert np.array_equal(again.alpha, sol.alpha)
+
+    @pytest.mark.parametrize(
+        "warm", [np.full(9, 1.0 / 9.0) * 2.0, np.eye(9)[0], -np.arange(9.0)]
+    )
+    def test_infeasible_warm_start_is_projected(self, warm, rng, monkeypatch):
+        g = gram(LINEAR, rng.normal(size=(9, 2)))
+        cold = solve_svdd(g, range(9), 0.3)
+        projections = count_projections(monkeypatch)
+        warm_copy = warm.copy()
+        sol = solve_svdd(g, range(9), 0.3, warm_alpha=warm)
+        assert projections == [0.3]
+        assert np.array_equal(warm, warm_copy)
+        assert sol.objective == pytest.approx(cold.objective, abs=DEFAULT_TOLS.objective)
+
+    def test_large_linear_cold_solve_takes_few_steps(self):
+        # a uniform start spends about one step per interior point
+        m = 300
+        pts = np.random.default_rng(5).normal(size=(m, 2))
+        sol = solve_svdd(gram(LINEAR, pts), range(m), 1.0 / 30.0)
+        assert sol.iterations < m / 2
 
 
 class TestMonotoneCheck:
