@@ -31,7 +31,8 @@ class DetectionModel:
     """Spheres in dual form: weight rows over the training points plus radii.
 
     Everything needed to score new points through kernel evaluations alone;
-    ``alpha_quad`` caches alpha' K alpha per sphere.
+    ``alpha_quad`` holds alpha' K alpha per sphere, as each solved sphere
+    stores it.
     """
 
     kernel_spec: KernelSpec
@@ -50,11 +51,9 @@ class DetectionModel:
         alphas = np.zeros((p, n))
         quad = np.zeros(p)
         radii = np.zeros(p)
-        K = gram_matrix.values
         for j, s in enumerate(solution.spheres):
-            idx = list(s.members)
-            alphas[j, idx] = s.alpha
-            quad[j] = float(s.alpha @ K[np.ix_(idx, idx)] @ s.alpha)
+            alphas[j, list(s.members)] = s.alpha
+            quad[j] = s.alpha_quad
             radii[j] = s.radius_sq
         return cls(gram_matrix.spec, pts, alphas, radii, quad)
 
@@ -109,16 +108,15 @@ class RocResult:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, each run of equal values sharing the mean of its ranks."""
     order = np.argsort(values, kind="mergesort")
     sorted_vals = values[order]
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = sorted_vals[1:] != sorted_vals[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], values.size) - 1
     ranks = np.empty(values.size)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

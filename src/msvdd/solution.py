@@ -123,15 +123,17 @@ def canonical_objective(values) -> float:
 
 def sphere_distances_sq(gram_matrix: GramMatrix, spheres) -> np.ndarray:
     """(n, p) squared feature distances from every training point to every
-    sphere center, computed from Gram entries alone."""
+    sphere center, computed from Gram entries alone.
+
+    Only the Gram columns of each sphere's support vectors are read; the
+    center's own term alpha' K alpha is the one stored with the sphere.
+    """
     K = gram_matrix.values
     diag = np.diag(K)
     cols = []
     for s in spheres:
-        idx = list(s.members)
-        w = K[:, idx] @ s.alpha
-        quad = float(s.alpha @ K[np.ix_(idx, idx)] @ s.alpha)
-        cols.append(diag - 2.0 * w + quad)
+        w = K[:, s.support] @ s.alpha[s.alpha > 0.0]
+        cols.append(diag - 2.0 * w + s.alpha_quad)
     d2 = np.stack(cols, axis=1)
     np.maximum(d2, 0.0, out=d2)
     return d2

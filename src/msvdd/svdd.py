@@ -17,6 +17,14 @@ interior points.  A warm start is used as given when it lies on the capped
 simplex and projected onto it otherwise.  Every few steps a primal-dual gap
 certificate is computed from a fresh K @ a, and the solve returns once that
 gap is within tolerance.
+Pair steps alone take many steps to settle the weights of a sphere with many
+free support vectors, as in the warm child solves of the branch-and-bound.
+So at a certificate that does not certify, after at least one block of pair
+steps, one exact free-face step solves the equality-constrained QP on the
+face of the current free weights (the face solve of active-set SVM methods,
+Scheinberg, JMLR 2006) and moves toward its solution as far as the box
+allows; the pair steps then continue from there.  Face steps are never taken
+twice in a row, and one that would not raise the dual is refused.
 The radius and per-point errors are recovered from the induced distances by a
 one-dimensional piecewise-linear minimization (`recover_radius`), which is
 total (it needs no free support vector) and returns the smallest minimizer on
@@ -60,7 +68,11 @@ class SvddSolution:
     ``alpha``, ``errors`` and ``distances_sq`` are indexed like ``members``
     (ascending global point indices).  ``objective`` is the primal value
     radius_sq + C * sum(errors); ``gap`` is the certified distance to the dual
-    optimum at termination.
+    optimum at termination.  ``support`` holds the global indices of the
+    members with nonzero weight (ascending, so aligned with
+    ``alpha[alpha > 0]``) and ``alpha_quad`` the value alpha' K alpha at the
+    certified point; together they give distances to the center without the
+    members' Gram block.
     """
 
     members: tuple[int, ...]
@@ -75,6 +87,8 @@ class SvddSolution:
     dual_objective: float
     gap: float
     iterations: int
+    support: np.ndarray
+    alpha_quad: float
 
 
 def project_capped_simplex(v, cap: float) -> np.ndarray:
@@ -163,7 +177,12 @@ def solve_svdd(
     seeds the pair steps: as given when it lies on the capped simplex, else
     projected onto it.  Without one, or if it has the wrong length or a
     non-finite entry, the solve starts cold at the far-point vertex (see
-    `_start`).  ``max_iters`` caps the number of pair steps.
+    `_start`).  Blocks of pair steps alternate with single free-face steps
+    (see `_face_step`), which are tried at a certificate that does not
+    certify, never twice in a row; the block after a face step runs on the
+    incrementally updated K @ a, and the fresh-gradient certificate stays the
+    only exit.  ``iterations`` counts pair steps plus accepted face steps, and
+    ``max_iters`` caps that sum.
     Raises InfeasibleSubproblemError when C * |S| < 1 and ConvergenceError
     (carrying the best iterate and its gap) if the iteration cap is hit or no
     pair step can close the gap.
@@ -186,21 +205,33 @@ def solve_svdd(
     best_gap = np.inf
     best_alpha = None
     it = 0
+    # a face step needs an SMO block with steps since the start or the last one
+    face_ready = False
+    Ka = K @ a
     while True:
         # certificate from a fresh K @ a, so drift in the incremental
         # gradient can slow the loop but never certify a wrong point
-        Ka = K @ a
-        dual = float(q @ a - a @ Ka)
-        d2 = np.maximum(q - 2.0 * Ka + float(a @ Ka), 0.0)
+        quad = float(a @ Ka)
+        dual = float(q @ a) - quad
+        d2 = np.maximum(q - 2.0 * Ka + quad, 0.0)
         R, xi = recover_radius(d2, C)
         gap = max(float(R + C * xi.sum()) - dual, 0.0)
         if gap < best_gap:
             best_gap, best_alpha = gap, a.copy()
         if gap <= tols.duality_gap:
-            return _assemble(idx, a, d2, R, xi, C, dual, gap, it, tols.feasibility)
+            return _assemble(idx, a, d2, R, xi, C, dual, quad, gap, it, tols.feasibility)
 
         # SMO pair steps on min a'Ka - q'a; G is its gradient
         G = 2.0 * Ka - q
+        faced = False
+        if face_ready and it < max_iters:
+            step = _face_step(K, a, G, C)
+            if step is not None:
+                F, delta = step
+                Ka += K[:, F] @ delta
+                G = 2.0 * Ka - q
+                it += 1
+                faced = True
         steps = 0
         while steps < _CHECK_EVERY and it < max_iters:
             G_up = np.where(a < C, G, np.inf)
@@ -217,8 +248,12 @@ def solve_svdd(
             G += 2.0 * t * (K[i] - K[j])
             steps += 1
             it += 1
-        if steps == 0:
+        # after a face step the block ran on an incrementally updated
+        # gradient, so an empty block re-certifies before it counts as stalled
+        if steps == 0 and not faced:
             break
+        face_ready = steps > 0
+        Ka = K @ a
 
     reason = "iteration cap hit" if it >= max_iters else "stalled"
     raise ConvergenceError(
@@ -258,7 +293,59 @@ def _start(K, q, C, warm_alpha) -> np.ndarray:
     return a
 
 
-def _assemble(idx, a, d2, R, xi, C, dual, gap, iters, feas_tol):
+def _face_step(K, a, G, C):
+    """One exact step on the face of the free weights, or None if refused.
+
+    With F = {0 < a < C} and B = {a = C}, the minimizer x of a'Ka - q'a on
+    the face {a_i = C on B, a_i = 0 elsewhere, sum a = 1} solves the KKT
+    system [2 K_FF 1; 1' 0] [x; mu] = [q_F - 2C K_FB 1; 1 - C|B|].  It is
+    solved here for the step d = x - a_F, whose right-hand side is the
+    gradient, [2 K_FF 1; 1' 0] [d; mu] = [-G_F; 0].  a_F moves toward x as
+    far as the box allows; a blocking weight is set to exactly 0 or C, and
+    the sum of the weights is restored on the free weight farthest from its
+    bounds.  The step is refused when the solve fails, is not finite, or does
+    not lower the objective, as on the singular faces of duplicated points or
+    of more than d + 1 free points under a d-dimensional linear kernel.
+    Updates ``a`` in place and returns (F, a_F change) for the caller's K @ a.
+    """
+    F = np.flatnonzero((a > 0.0) & (a < C))
+    f = F.size
+    if f < 2:
+        return None
+    K_FF = K[np.ix_(F, F)]
+    kkt = np.ones((f + 1, f + 1))
+    kkt[:f, :f] = 2.0 * K_FF
+    kkt[f, f] = 0.0
+    rhs = np.zeros(f + 1)
+    rhs[:f] = -G[F]
+    try:
+        d = np.linalg.solve(kkt, rhs)[:f]
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(d)):
+        return None
+    a_F = a[F]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        room = np.where(d > 0.0, (C - a_F) / d, np.where(d < 0.0, -a_F / d, np.inf))
+    k = int(np.argmin(room))
+    new = a_F + min(room[k], 1.0) * d
+    if room[k] < 1.0:
+        new[k] = C if d[k] > 0.0 else 0.0
+    np.clip(new, 0.0, C, out=new)
+    delta = new - a_F
+    # dual gain of the step, on the face: -(G_F' delta + delta' K_FF delta)
+    if not float(G[F] @ delta + delta @ K_FF @ delta) < 0.0:
+        return None
+    a[F] = new
+    inside = np.flatnonzero((new > 0.0) & (new < C))
+    if inside.size:
+        s = F[inside[np.argmax(np.minimum(new[inside], C - new[inside]))]]
+        a[s] = min(max(a[s] + (1.0 - a.sum()), 0.0), C)
+        delta = a[F] - a_F
+    return F, delta
+
+
+def _assemble(idx, a, d2, R, xi, C, dual, quad, gap, iters, feas_tol):
     a = np.clip(a, 0.0, C)
     free = tuple(
         g for g, ai in zip(idx, a) if feas_tol < ai < C - feas_tol
@@ -278,6 +365,8 @@ def _assemble(idx, a, d2, R, xi, C, dual, gap, iters, feas_tol):
         dual_objective=dual,
         gap=float(gap),
         iterations=iters,
+        support=np.asarray(idx)[a > 0.0],
+        alpha_quad=quad,
     )
 
 
@@ -294,7 +383,8 @@ def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSoluti
     K = gram_matrix.values[np.ix_(idx, idx)]
     a = np.full(m, 1.0 / m)
     Ka = K @ a
-    d2 = np.maximum(np.diag(K) - 2.0 * Ka + float(a @ Ka), 0.0)
+    quad = float(a @ Ka)
+    d2 = np.maximum(np.diag(K) - 2.0 * Ka + quad, 0.0)
     objective = float(C * d2.sum())
     return SvddSolution(
         members=idx,
@@ -309,6 +399,8 @@ def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSoluti
         dual_objective=objective,
         gap=0.0,
         iterations=0,
+        support=np.asarray(idx),
+        alpha_quad=quad,
     )
 
 

@@ -118,5 +118,24 @@ def capped_simplex_samples(rng, n, cap, count):
     return np.array(out)
 
 
+def average_ranks_loop(values):
+    """1-based average ranks by a scan over the sorted values, one tie run at
+    a time."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="mergesort")
+    sorted_vals = values[order]
+    ranks = np.empty(values.size)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def trapezoid_auc(fpr, tpr) -> float:
-    return float(np.trapezoid(tpr, fpr))
+    # written out, since numpy before 2.0 names the rule np.trapz
+    fpr, tpr = np.asarray(fpr, dtype=float), np.asarray(tpr, dtype=float)
+    return float((np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0).sum())

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from msvdd.detection import (
     DetectionModel,
+    _average_ranks,
     Label,
     anomaly_score,
     auc_roc,
@@ -18,7 +19,7 @@ from msvdd.detection import (
 from msvdd.errors import InputError, UndefinedMetricError
 from msvdd.exact import MsvddProblem, solve_exact
 from msvdd.kernels import LINEAR, KernelKind, KernelSpec, cross_kernel, gram, rbf
-from oracles import trapezoid_auc
+from oracles import average_ranks_loop, trapezoid_auc
 
 
 def manual_model(centers, radii):
@@ -120,6 +121,16 @@ class TestAucRoc:
     def test_ties_average_rank(self):
         roc = auc_roc([1, 1, 2, 2], [0, 1, 0, 1])
         assert roc.auc == 0.5
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_ranks_match_the_loop(self, seed):
+        r = np.random.default_rng(seed)
+        n = int(r.integers(1, 80))
+        # few distinct values force long runs of ties
+        values = r.integers(0, int(r.integers(1, n + 1)), size=n) * 0.25
+        if r.random() < 0.3:
+            values = values + r.normal(size=n)
+        assert np.array_equal(_average_ranks(values), average_ranks_loop(values))
 
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetricError):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msvdd.svdd
 from msvdd.errors import ConvergenceError, InfeasibleSubproblemError, InputError
 from msvdd.kernels import LINEAR, gram, rbf
+from msvdd.solution import sphere_distances_sq
 from msvdd.svdd import (
     DEFAULT_TOLS,
     project_capped_simplex,
@@ -340,6 +341,108 @@ class TestStart:
         pts = np.random.default_rng(5).normal(size=(m, 2))
         sol = solve_svdd(gram(LINEAR, pts), range(m), 1.0 / 30.0)
         assert sol.iterations < m / 2
+
+
+def degenerate_instance(seed):
+    """Points with duplicates or on a line, scaled by 10^k for k in [-3, 3].
+
+    Faces with duplicated points, or with more than d + 1 free points under a
+    d-dimensional linear kernel, have a singular KKT matrix.
+    """
+    r = np.random.default_rng(seed)
+    n = int(r.integers(2, 25))
+    pts = r.normal(size=(n, 2))
+    shape = int(r.integers(3))
+    if shape == 0:
+        pts[n // 2 :] = pts[: n - n // 2]
+    elif shape == 1:
+        pts = np.outer(r.normal(size=n), r.normal(size=2)) + r.normal(size=2)
+    pts *= 10.0 ** int(r.integers(-3, 4))
+    spec = rbf(float(r.uniform(0.1, 2.0))) if r.random() < 0.4 else LINEAR
+    C = float(r.uniform(1.0 / n, 1.0))
+    return r, gram(spec, pts), n, C
+
+
+class TestFaceStep:
+    def test_warm_child_solve_takes_few_steps(self):
+        # the search seeds a child with its parent's weights plus a 0 for
+        # the new point; pair steps alone spent 160 iterations on this one
+        pts = np.random.default_rng(5).normal(size=(30, 2))
+        g = gram(rbf(0.5), pts)
+        C = 0.1
+        parent = solve_svdd(g, range(29), C)
+        assert len(parent.support_free) >= 10
+        K, a = g.values, parent.alpha
+        outside = K[29, 29] - 2.0 * K[29, :29] @ a + a @ K[:29, :29] @ a
+        assert outside > parent.radius_sq
+        child = solve_svdd(g, range(30), C, warm_alpha=np.append(a, 0.0))
+        assert len(child.support_free) >= 10
+        assert child.iterations <= 80
+        cold = solve_svdd(g, range(30), C)
+        assert child.objective == pytest.approx(cold.objective, abs=1e-7)
+
+    # a fixed draw of examples: about 1 in 3000 instances meets the defect
+    # pinned by test_absolute_gap_at_float_resolution, with or without the
+    # face step
+    @settings(derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_singular_faces_and_scales(self, seed):
+        r, g, n, C = degenerate_instance(seed)
+        uniform = solve_svdd(g, range(n), C, warm_alpha=np.full(n, 1.0 / n))
+        sols = [
+            solve_svdd(g, range(n), C),
+            solve_svdd(g, range(n), C, warm_alpha=r.dirichlet(np.ones(n))),
+        ]
+        if C * (n - 1) >= 1.0:
+            parent = solve_svdd(g, range(n - 1), C)
+            sols.append(
+                solve_svdd(g, range(n), C, warm_alpha=np.append(parent.alpha, 0.0))
+            )
+        for sol in [uniform, *sols]:
+            assert sol.gap <= DEFAULT_TOLS.duality_gap
+            assert abs(sol.alpha.sum() - 1.0) <= 1e-12
+            assert sol.alpha.min() >= 0.0 and sol.alpha.max() <= C
+        for sol in sols:
+            assert sol.objective == pytest.approx(uniform.objective, abs=1e-7)
+
+
+    @pytest.mark.xfail(raises=ConvergenceError, strict=True)
+    def test_absolute_gap_at_float_resolution(self):
+        # collinear points near 1e3 give an objective near 2e6, where the
+        # absolute 1e-8 gap tolerance is about 5e-15 relative: the rounding
+        # of the certificate keeps the gap at 1.02e-8 and no pair step is left
+        r, g, n, C = degenerate_instance(638)
+        solve_svdd(g, range(n), C, warm_alpha=r.dirichlet(np.ones(n)))
+
+
+class TestSupportGeometry:
+    @pytest.mark.parametrize("spec", [LINEAR, rbf(0.5)], ids=["linear", "rbf"])
+    def test_distances_match_all_members(self, spec, rng):
+        pts = rng.normal(scale=1.5, size=(30, 2))
+        g = gram(spec, pts)
+        spheres = [
+            solve_svdd(g, range(0, 30, 2), 0.2),
+            solve_svdd(g, range(1, 30, 2), 0.3),
+            zero_radius_sphere(g, range(5), 0.1),
+        ]
+        K = g.values
+        for s in spheres:
+            idx = list(s.members)
+            assert np.array_equal(s.support, np.asarray(idx)[s.alpha > 0.0])
+            quad = s.alpha @ K[np.ix_(idx, idx)] @ s.alpha
+            assert s.alpha_quad == pytest.approx(quad, rel=0.0, abs=1e-12)
+        assert len(spheres[0].support) < len(spheres[0].members)
+        full = np.stack(
+            [
+                np.diag(K) - 2.0 * K[:, list(s.members)] @ s.alpha
+                + s.alpha @ K[np.ix_(s.members, s.members)] @ s.alpha
+                for s in spheres
+            ],
+            axis=1,
+        )
+        assert np.allclose(
+            sphere_distances_sq(g, spheres), np.maximum(full, 0.0), rtol=0.0, atol=1e-12
+        )
 
 
 class TestMonotoneCheck:
