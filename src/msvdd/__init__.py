@@ -72,7 +72,6 @@ from .svdd import (
     project_capped_simplex,
     recover_radius,
     solve_svdd,
-    svdd_objective_monotone_check,
 )
 
 __version__ = "0.1.0"

@@ -175,15 +175,3 @@ def linear_centers(model: DetectionModel) -> np.ndarray:
         raise InputError("explicit centers exist only for the linear kernel")
     return model.alphas @ model.train_points
 
-
-def geometric_scores(model: DetectionModel, X) -> np.ndarray:
-    """Scores recomputed directly in input space: min_j ||x - c_j||^2 - R_j.
-
-    Independent coordinate-space path for the linear kernel; must agree with
-    `score_points` to high precision.
-    """
-    centers = linear_centers(model)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    diffs = X[:, None, :] - centers[None, :, :]
-    d2 = np.sum(diffs * diffs, axis=2)
-    return np.min(d2 - model.radii[None, :], axis=1)

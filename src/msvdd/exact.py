@@ -1,19 +1,22 @@
 """Exact multisphere solver: branch-and-bound over the point-to-sphere assignment.
 
-The search branches on one unassigned point at a time, restricting children to
-the currently nonempty spheres plus exactly one fresh empty sphere, which
-removes the p! label symmetry.  The branching point is chosen max-min: the
-unassigned point whose squared feature distance to its nearest nonempty
-sphere center is largest, so every child of the split pays for a far point
-and the bound rises fastest.  Node bounds use the decomposition bound: the
-sum of single-sphere optima over the members assigned so far, which is valid
-because adding a point to a sphere can only raise that sphere's objective, and
+Nodes are explored best-first (ties: deeper first) from a root incumbent
+found by seeded restarts of the alternating heuristic, and `_expand` is the
+one way the search makes children.  It branches on one unassigned point,
+chosen max-min: the point whose squared feature distance to its nearest
+nonempty sphere center is largest, so every child pays for a far point and the
+bound rises fastest.  The point joins each nonempty sphere and exactly one
+empty one, which removes the p! label symmetry, and a child is dropped when
+the points left cannot fill every sphere to its cardinality floor.  Node
+bounds sum the single-sphere optima over the members assigned so far, which
+is valid because adding a point to a sphere can only raise its objective, and
 is tight at leaves.  Each sphere enters that sum through its certified dual
 value, so pruning never rests on a primal value that carries the subsolver's
-gap tolerance; incumbents keep their primal values.  Nodes are explored
-best-first (ties: deeper first), the root incumbent comes from seeded restarts
-of the alternating heuristic, and a node is discarded as soon as the remaining
-unassigned points cannot fill every sphere to its cardinality floor.
+gap tolerance; incumbents keep their primal values.  A grown sphere is first
+certified from its parent: the parent's weights plus a 0 keep their dual
+value, the max-min pick already gave the point's distance to the parent's
+center, and when the gap stays within tolerance the child needs no solve
+(`msvdd.svdd.grow_certified`).  Otherwise it is warm-started from the parent.
 
 The big-M constants of the assignment-linearized formulation are not used by
 the search at all; they are computed only so `verify_bigM_feasibility` can
@@ -22,11 +25,11 @@ certify a returned solution against that formulation.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,16 +43,16 @@ from .solution import (
     MsvddSolution,
     SolveStatus,
     canonical_objective,
-    evaluate_assignment,
     min_members,
     solve_sphere,
     sphere_distances_sq,
 )
+from .svdd import grow_certified
 
 _ROOT_RESTARTS = 5
 
 
-@dataclass
+@dataclasses.dataclass
 class MsvddProblem:
     """One exact solve: Gram matrix, sphere budget p, global penalty C.
 
@@ -88,24 +91,36 @@ class _SubproblemCache:
         self.C = C
         self._store: dict[tuple[int, ...], object] = {}
 
-    def solve(self, members: tuple[int, ...], warm_alpha=None):
+    def solve(self, members: tuple[int, ...], parent=None, point=None, distance_sq=None):
+        """The sphere on ``members``, solved once per run.
+
+        A sphere grown from ``parent`` by ``point``, at squared distance
+        ``distance_sq`` from the parent's center, is certified from the parent
+        when its weights still certify it (`grow_certified`) and warm-started
+        from them, with a 0 for the point, otherwise.
+        """
         hit = self._store.get(members)
         if hit is not None:
             return hit
-        try:
-            sol = solve_sphere(
-                self.gram, members, self.C, enforce_cardinality=False,
-                warm_alpha=warm_alpha,
-            )
-        except ConvergenceError:
-            # one retry from a cold start, then give up with a diagnostic
+        sol = None if parent is None else grow_certified(parent, point, distance_sq)
+        if sol is None:
+            warm = None
+            if parent is not None:
+                k = members.index(point)
+                warm = np.concatenate((parent.alpha[:k], [0.0], parent.alpha[k:]))
             try:
-                sol = solve_sphere(self.gram, members, self.C, enforce_cardinality=False)
-            except ConvergenceError as exc:
-                raise SolverFailure(
-                    f"sphere subproblem on {len(members)} members failed to "
-                    f"converge twice (best gap {exc.gap:.3e})"
-                ) from exc
+                sol = solve_sphere(
+                    self.gram, members, self.C, enforce_cardinality=False, warm_alpha=warm
+                )
+            except ConvergenceError:
+                # one retry from a cold start, then give up with a diagnostic
+                try:
+                    sol = solve_sphere(self.gram, members, self.C, enforce_cardinality=False)
+                except ConvergenceError as exc:
+                    raise SolverFailure(
+                        f"sphere subproblem on {len(members)} members failed to "
+                        f"converge twice (best gap {exc.gap:.3e})"
+                    ) from exc
         if len(self._store) < 500_000:
             self._store[members] = sol
         return sol
@@ -171,64 +186,17 @@ def lower_bound(
     far; empty spheres contribute 0.  Spheres still below the 1/C floor are
     bounded by their radius-floored value, which no completion can undercut.
     """
-    labels = np.unique(assignment.sphere_of)
     total = 0.0
-    for j in labels:
-        if j == UNASSIGNED:
-            continue
-        members = tuple(int(i) for i in assignment.members(int(j)))
+    for j in np.unique(assignment.sphere_of[assignment.sphere_of >= 0]):
+        members = assignment.members(int(j))
         sol = solve_sphere(gram_matrix, members, C, enforce_cardinality=False)
         total += sol.dual_objective
     return total
 
 
-def _pick_branch_point(gram_matrix, sphere_of, spheres):
-    """Max-min point: the unassigned point whose squared feature distance to
-    its nearest nonempty sphere center is largest; ties go to the lowest index.
-
-    ``spheres`` holds one solved sphere per label, None for an empty one; with
-    every sphere empty the lowest unassigned index is taken.
-    """
-    unassigned = np.flatnonzero(sphere_of == UNASSIGNED)
-    placed = [s for s in spheres if s is not None]
-    if not placed:
-        return int(unassigned[0])
-    nearest = sphere_distances_sq(gram_matrix, placed)[unassigned].min(axis=1)
-    return int(unassigned[np.argmax(nearest)])  # first maximum: lowest index
-
-
-def _child_sphere_ids(counts, p):
-    ids = [j for j in range(p) if counts[j] > 0]
-    for j in range(p):
-        if counts[j] == 0:
-            ids.append(j)
-            break
-    return ids
-
-
-def branch(
-    assignment: Assignment, gram_matrix: GramMatrix, C: float, p: int
-) -> list[Assignment]:
-    """Children of a partial assignment under the orbit rule.
-
-    The max-min branching point is assigned to each currently nonempty sphere
-    plus exactly one empty sphere, eliminating label permutations.
-    """
-    if assignment.is_complete():
-        raise InputError("cannot branch on a complete assignment")
-    counts = assignment.counts(p)
-    spheres = [
-        solve_sphere(gram_matrix, assignment.members(j), C, enforce_cardinality=False)
-        if counts[j] else None
-        for j in range(p)
-    ]
-    point = _pick_branch_point(gram_matrix, assignment.sphere_of, spheres)
-    return [assignment.with_point(point, j) for j in _child_sphere_ids(counts, p)]
-
-
 class _Node:
-    """A partial assignment with one solved sphere (or None if empty) per label;
-    ``lb`` sums their certified dual values."""
+    """A partial assignment of ``depth`` points with one solved sphere (or None
+    if empty) per label; ``lb`` sums their certified dual values."""
 
     __slots__ = ("sphere_of", "depth", "spheres", "lb")
 
@@ -237,6 +205,67 @@ class _Node:
         self.depth = depth
         self.spheres = spheres
         self.lb = lb
+
+
+def _expand(node, gram_matrix, cache, p, floor):
+    """Children of a node: the search's one way of making them.
+
+    The branch point is the max-min point: the unassigned point whose squared
+    feature distance to its nearest nonempty sphere center is largest, ties
+    going to the lowest index (with every sphere empty, the lowest unassigned
+    index).  It joins every nonempty sphere and exactly one empty one, which
+    removes the label permutations.  A child is dropped when the points left
+    cannot bring every sphere to ``floor`` members.  A sphere grown by the
+    point is certified from the node's sphere when it can be
+    (`_SubproblemCache.solve`) and solved otherwise.
+    """
+    sphere_of, spheres = node.sphere_of, node.spheres
+    unassigned = np.flatnonzero(sphere_of == UNASSIGNED)
+    placed = [j for j, s in enumerate(spheres) if s is not None]
+    point, dist = int(unassigned[0]), {}
+    if placed:
+        d2 = sphere_distances_sq(gram_matrix, [spheres[j] for j in placed])[unassigned]
+        row = int(np.argmax(d2.min(axis=1)))  # first maximum: lowest index
+        point, dist = int(unassigned[row]), dict(zip(placed, d2[row].tolist()))
+    counts = np.bincount(sphere_of[sphere_of >= 0], minlength=p)[:p]
+    deficit = int(np.maximum(floor - counts, 0).sum())
+    left = sphere_of.size - node.depth - 1
+    children = []
+    for j in [j for j in range(p) if counts[j]] + [j for j in range(p) if not counts[j]][:1]:
+        if deficit - (counts[j] < floor) > left:
+            continue
+        old = spheres[j]
+        members = (point,) if old is None else tuple(sorted(old.members + (point,)))
+        sol = cache.solve(members, old, point, dist.get(j))
+        child_spheres = spheres[:j] + (sol,) + spheres[j + 1 :]
+        lb = sum(s.dual_objective for s in child_spheres if s is not None)
+        child_of = sphere_of.copy()
+        child_of[point] = j
+        children.append(_Node(child_of, node.depth + 1, child_spheres, lb))
+    return children
+
+
+def _node_of(assignment: Assignment, cache, p) -> _Node:
+    counts = assignment.counts(p)
+    spheres = tuple(
+        cache.solve(tuple(int(i) for i in assignment.members(j))) if counts[j] else None
+        for j in range(p)
+    )
+    lb = sum(s.dual_objective for s in spheres if s is not None)
+    return _Node(assignment.sphere_of.copy(), int(counts.sum()), spheres, lb)
+
+
+def branch(
+    assignment: Assignment, gram_matrix: GramMatrix, C: float, p: int
+) -> list[Assignment]:
+    """Children of a partial assignment, as the search makes them (`_expand`),
+    under the cardinality floor of ceil(1/C) members per sphere."""
+    if assignment.is_complete():
+        raise InputError("cannot branch on a complete assignment")
+    cache = _SubproblemCache(gram_matrix, C)
+    floor = min_members(C, True)
+    children = _expand(_node_of(assignment, cache, p), gram_matrix, cache, p, floor)
+    return [Assignment(child.sphere_of) for child in children]
 
 
 def _infeasible_solution(problem: MsvddProblem) -> MsvddSolution:
@@ -279,7 +308,7 @@ def _repair_cardinality(sphere_of, gram_matrix, p, floor):
     return None
 
 
-def _root_incumbent(problem, cache):
+def _root_incumbent(problem, cache, floor):
     """Heuristic warm start re-evaluated under the exact model's global C."""
     gram_mat, p, C = problem.gram, problem.p, problem.C
     n = gram_mat.n
@@ -291,16 +320,11 @@ def _root_incumbent(problem, cache):
         heur = solve_heuristic(gram_mat, config)
     except SolverFailure:
         return None
-    sphere_of = heur.assignment.sphere_of.copy()
-    floor = min_members(C, problem.enforce_cardinality)
-    repaired = _repair_cardinality(sphere_of, gram_mat, p, floor)
+    repaired = _repair_cardinality(heur.assignment.sphere_of, gram_mat, p, floor)
     if repaired is None:
         return None
-    objs = []
-    for j in range(p):
-        members = tuple(int(i) for i in np.flatnonzero(repaired == j))
-        objs.append(cache.solve(members).objective)
-    return repaired, canonical_objective(objs)
+    spheres = [cache.solve(tuple(np.flatnonzero(repaired == j).tolist())) for j in range(p)]
+    return repaired, canonical_objective([s.objective for s in spheres])
 
 
 def solve_exact(problem: MsvddProblem) -> MsvddSolution:
@@ -318,13 +342,14 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
     incumbent = math.inf
     log: list[IncumbentRecord] = []
 
+    def record():
+        log.append(IncumbentRecord(incumbent, time.perf_counter() - t0, incumbent_of.copy()))
+
     if n > p:
-        seeded = _root_incumbent(problem, cache)
+        seeded = _root_incumbent(problem, cache, floor)
         if seeded is not None:
             incumbent_of, incumbent = seeded
-            log.append(
-                IncumbentRecord(incumbent, time.perf_counter() - t0, incumbent_of.copy())
-            )
+            record()
 
     root = _Node(np.full(n, UNASSIGNED, dtype=np.int16), 0, (None,) * p, 0.0)
     counter = itertools.count()
@@ -352,62 +377,26 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
             if value < incumbent - 1e-12:
                 incumbent = value
                 incumbent_of = node.sphere_of.copy()
-                log.append(
-                    IncumbentRecord(incumbent, time.perf_counter() - t0, incumbent_of.copy())
-                )
+                record()
             continue
 
-        counts = np.bincount(
-            node.sphere_of[node.sphere_of >= 0], minlength=p
-        )[:p]
-        point = _pick_branch_point(gram_mat, node.sphere_of, node.spheres)
-        unassigned_left = n - node.depth - 1
-
-        for j in _child_sphere_ids(counts, p):
-            child_counts = counts.copy()
-            child_counts[j] += 1
-            deficit = int(np.maximum(floor - child_counts, 0).sum())
-            if deficit > unassigned_left:
-                continue
-            old = node.spheres[j]
-            warm = None
-            if old is None:
-                new_members = (point,)
-            else:
-                new_members = tuple(sorted(old.members + (point,)))
-                warm = np.insert(old.alpha, new_members.index(point), 0.0)
-            sol = cache.solve(new_members, warm_alpha=warm)
-            spheres = node.spheres[:j] + (sol,) + node.spheres[j + 1 :]
-            child_lb = sum(s.dual_objective for s in spheres if s is not None)
-            if child_lb >= incumbent - prune_tol(incumbent):
-                continue
-            child_of = node.sphere_of.copy()
-            child_of[point] = j
-            child = _Node(child_of, node.depth + 1, spheres, child_lb)
-            heapq.heappush(heap, (child.lb, -child.depth, next(counter), child))
+        for child in _expand(node, gram_mat, cache, p, floor):
+            if child.lb < incumbent - prune_tol(incumbent):
+                heapq.heappush(heap, (child.lb, -child.depth, next(counter), child))
 
     if final_lb is None:
         final_lb = incumbent  # queue exhausted: the incumbent is optimal
 
     if incumbent_of is None:
         if timed_out:
-            return MsvddSolution(
-                assignment=Assignment.empty(n),
-                spheres=(),
-                objective=math.inf,
-                status=SolveStatus.TIME_LIMIT_INCUMBENT,
-                p=p,
-                C=C,
-                enforce_cardinality=problem.enforce_cardinality,
-                node_count=node_count,
-                lower_bound=final_lb,
+            return dataclasses.replace(
+                _infeasible_solution(problem), status=SolveStatus.TIME_LIMIT_INCUMBENT,
+                node_count=node_count, lower_bound=final_lb,
             )
         return _infeasible_solution(problem)
 
     assignment = Assignment(incumbent_of)
-    spheres = tuple(
-        cache.solve(tuple(int(i) for i in assignment.members(j))) for j in range(p)
-    )
+    spheres = tuple(cache.solve(tuple(assignment.members(j).tolist())) for j in range(p))
     return MsvddSolution(
         assignment=assignment,
         spheres=spheres,

@@ -50,11 +50,6 @@ class Assignment:
     def is_complete(self) -> bool:
         return bool(np.all(self.sphere_of >= 0))
 
-    def with_point(self, i: int, j: int) -> "Assignment":
-        out = self.sphere_of.copy()
-        out[i] = j
-        return Assignment(out)
-
     def copy(self) -> "Assignment":
         return Assignment(self.sphere_of.copy())
 

@@ -17,22 +17,24 @@ interior points.  A warm start is used as given when it lies on the capped
 simplex and projected onto it otherwise.  Every few steps a primal-dual gap
 certificate is computed from a fresh K @ a, and the solve returns once that
 gap is within tolerance.
-Pair steps alone take many steps to settle the weights of a sphere with many
-free support vectors, as in the warm child solves of the branch-and-bound.
-So at a certificate that does not certify, after at least one block of pair
-steps, one exact free-face step solves the equality-constrained QP on the
-face of the current free weights (the face solve of active-set SVM methods,
-Scheinberg, JMLR 2006) and moves toward its solution as far as the box
-allows; the pair steps then continue from there.  Face steps are never taken
-twice in a row, and one that would not raise the dual is refused.
+At a certificate that does not certify, after a block with pair steps, one
+exact free-face step solves the equality-constrained QP on the face of the
+free weights (the face solve of active-set SVM methods, Scheinberg, JMLR
+2006) and moves toward its solution as far as the box allows; it is never
+taken twice in a row, and refused when it would not raise the dual.  A warm
+start's first block is one pair step, which brings a branch-and-bound child's
+new zero-weight point onto the face, so the face step follows at once.
 The radius and per-point errors are recovered from the induced distances by a
 one-dimensional piecewise-linear minimization (`recover_radius`), which is
 total (it needs no free support vector) and returns the smallest minimizer on
-ties.
+ties.  `grow_certified` applies the same certificate to a solved sphere grown
+by one point, without a solve.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,9 +133,12 @@ def project_capped_simplex(v, cap: float) -> np.ndarray:
 def recover_radius(distances_sq, C: float) -> tuple[float, np.ndarray]:
     """Radius and errors minimizing g(R) = R + C * sum(max(0, d2 - R)), R >= 0.
 
-    g is convex piecewise linear with breakpoints at the d2 values; the
-    smallest minimizer is returned on ties (so a sphere holding exactly 1/C
-    points collapses to R = 0).
+    g is convex piecewise linear with breakpoints at the d2 values, and its
+    slope just right of the k-th smallest is 1 - C * (n - k).  R is the k-th
+    smallest distance (0 for k = 0) for the first k where that slope is
+    nonnegative within 1e-12, so ties go to the smallest minimizer (a sphere
+    holding exactly 1/C points collapses to R = 0).  k comes in closed form,
+    settled by that float test, and the distance from a partition.
     """
     d2 = np.asarray(distances_sq, dtype=float)
     n = d2.size
@@ -141,13 +146,17 @@ def recover_radius(distances_sq, C: float) -> tuple[float, np.ndarray]:
         raise InputError("recover_radius needs at least one distance")
     if np.any(d2 < 0.0):
         raise InputError("squared distances must be nonnegative")
+    if not math.isfinite(C):
+        raise InputError(f"C must be finite, got {C}")
     if C * n < 1.0 - 1e-12:
         raise InputError(f"C * n = {C * n} < 1: penalty slope never turns nonnegative")
-    d_sorted = np.sort(d2)
-    # slope of g just right of the k-th smallest distance is 1 - C * (n - k)
-    slopes = 1.0 - C * (n - np.arange(n + 1))
-    k = int(np.argmax(slopes >= -1e-12))
-    R = 0.0 if k == 0 else float(d_sorted[k - 1])
+    # the slope test is monotone in k and holds at k = n, so k stays in [0, n]
+    k = min(max(math.ceil(n - 1.0 / C), 0), n)
+    while k > 0 and 1.0 - C * (n - (k - 1)) >= -1e-12:
+        k -= 1
+    while 1.0 - C * (n - k) < -1e-12:
+        k += 1
+    R = 0.0 if k == 0 else float(np.partition(d2, k - 1)[k - 1])
     xi = np.maximum(0.0, d2 - R)
     return R, xi
 
@@ -181,8 +190,9 @@ def solve_svdd(
     (see `_face_step`), which are tried at a certificate that does not
     certify, never twice in a row; the block after a face step runs on the
     incrementally updated K @ a, and the fresh-gradient certificate stays the
-    only exit.  ``iterations`` counts pair steps plus accepted face steps, and
-    ``max_iters`` caps that sum.
+    only exit.  Blocks hold `_CHECK_EVERY` pair steps, except that the first
+    block of a warm start holds one.  ``iterations`` counts pair steps plus
+    accepted face steps, and ``max_iters`` caps that sum.
     Raises InfeasibleSubproblemError when C * |S| < 1 and ConvergenceError
     (carrying the best iterate and its gap) if the iteration cap is hit or no
     pair step can close the gap.
@@ -195,10 +205,14 @@ def solve_svdd(
         raise InfeasibleSubproblemError(
             f"sphere with {m} members infeasible for C={C}: C*|S| < 1"
         )
-    K = gram_matrix.values[np.ix_(idx, idx)]
+    ia = np.asarray(idx)
+    K = gram_matrix.values[ia[:, None], ia]
     q = np.ascontiguousarray(np.diag(K))
 
-    a = _start(K, q, C, warm_alpha)
+    a, warm = _start(K, q, C, warm_alpha)
+    # a warm start runs one pair step before its first face step, which
+    # brings a new zero-weight point onto the face when it is needed
+    block = 1 if warm else _CHECK_EVERY
 
     # floor for the pair curvature, which is 0 on duplicate points
     eta_floor = _ETA_FLOOR * max(float(q.max()), np.finfo(float).tiny)
@@ -219,7 +233,7 @@ def solve_svdd(
         if gap < best_gap:
             best_gap, best_alpha = gap, a.copy()
         if gap <= tols.duality_gap:
-            return _assemble(idx, a, d2, R, xi, C, dual, quad, gap, it, tols.feasibility)
+            return _assemble(ia, a, d2, R, xi, C, dual, quad, gap, it, tols.feasibility)
 
         # SMO pair steps on min a'Ka - q'a; G is its gradient
         G = 2.0 * Ka - q
@@ -233,7 +247,7 @@ def solve_svdd(
                 it += 1
                 faced = True
         steps = 0
-        while steps < _CHECK_EVERY and it < max_iters:
+        while steps < block and it < max_iters:
             G_up = np.where(a < C, G, np.inf)
             i = int(np.argmin(G_up))
             b = G - G_up[i]
@@ -253,6 +267,7 @@ def solve_svdd(
         if steps == 0 and not faced:
             break
         face_ready = steps > 0
+        block = _CHECK_EVERY
         Ka = K @ a
 
     reason = "iteration cap hit" if it >= max_iters else "stalled"
@@ -264,8 +279,9 @@ def solve_svdd(
     )
 
 
-def _start(K, q, C, warm_alpha) -> np.ndarray:
-    """Starting weights on {a : sum a = 1, 0 <= a_i <= C}, as a fresh array.
+def _start(K, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
+    """Starting weights on {a : sum a = 1, 0 <= a_i <= C}, as a fresh array,
+    and whether they come from the warm start.
 
     A warm start of the right length with finite entries is used as given
     when it lies on the capped simplex and projected onto it otherwise.  The
@@ -279,10 +295,10 @@ def _start(K, q, C, warm_alpha) -> np.ndarray:
         w = np.array(warm_alpha, dtype=float)
         if w.shape == (m,) and np.all(np.isfinite(w)):
             if w.min() >= 0.0 and w.max() <= C and abs(w.sum() - 1.0) <= _SUM_TOL:
-                return w
-            return project_capped_simplex(w, C)
+                return w, True
+            return project_capped_simplex(w, C), True
     if C * m <= 1.0 + 1e-12:
-        return np.full(m, C)
+        return np.full(m, C), False
     far = q - 2.0 * (K @ np.full(m, 1.0 / m))
     order = np.argsort(-far, kind="stable")
     # C * m > 1 leaves k < m, so the remainder has a member to go on
@@ -290,7 +306,7 @@ def _start(K, q, C, warm_alpha) -> np.ndarray:
     a = np.zeros(m)
     a[order[:k]] = C
     a[order[k]] = max(1.0 - k * C, 0.0)
-    return a
+    return a, False
 
 
 def _face_step(K, a, G, C):
@@ -345,28 +361,52 @@ def _face_step(K, a, G, C):
     return F, delta
 
 
-def _assemble(idx, a, d2, R, xi, C, dual, quad, gap, iters, feas_tol):
+def _assemble(ia, a, d2, R, xi, C, dual, quad, gap, iters, feas_tol):
     a = np.clip(a, 0.0, C)
-    free = tuple(
-        g for g, ai in zip(idx, a) if feas_tol < ai < C - feas_tol
-    )
-    bound = tuple(g for g, ai in zip(idx, a) if ai >= C - feas_tol)
+    bound = a >= C - feas_tol
     objective = float(R + C * xi.sum())
     return SvddSolution(
-        members=idx,
+        members=tuple(ia.tolist()),
         alpha=a,
         radius_sq=float(R),
         errors=xi,
         distances_sq=d2,
         objective=objective,
         C=float(C),
-        support_free=free,
-        support_bound=bound,
+        support_free=tuple(ia[(a > feas_tol) & ~bound].tolist()),
+        support_bound=tuple(ia[bound].tolist()),
         dual_objective=dual,
         gap=float(gap),
         iterations=iters,
-        support=np.asarray(idx)[a > 0.0],
+        support=ia[a > 0.0],
         alpha_quad=quad,
+    )
+
+
+def grow_certified(
+    parent: SvddSolution, point: int, distance_sq: float, tols: SolverTolerances = DEFAULT_TOLS
+) -> SvddSolution | None:
+    """The sphere of ``parent.members`` plus ``point`` if the parent certifies it.
+
+    The parent's weights plus a 0 for the point keep the parent's dual value,
+    and its center gives the point ``distance_sq``; the radius follows as in
+    a solve's certificate.  Returns the grown sphere, with 0 iterations, when
+    the gap is within tolerance; None otherwise, and for a zero-radius parent
+    (C * |S| < 1), whose weights exceed the cap.
+    """
+    C = parent.C
+    if C * len(parent.members) < 1.0 - 1e-12:
+        return None
+    pos = bisect_left(parent.members, point)
+    d2 = np.concatenate((parent.distances_sq[:pos], [distance_sq], parent.distances_sq[pos:]))
+    R, xi = recover_radius(d2, C)
+    gap = max(float(R + C * xi.sum()) - parent.dual_objective, 0.0)
+    if gap > tols.duality_gap:
+        return None
+    ia = np.asarray(parent.members[:pos] + (point,) + parent.members[pos:])
+    a = np.concatenate((parent.alpha[:pos], [0.0], parent.alpha[pos:]))
+    return _assemble(
+        ia, a, d2, R, xi, C, parent.dual_objective, parent.alpha_quad, gap, 0, tols.feasibility
     )
 
 
@@ -380,7 +420,8 @@ def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSoluti
     """
     idx = _as_member_tuple(members, gram_matrix.n)
     m = len(idx)
-    K = gram_matrix.values[np.ix_(idx, idx)]
+    ia = np.asarray(idx)
+    K = gram_matrix.values[ia[:, None], ia]
     a = np.full(m, 1.0 / m)
     Ka = K @ a
     quad = float(a @ Ka)
@@ -399,22 +440,7 @@ def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSoluti
         dual_objective=objective,
         gap=0.0,
         iterations=0,
-        support=np.asarray(idx),
+        support=ia,
         alpha_quad=quad,
     )
 
-
-def svdd_objective_monotone_check(
-    gram_matrix: GramMatrix, members, extra: int, C: float, tol: float = 1e-7
-) -> bool:
-    """Whether adding ``extra`` to the member set keeps the objective from dropping.
-
-    Must always hold (the added hinge term is nonnegative); exposed as a test
-    hook because it is the validity basis for the branch-and-bound lower bound.
-    """
-    idx = _as_member_tuple(members, gram_matrix.n)
-    if extra in idx:
-        raise InputError(f"extra point {extra} already belongs to the member set")
-    base = solve_svdd(gram_matrix, idx, C).objective
-    grown = solve_svdd(gram_matrix, idx + (int(extra),), C).objective
-    return grown >= base - tol

@@ -4,7 +4,9 @@ Nothing here shares code with the solver paths it checks: the single-sphere
 oracle scans centers on a dense grid with an exhaustive breakpoint search for
 the radius, the multisphere oracle enumerates every canonical assignment, and
 the coordinate-space Gram reconstructs inner products from pairwise squared
-Euclidean distances only.
+Euclidean distances only.  The last few helpers are reference versions of
+package code that tests compare against (a rank loop, a sort-based radius
+recovery, input-space scores) and a monotonicity check on the sphere solver.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ from itertools import product
 
 import numpy as np
 
+from msvdd.detection import DetectionModel, linear_centers
+from msvdd.errors import InputError
 from msvdd.kernels import GramMatrix, KernelKind, KernelSpec
 from msvdd.solution import min_members, solve_sphere
+from msvdd.svdd import solve_svdd
 
 
 def svdd_1d_brute_force(xs, C, step=1e-4):
@@ -139,3 +144,39 @@ def trapezoid_auc(fpr, tpr) -> float:
     # written out, since numpy before 2.0 names the rule np.trapz
     fpr, tpr = np.asarray(fpr, dtype=float), np.asarray(tpr, dtype=float)
     return float((np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0).sum())
+
+
+def recover_radius_sorted(distances_sq, C):
+    """Radius and errors by a full sort and a scan of every slope of
+    g(R) = R + C * sum(max(0, d2 - R)): the smallest k whose slope
+    1 - C * (n - k) is nonnegative within 1e-12 gives R = the k-th smallest
+    distance (0 for k = 0)."""
+    d2 = np.asarray(distances_sq, dtype=float)
+    n = d2.size
+    d_sorted = np.sort(d2)
+    slopes = 1.0 - C * (n - np.arange(n + 1))
+    k = int(np.argmax(slopes >= -1e-12))
+    R = 0.0 if k == 0 else float(d_sorted[k - 1])
+    return R, np.maximum(0.0, d2 - R)
+
+
+def svdd_objective_monotone_check(gram_matrix, members, extra, C, tol=1e-7):
+    """Whether adding ``extra`` to the member set keeps the objective from
+    dropping, which the branch-and-bound lower bound rests on."""
+    idx = tuple(sorted(int(i) for i in members))
+    if extra in idx:
+        raise InputError(f"extra point {extra} already belongs to the member set")
+    base = solve_svdd(gram_matrix, idx, C).objective
+    grown = solve_svdd(gram_matrix, idx + (int(extra),), C).objective
+    return grown >= base - tol
+
+
+def geometric_scores(model: DetectionModel, X) -> np.ndarray:
+    """Scores min_j ||x - c_j||^2 - R_j computed in input space from explicit
+    centers (linear kernel only), apart from the kernel path of
+    `score_points`."""
+    centers = linear_centers(model)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    diffs = X[:, None, :] - centers[None, :, :]
+    d2 = np.sum(diffs * diffs, axis=2)
+    return np.min(d2 - model.radii[None, :], axis=1)

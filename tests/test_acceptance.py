@@ -20,7 +20,7 @@ from msvdd.data import (
     scale_to_unit_box,
     Dataset,
 )
-from msvdd.detection import DetectionModel, geometric_scores, score_points
+from msvdd.detection import DetectionModel, score_points
 from msvdd.exact import (
     MsvddProblem,
     compute_delta_dual,
@@ -33,7 +33,7 @@ from msvdd.heuristic import HeuristicConfig, solve_heuristic
 from msvdd.kernels import LINEAR, KernelKind, KernelSpec, gram, rbf
 from msvdd.solution import SolveStatus, canonical_objective, evaluate_assignment
 from msvdd.svdd import recover_radius, solve_svdd
-from oracles import enumerate_msvdd
+from oracles import enumerate_msvdd, geometric_scores
 
 
 @dataclass

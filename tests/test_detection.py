@@ -10,7 +10,6 @@ from msvdd.detection import (
     anomaly_score,
     auc_roc,
     classify,
-    geometric_scores,
     linear_centers,
     model_distances_sq,
     roc_csv_rows,
@@ -19,7 +18,7 @@ from msvdd.detection import (
 from msvdd.errors import InputError, UndefinedMetricError
 from msvdd.exact import MsvddProblem, solve_exact
 from msvdd.kernels import LINEAR, KernelKind, KernelSpec, cross_kernel, gram, rbf
-from oracles import average_ranks_loop, trapezoid_auc
+from oracles import average_ranks_loop, geometric_scores, trapezoid_auc
 
 
 def manual_model(centers, radii):

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import msvdd.exact
 from msvdd.errors import InputError
 from msvdd.exact import (
     MsvddProblem,
+    _expand,
+    _node_of,
+    _SubproblemCache,
     branch,
     compute_delta_dual,
     compute_delta_primal,
@@ -14,9 +20,16 @@ from msvdd.exact import (
     solve_exact,
     verify_bigM_feasibility,
 )
-from msvdd.solution import sphere_distances_sq
 from msvdd.kernels import LINEAR, gram, rbf
-from msvdd.solution import Assignment, SolveStatus, evaluate_assignment
+from msvdd.solution import (
+    Assignment,
+    SolveStatus,
+    evaluate_assignment,
+    min_members,
+    solve_sphere,
+    sphere_distances_sq,
+)
+from msvdd.svdd import DEFAULT_TOLS
 from oracles import (
     capped_simplex_samples,
     canonical_assignments,
@@ -108,10 +121,87 @@ class TestBranch:
         a = Assignment(np.array([0, 1, 2, -1, -1]))
         assert len(branch(a, g, 1.0, p=3)) == 3
 
+    def test_drops_children_that_cannot_fill_every_sphere(self, rng):
+        # joining sphere 0 leaves one point for the two empty spheres
+        g = gram(LINEAR, rng.normal(size=(3, 2)))
+        children = branch(Assignment(np.array([0, -1, -1])), g, 1.0, p=3)
+        assert len(children) == 1
+        assert int(children[0].sphere_of.max()) == 1
+
     def test_complete_assignment_rejected(self, rng):
         g = gram(LINEAR, rng.normal(size=(3, 2)))
         with pytest.raises(InputError):
             branch(Assignment(np.array([0, 0, 1])), g, 1.0, p=2)
+
+
+def count_sphere_solves(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(tuple(args[1]))
+        return solve_sphere(*args, **kwargs)
+
+    monkeypatch.setattr(msvdd.exact, "solve_sphere", counting)
+    return calls
+
+
+class TestExpand:
+    def test_certified_grown_child_takes_no_solve(self, monkeypatch):
+        # the sphere around -2 and 2 has center 0 and radius^2 4; the
+        # max-min point 0.1 lies inside it, so the parent's weights plus a 0
+        # certify the grown sphere
+        g = gram(LINEAR, [[-2.0], [2.0], [0.1], [-0.1]])
+        cache = _SubproblemCache(g, 1.0)
+        node = _node_of(Assignment(np.array([0, 0, -1, -1])), cache, 1)
+        calls = count_sphere_solves(monkeypatch)
+        (child,) = _expand(node, g, cache, 1, 1)
+        assert calls == []
+        assert list(child.sphere_of) == [0, 0, 0, -1]
+        grown = child.spheres[0]
+        assert grown.members == (0, 1, 2)
+        assert grown.iterations == 0
+        assert grown.radius_sq == pytest.approx(4.0, abs=1e-12)
+        warm = solve_sphere(g, (0, 1, 2), 1.0, warm_alpha=[0.5, 0.5, 0.0])
+        tol = DEFAULT_TOLS.duality_gap
+        assert grown.objective == pytest.approx(warm.objective, abs=tol)
+        assert grown.dual_objective == pytest.approx(warm.dual_objective, abs=tol)
+        assert child.lb == grown.dual_objective
+
+    def test_far_point_is_solved(self, monkeypatch):
+        g = gram(LINEAR, [[-2.0], [2.0], [9.0]])
+        cache = _SubproblemCache(g, 1.0)
+        node = _node_of(Assignment(np.array([0, 0, -1])), cache, 1)
+        calls = count_sphere_solves(monkeypatch)
+        (child,) = _expand(node, g, cache, 1, 1)
+        assert calls == [(0, 1, 2)]
+        cold = solve_sphere(g, (0, 1, 2), 1.0)
+        assert child.spheres[0].objective == pytest.approx(cold.objective, abs=1e-7)
+
+    @settings(max_examples=30)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_child_bounds_match_cold_lower_bound(self, seed):
+        # walk down the search tree through random children: every child
+        # sphere is certified from its parent or warm-solved, so each child
+        # bound is within the gap tolerance per sphere of cold solves
+        r = np.random.default_rng(seed)
+        n = int(r.integers(4, 14))
+        p = int(r.integers(1, 4))
+        C = float(r.uniform(0.1, 1.2))
+        floor = min_members(C, bool(r.random() < 0.5))
+        pts = r.normal(scale=1.5, size=(n, 2))
+        spec = rbf(float(r.uniform(0.2, 2.0))) if r.random() < 0.5 else LINEAR
+        g = gram(spec, pts)
+        cache = _SubproblemCache(g, C)
+        node = _node_of(Assignment.empty(n), cache, p)
+        while node.depth < n:
+            children = _expand(node, g, cache, p, floor)
+            if not children:
+                break
+            for child in children:
+                cold = lower_bound(Assignment(child.sphere_of), g, C)
+                slack = p * DEFAULT_TOLS.duality_gap + 1e-12 * max(1.0, abs(cold))
+                assert abs(child.lb - cold) <= slack
+            node = children[int(r.integers(len(children)))]
 
 
 class TestLowerBound:

@@ -14,10 +14,9 @@ from msvdd.svdd import (
     project_capped_simplex,
     recover_radius,
     solve_svdd,
-    svdd_objective_monotone_check,
     zero_radius_sphere,
 )
-from oracles import svdd_1d_brute_force
+from oracles import recover_radius_sorted, svdd_1d_brute_force, svdd_objective_monotone_check
 
 
 def linear_gram(points):
@@ -91,6 +90,35 @@ class TestRecoverRadius:
     def test_infeasible_penalty(self):
         with pytest.raises(InputError):
             recover_radius([1.0, 2.0], 0.3)
+
+    @pytest.mark.parametrize("C", [math.inf, math.nan])
+    def test_non_finite_penalty(self, C):
+        with pytest.raises(InputError):
+            recover_radius([1.0, 2.0], C)
+
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.sampled_from(["one_over_n", "just_above", "uniform"]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_matches_the_sorted_reference(self, n, c_kind, tied, seed):
+        # bit-identical to a full sort and a scan of every slope, at the
+        # edges of the slope test: C * n = 1 and C just above 1/n
+        r = np.random.default_rng(seed)
+        C = {
+            "one_over_n": 1.0 / n,
+            "just_above": np.nextafter(1.0 / n, np.inf),
+            "uniform": float(r.uniform(1.0 / n, 2.0)),
+        }[c_kind]
+        if tied:
+            d2 = r.integers(0, 4, size=n).astype(float) * 0.5
+        else:
+            d2 = r.exponential(size=n)
+        R, xi = recover_radius(d2, C)
+        R_ref, xi_ref = recover_radius_sorted(d2, C)
+        assert R == R_ref
+        assert np.array_equal(xi, xi_ref)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_minimizes_cost(self, seed):
@@ -343,8 +371,9 @@ class TestStart:
         assert sol.iterations < m / 2
 
 
-def degenerate_instance(seed):
-    """Points with duplicates or on a line, scaled by 10^k for k in [-3, 3].
+def degenerate_instance(seed, scale=1.0):
+    """Points with duplicates or on a line, scaled by 10^k for k in [-3, 3]
+    and then by ``scale``.
 
     Faces with duplicated points, or with more than d + 1 free points under a
     d-dimensional linear kernel, have a singular KKT matrix.
@@ -358,6 +387,7 @@ def degenerate_instance(seed):
     elif shape == 1:
         pts = np.outer(r.normal(size=n), r.normal(size=2)) + r.normal(size=2)
     pts *= 10.0 ** int(r.integers(-3, 4))
+    pts *= scale
     spec = rbf(float(r.uniform(0.1, 2.0))) if r.random() < 0.4 else LINEAR
     C = float(r.uniform(1.0 / n, 1.0))
     return r, gram(spec, pts), n, C
@@ -381,9 +411,31 @@ class TestFaceStep:
         cold = solve_svdd(g, range(30), C)
         assert child.objective == pytest.approx(cold.objective, abs=1e-7)
 
-    # a fixed draw of examples: about 1 in 3000 instances meets the defect
-    # pinned by test_absolute_gap_at_float_resolution, with or without the
-    # face step
+    def test_warm_child_solve_takes_a_one_step_first_block(self, monkeypatch):
+        # a warm start runs one pair step, which brings the new point onto
+        # the face, and then the face step
+        r = np.random.default_rng(1)
+        n = int(r.integers(10, 40))
+        pts = r.normal(size=(n, 2))
+        C = float(r.choice([0.1, 0.2, 0.3]))
+        assert (n, C) == (24, 0.2)
+        g = gram(rbf(0.5), pts)
+        parent = solve_svdd(g, range(n - 1), C)
+        child = solve_svdd(g, range(n), C, warm_alpha=np.append(parent.alpha, 0.0))
+        assert 1 <= child.iterations <= 3
+        assert child.alpha[-1] > 0.0
+        cold = solve_svdd(g, range(n), C)
+        assert child.objective == pytest.approx(cold.objective, abs=DEFAULT_TOLS.objective)
+        # a first block of _CHECK_EVERY pair steps, as a cold start runs,
+        # spends all 16 before the face step certifies
+        start = msvdd.svdd._start
+        monkeypatch.setattr(msvdd.svdd, "_start", lambda *args: (start(*args)[0], False))
+        full = solve_svdd(g, range(n), C, warm_alpha=np.append(parent.alpha, 0.0))
+        assert full.iterations == 17
+
+    # a fixed draw of examples: near the scales where the absolute gap
+    # tolerance meets float resolution, instances of this kind can stall
+    # (test_absolute_gap_at_float_resolution)
     @settings(derandomize=True)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_singular_faces_and_scales(self, seed):
@@ -408,11 +460,12 @@ class TestFaceStep:
 
     @pytest.mark.xfail(raises=ConvergenceError, strict=True)
     def test_absolute_gap_at_float_resolution(self):
-        # collinear points near 1e3 give an objective near 2e6, where the
-        # absolute 1e-8 gap tolerance is about 5e-15 relative: the rounding
-        # of the certificate keeps the gap at 1.02e-8 and no pair step is left
-        r, g, n, C = degenerate_instance(638)
-        solve_svdd(g, range(n), C, warm_alpha=r.dirichlet(np.ones(n)))
+        # 21 collinear points near 1e5 give an objective near 2e10, where the
+        # absolute 1e-8 gap tolerance is below float resolution: the rounding
+        # of the certificate keeps the gap at 3.8e-6 and no pair step is left.
+        # A cold solve, so the warm-start path cannot move it
+        _, g, n, C = degenerate_instance(638, scale=100.0)
+        solve_svdd(g, range(n), C)
 
 
 class TestSupportGeometry:
