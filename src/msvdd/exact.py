@@ -25,11 +25,11 @@ certify a returned solution against that formulation.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .svdd import grow_certified
 _ROOT_RESTARTS = 5
 
 
-@dataclasses.dataclass
+@dataclass
 class MsvddProblem:
     """One exact solve: Gram matrix, sphere budget p, global penalty C.
 
@@ -186,9 +186,12 @@ def lower_bound(
     far; empty spheres contribute 0.  Spheres still below the 1/C floor are
     bounded by their radius-floored value, which no completion can undercut.
     """
+    labels = np.unique(assignment.sphere_of)
     total = 0.0
-    for j in np.unique(assignment.sphere_of[assignment.sphere_of >= 0]):
-        members = assignment.members(int(j))
+    for j in labels:
+        if j == UNASSIGNED:
+            continue
+        members = tuple(int(i) for i in assignment.members(int(j)))
         sol = solve_sphere(gram_matrix, members, C, enforce_cardinality=False)
         total += sol.dual_objective
     return total
@@ -256,14 +259,19 @@ def _node_of(assignment: Assignment, cache, p) -> _Node:
 
 
 def branch(
-    assignment: Assignment, gram_matrix: GramMatrix, C: float, p: int
+    assignment: Assignment,
+    gram_matrix: GramMatrix,
+    C: float,
+    p: int,
+    enforce_cardinality: bool = True,
 ) -> list[Assignment]:
     """Children of a partial assignment, as the search makes them (`_expand`),
-    under the cardinality floor of ceil(1/C) members per sphere."""
+    under the cardinality floor `min_members` gives for ``enforce_cardinality``
+    (ceil(1/C) members per sphere with it, one without)."""
     if assignment.is_complete():
         raise InputError("cannot branch on a complete assignment")
     cache = _SubproblemCache(gram_matrix, C)
-    floor = min_members(C, True)
+    floor = min_members(C, enforce_cardinality)
     children = _expand(_node_of(assignment, cache, p), gram_matrix, cache, p, floor)
     return [Assignment(child.sphere_of) for child in children]
 
@@ -308,7 +316,7 @@ def _repair_cardinality(sphere_of, gram_matrix, p, floor):
     return None
 
 
-def _root_incumbent(problem, cache, floor):
+def _root_incumbent(problem, cache):
     """Heuristic warm start re-evaluated under the exact model's global C."""
     gram_mat, p, C = problem.gram, problem.p, problem.C
     n = gram_mat.n
@@ -320,11 +328,16 @@ def _root_incumbent(problem, cache, floor):
         heur = solve_heuristic(gram_mat, config)
     except SolverFailure:
         return None
-    repaired = _repair_cardinality(heur.assignment.sphere_of, gram_mat, p, floor)
+    sphere_of = heur.assignment.sphere_of.copy()
+    floor = min_members(C, problem.enforce_cardinality)
+    repaired = _repair_cardinality(sphere_of, gram_mat, p, floor)
     if repaired is None:
         return None
-    spheres = [cache.solve(tuple(np.flatnonzero(repaired == j).tolist())) for j in range(p)]
-    return repaired, canonical_objective([s.objective for s in spheres])
+    objs = []
+    for j in range(p):
+        members = tuple(int(i) for i in np.flatnonzero(repaired == j))
+        objs.append(cache.solve(members).objective)
+    return repaired, canonical_objective(objs)
 
 
 def solve_exact(problem: MsvddProblem) -> MsvddSolution:
@@ -342,14 +355,13 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
     incumbent = math.inf
     log: list[IncumbentRecord] = []
 
-    def record():
-        log.append(IncumbentRecord(incumbent, time.perf_counter() - t0, incumbent_of.copy()))
-
     if n > p:
-        seeded = _root_incumbent(problem, cache, floor)
+        seeded = _root_incumbent(problem, cache)
         if seeded is not None:
             incumbent_of, incumbent = seeded
-            record()
+            log.append(
+                IncumbentRecord(incumbent, time.perf_counter() - t0, incumbent_of.copy())
+            )
 
     root = _Node(np.full(n, UNASSIGNED, dtype=np.int16), 0, (None,) * p, 0.0)
     counter = itertools.count()
@@ -377,7 +389,9 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
             if value < incumbent - 1e-12:
                 incumbent = value
                 incumbent_of = node.sphere_of.copy()
-                record()
+                log.append(
+                    IncumbentRecord(incumbent, time.perf_counter() - t0, incumbent_of.copy())
+                )
             continue
 
         for child in _expand(node, gram_mat, cache, p, floor):
@@ -389,14 +403,23 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
 
     if incumbent_of is None:
         if timed_out:
-            return dataclasses.replace(
-                _infeasible_solution(problem), status=SolveStatus.TIME_LIMIT_INCUMBENT,
-                node_count=node_count, lower_bound=final_lb,
+            return MsvddSolution(
+                assignment=Assignment.empty(n),
+                spheres=(),
+                objective=math.inf,
+                status=SolveStatus.TIME_LIMIT_INCUMBENT,
+                p=p,
+                C=C,
+                enforce_cardinality=problem.enforce_cardinality,
+                node_count=node_count,
+                lower_bound=final_lb,
             )
         return _infeasible_solution(problem)
 
     assignment = Assignment(incumbent_of)
-    spheres = tuple(cache.solve(tuple(assignment.members(j).tolist())) for j in range(p))
+    spheres = tuple(
+        cache.solve(tuple(int(i) for i in assignment.members(j))) for j in range(p)
+    )
     return MsvddSolution(
         assignment=assignment,
         spheres=spheres,

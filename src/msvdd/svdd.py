@@ -383,15 +383,14 @@ def _assemble(ia, a, d2, R, xi, C, dual, quad, gap, iters, feas_tol):
     )
 
 
-def grow_certified(
-    parent: SvddSolution, point: int, distance_sq: float, tols: SolverTolerances = DEFAULT_TOLS
-) -> SvddSolution | None:
+def grow_certified(parent: SvddSolution, point: int, distance_sq: float) -> SvddSolution | None:
     """The sphere of ``parent.members`` plus ``point`` if the parent certifies it.
 
     The parent's weights plus a 0 for the point keep the parent's dual value,
     and its center gives the point ``distance_sq``; the radius follows as in
     a solve's certificate.  Returns the grown sphere, with 0 iterations, when
-    the gap is within tolerance; None otherwise, and for a zero-radius parent
+    the gap is within the default tolerance (the one every sphere solve of
+    the search uses); None otherwise, and for a zero-radius parent
     (C * |S| < 1), whose weights exceed the cap.
     """
     C = parent.C
@@ -401,13 +400,12 @@ def grow_certified(
     d2 = np.concatenate((parent.distances_sq[:pos], [distance_sq], parent.distances_sq[pos:]))
     R, xi = recover_radius(d2, C)
     gap = max(float(R + C * xi.sum()) - parent.dual_objective, 0.0)
-    if gap > tols.duality_gap:
+    if gap > DEFAULT_TOLS.duality_gap:
         return None
     ia = np.asarray(parent.members[:pos] + (point,) + parent.members[pos:])
     a = np.concatenate((parent.alpha[:pos], [0.0], parent.alpha[pos:]))
-    return _assemble(
-        ia, a, d2, R, xi, C, parent.dual_objective, parent.alpha_quad, gap, 0, tols.feasibility
-    )
+    dual, quad = parent.dual_objective, parent.alpha_quad
+    return _assemble(ia, a, d2, R, xi, C, dual, quad, gap, 0, DEFAULT_TOLS.feasibility)
 
 
 def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSolution:

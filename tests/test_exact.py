@@ -128,6 +128,15 @@ class TestBranch:
         assert len(children) == 1
         assert int(children[0].sphere_of.max()) == 1
 
+    def test_floor_follows_the_cardinality_mode(self, rng):
+        # C = 0.3 asks for 4 members per sphere, which 5 points cannot give
+        # two spheres; without the floor each sphere needs only one member
+        g = gram(LINEAR, rng.normal(size=(5, 2)))
+        a = Assignment(np.array([0, -1, -1, -1, -1]))
+        assert branch(a, g, 0.3, p=2) == []
+        children = branch(a, g, 0.3, p=2, enforce_cardinality=False)
+        assert sorted(int(c.sphere_of.max()) for c in children) == [0, 1]
+
     def test_complete_assignment_rejected(self, rng):
         g = gram(LINEAR, rng.normal(size=(3, 2)))
         with pytest.raises(InputError):
