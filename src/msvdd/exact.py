@@ -12,11 +12,24 @@ bounds sum the single-sphere optima over the members assigned so far, which
 is valid because adding a point to a sphere can only raise its objective, and
 is tight at leaves.  Each sphere enters that sum through its certified dual
 value, so pruning never rests on a primal value that carries the subsolver's
-gap tolerance; incumbents keep their primal values.  A grown sphere is first
-certified from its parent: the parent's weights plus a 0 keep their dual
-value, the max-min pick already gave the point's distance to the parent's
-center, and when the gap stays within tolerance the child needs no solve
-(`msvdd.svdd.grow_certified`).  Otherwise it is warm-started from the parent.
+gap tolerance; incumbents keep their primal values.
+
+Under the cardinality floor a node's first pop adds a completion lift, the
+completion bound of repetitive branch-and-bound for clustering (Brusco,
+Psychometrika 2006).  A sphere with C * |S| < 1 is valued C * scatter at its
+centroid, and must still take points up to the floor of ceil(1/C) members.
+By the scatter identity and Jensen's inequality, the unassigned points
+nearest its centroid bound what they add (`_pick` gives the derivation).  Each
+term bounds one sphere's own completion, so their sum is valid, and the
+distances are the ones the max-min pick computes anyway.  A lifted node goes
+back on the queue under its raised key and is expanded, and counted, when it
+comes out again; children are keyed by their plain dual sums.
+
+A grown sphere is first certified from its parent: the parent's weights plus
+a 0 keep their dual value, the max-min pick already gave the point's distance
+to the parent's center, and when the gap stays within tolerance the child
+needs no solve (`msvdd.svdd.grow_certified`).  Otherwise it is warm-started
+from the parent.
 
 The big-M constants of the assignment-linearized formulation are not used by
 the search at all; they are computed only so `verify_bigM_feasibility` can
@@ -73,8 +86,10 @@ class MsvddProblem:
             raise InputError("p must be >= 1")
         if self.p > self.gram.n:
             raise InputError(f"p={self.p} exceeds the number of points {self.gram.n}")
-        if not self.C > 0:
-            raise InputError("C must be positive")
+        if not (self.C > 0 and math.isfinite(self.C)):
+            raise InputError(f"C must be positive and finite, got {self.C}")
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise InputError(f"time_limit must be None or >= 0, got {self.time_limit}")
 
 
 class _SubproblemCache:
@@ -185,6 +200,8 @@ def lower_bound(
     Sum of certified single-sphere dual values over the members assigned so
     far; empty spheres contribute 0.  Spheres still below the 1/C floor are
     bounded by their radius-floored value, which no completion can undercut.
+    This is the key the search gives a child; the completion lift (`_pick`)
+    is added on top when the child is popped.
     """
     labels = np.unique(assignment.sphere_of)
     total = 0.0
@@ -199,37 +216,78 @@ def lower_bound(
 
 class _Node:
     """A partial assignment of ``depth`` points with one solved sphere (or None
-    if empty) per label; ``lb`` sums their certified dual values."""
+    if empty) per label; ``lb`` sums their certified dual values.  ``pick``
+    caches `_pick` once the search has computed it."""
 
-    __slots__ = ("sphere_of", "depth", "spheres", "lb")
+    __slots__ = ("sphere_of", "depth", "spheres", "lb", "pick")
 
     def __init__(self, sphere_of, depth, spheres, lb):
         self.sphere_of = sphere_of
         self.depth = depth
         self.spheres = spheres
         self.lb = lb
+        self.pick = None
+
+
+def _centroid_size(C: float, enforce_cardinality: bool) -> int:
+    """Largest member count t whose sphere is valued C * scatter (C * t <= 1),
+    which every sphere must reach under the cardinality floor; 0 without it."""
+    if not enforce_cardinality:
+        return 0
+    q = min_members(C, True)
+    return q if C * q <= 1.0 + 1e-12 else q - 1
+
+
+def _pick(node, gram_matrix, size):
+    """Branch point, its distances to the nonempty spheres, and the node's lift.
+
+    The branch point is the max-min point: the unassigned point whose squared
+    feature distance to its nearest nonempty sphere center is largest, ties
+    going to the lowest index (with every sphere empty, the lowest unassigned
+    index).  The same distances give the completion lift for ``size`` =
+    `_centroid_size` (0 turns it off).  A nonempty sphere S with m < ``size``
+    members sits at its centroid mu with value C * scatter(S), and must still
+    take k = min(size - m, |U|) of the unassigned points U.  For any k of
+    them, A, the scatter identity about mu gives
+        scatter(S + A) = scatter(S) + sum_A ||x - mu||^2
+                         - k^2 / (m + k) * ||mean_A - mu||^2,
+    and Jensen (||mean_A - mu||^2 <= mean_A ||x - mu||^2) leaves
+    scatter(S) + m / (m + k) * sum_A ||x - mu||^2.  S + A has at most ``size``
+    members, so its value is C times its scatter.  A completion gives S at
+    least ceil(1/C) >= ``size`` members, so it contains some such A and, the
+    value being monotone in the members, costs at least that much.  So each
+    such sphere adds C * m / (m + k) times its k smallest distances from U,
+    and the sum over the spheres is the lift.
+    """
+    sphere_of, spheres = node.sphere_of, node.spheres
+    unassigned = np.flatnonzero(sphere_of == UNASSIGNED)
+    placed = [j for j, s in enumerate(spheres) if s is not None]
+    if not placed:
+        return int(unassigned[0]), {}, 0.0
+    d2 = sphere_distances_sq(gram_matrix, [spheres[j] for j in placed])[unassigned]
+    row = int(np.argmax(d2.min(axis=1)))  # first maximum: lowest index
+    lift = 0.0
+    for col, j in enumerate(placed):
+        m = len(spheres[j].members)
+        k = min(size - m, unassigned.size)
+        if k > 0:
+            nearest = float(np.partition(d2[:, col], k - 1)[:k].sum())
+            lift += spheres[j].C * m / (m + k) * nearest
+    return int(unassigned[row]), dict(zip(placed, d2[row].tolist())), lift
 
 
 def _expand(node, gram_matrix, cache, p, floor):
     """Children of a node: the search's one way of making them.
 
-    The branch point is the max-min point: the unassigned point whose squared
-    feature distance to its nearest nonempty sphere center is largest, ties
-    going to the lowest index (with every sphere empty, the lowest unassigned
-    index).  It joins every nonempty sphere and exactly one empty one, which
-    removes the label permutations.  A child is dropped when the points left
-    cannot bring every sphere to ``floor`` members.  A sphere grown by the
-    point is certified from the node's sphere when it can be
-    (`_SubproblemCache.solve`) and solved otherwise.
+    The branch point is the node's `_pick`.  It joins every nonempty sphere
+    and exactly one empty one, which removes the label permutations.  A child
+    is dropped when the points left cannot bring every sphere to ``floor``
+    members.  A sphere grown by the point is certified from the node's sphere
+    when it can be (`_SubproblemCache.solve`) and solved otherwise.  Child
+    bounds are plain dual sums; the search adds a child's lift when it pops it.
     """
     sphere_of, spheres = node.sphere_of, node.spheres
-    unassigned = np.flatnonzero(sphere_of == UNASSIGNED)
-    placed = [j for j, s in enumerate(spheres) if s is not None]
-    point, dist = int(unassigned[0]), {}
-    if placed:
-        d2 = sphere_distances_sq(gram_matrix, [spheres[j] for j in placed])[unassigned]
-        row = int(np.argmax(d2.min(axis=1)))  # first maximum: lowest index
-        point, dist = int(unassigned[row]), dict(zip(placed, d2[row].tolist()))
+    point, dist, _ = node.pick or _pick(node, gram_matrix, 0)
     counts = np.bincount(sphere_of[sphere_of >= 0], minlength=p)[:p]
     deficit = int(np.maximum(floor - counts, 0).sum())
     left = sphere_of.size - node.depth - 1
@@ -347,6 +405,7 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
     floor = min_members(C, problem.enforce_cardinality)
     if p * floor > n:
         return _infeasible_solution(problem)
+    size = _centroid_size(C, problem.enforce_cardinality)
 
     t0 = time.perf_counter()
     cache = _SubproblemCache(gram_mat, C)
@@ -382,9 +441,9 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
             timed_out = True
             final_lb = min([lb] + [entry[0] for entry in heap] + [incumbent])
             break
-        node_count += 1
 
         if node.depth == n:
+            node_count += 1
             value = canonical_objective([s.objective for s in node.spheres])
             if value < incumbent - 1e-12:
                 incumbent = value
@@ -393,6 +452,16 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
                     IncumbentRecord(incumbent, time.perf_counter() - t0, incumbent_of.copy())
                 )
             continue
+
+        if node.pick is None:
+            # first pop: lift the key and requeue; expand when it comes out again
+            node.pick = _pick(node, gram_mat, size)
+            lifted = lb + node.pick[2]
+            if lifted > lb:
+                if lifted < incumbent - prune_tol(incumbent):
+                    heapq.heappush(heap, (lifted, -node.depth, next(counter), node))
+                continue
+        node_count += 1
 
         for child in _expand(node, gram_mat, cache, p, floor):
             if child.lb < incumbent - prune_tol(incumbent):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import statistics
 import time
@@ -75,8 +76,10 @@ class ExperimentConfig:
             raise InputError("C grid must be nonempty for exact runs")
         if self.mode in ("heuristic", "both") and not self.nu_grid:
             raise InputError("nu grid must be nonempty for heuristic runs")
-        if any(c <= 0 for c in self.C_grid):
-            raise InputError("C grid entries must be positive")
+        if not all(c > 0 and math.isfinite(c) for c in self.C_grid):
+            raise InputError("C grid entries must be positive and finite")
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise InputError(f"time_limit must be None or >= 0, got {self.time_limit}")
         if any(not 0 < v <= 1 for v in self.nu_grid):
             raise InputError("nu grid entries must lie in (0, 1]")
         if self.workers < 1:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msvdd.exact
+from msvdd.data import SyntheticSpec, generate_synthetic
 from msvdd.errors import InputError
 from msvdd.exact import (
     MsvddProblem,
+    _centroid_size,
     _expand,
     _node_of,
+    _pick,
     _SubproblemCache,
     branch,
     compute_delta_dual,
@@ -213,6 +217,56 @@ class TestExpand:
             node = children[int(r.integers(len(children)))]
 
 
+class TestCompletionLift:
+    def test_lift_by_hand(self):
+        # C = 1/3: a sphere is valued C * scatter up to 3 members.  The sphere
+        # {0} must take both free points at 1 and 3 (k = 2), so it adds
+        # C * 1/3 * (1 + 9); the completion {0, 1, 3} costs C * 42/9
+        g = gram(LINEAR, [[0.0], [1.0], [3.0]])
+        C = 1.0 / 3.0
+        assert _centroid_size(C, True) == 3
+        node = _node_of(Assignment(np.array([0, -1, -1])), _SubproblemCache(g, C), 1)
+        point, _, lift = _pick(node, g, _centroid_size(C, True))
+        assert point == 2
+        assert lift == pytest.approx(10.0 / 9.0, abs=1e-12)
+        best = evaluate_assignment(g, Assignment(np.array([0, 0, 0])), 1, C)
+        assert best.objective == pytest.approx(42.0 / 27.0, abs=1e-9)
+
+    @pytest.mark.parametrize("C,size", [(0.2, 5), (0.3, 3), (0.5, 2), (0.45, 2), (1.0, 1)])
+    def test_centroid_size(self, C, size):
+        assert _centroid_size(C, True) == size
+        assert C * size <= 1.0 + 1e-12 < C * (size + 1)
+        assert _centroid_size(C, False) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_lifted_bound_never_above_best_completion(self, seed):
+        # a random partial assignment: the dual sum plus the lift must not
+        # exceed the best feasible completion, found by enumeration
+        r = np.random.default_rng(seed)
+        C = float(r.uniform(0.12, 0.5))
+        floor = min_members(C, True)
+        n = int(r.integers(max(4, floor), 10))
+        p = int(r.integers(1, min(3, n // floor) + 1))
+        spec = rbf(float(r.uniform(0.2, 2.0))) if r.random() < 0.5 else LINEAR
+        g = gram(spec, r.normal(scale=1.5, size=(n, 2)))
+        base = r.integers(0, p, size=n)
+        free = r.choice(n, size=int(r.integers(n // 2, min(n - 1, 7) + 1)), replace=False)
+        base[free] = -1
+        node = _node_of(Assignment(base), _SubproblemCache(g, C), p)
+        lift = _pick(node, g, _centroid_size(C, True))[2]
+        assert lift >= 0.0
+        assert _pick(node, g, _centroid_size(C, False))[2] == 0.0
+        best = math.inf
+        for combo in itertools.product(range(p), repeat=free.size):
+            full = base.copy()
+            full[free] = combo
+            sol = evaluate_assignment(g, Assignment(full), p, C)
+            if sol is not None:
+                best = min(best, sol.objective)
+        assert node.lb + lift <= best + 1e-9
+
+
 class TestLowerBound:
     def test_all_unassigned(self, rng):
         g = gram(LINEAR, rng.normal(size=(6, 2)))
@@ -318,16 +372,21 @@ class TestSolveExact:
 
     def test_randomized_campaign_matches_enumeration(self):
         # mixture and blob structures, both kernels, both cardinality
-        # variants, random C: every feasible case must match the oracle
+        # variants, random C: every feasible case must match the oracle;
+        # about half the cases have the floor on and C < 0.5
         master = np.random.default_rng(424242)
         checked = 0
         while checked < 30:
             n = int(master.integers(5, 10))
-            p = int(master.integers(1, 4))
-            if p > n:
-                continue
-            C = float(master.uniform(0.15, 1.3))
-            enforce = bool(master.random() < 0.6)
+            if master.random() < 0.5:
+                # floor on, C < 0.5 and room for every sphere: the search
+                # lifts nodes by what their undersized spheres must still take
+                C, enforce = float(master.uniform(0.2, 0.5)), True
+                p = int(master.integers(1, min(3, n // min_members(C, True)) + 1))
+            else:
+                p = int(master.integers(1, 4))
+                C = float(master.uniform(0.15, 1.3))
+                enforce = bool(master.random() < 0.6)
             if master.random() < 0.5:
                 pts = master.normal(scale=0.8, size=(n, 2))
                 pts[: n // 2] += np.array([3.0, 3.0])
@@ -345,6 +404,16 @@ class TestSolveExact:
                 assert sol.status is SolveStatus.OPTIMAL
                 assert sol.objective == pytest.approx(oracle, abs=1e-6)
             checked += 1
+
+    def test_completion_lift_cuts_the_rbf_tree(self):
+        # the benchmark's rbf40p2 instance; without the completion lift the
+        # search expands 911 nodes
+        train = generate_synthetic(SyntheticSpec(40, 1, 1, 0.1, seed=0)).subset("train")
+        g = gram(rbf(1.0), train.points)
+        sol = solve_exact(MsvddProblem(gram=g, p=2, C=0.2, seed=0))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(0.966321139539, abs=1e-6)
+        assert sol.node_count <= 400
 
     def test_midsearch_timeout_bound_is_valid(self):
         rng = np.random.default_rng(99)
@@ -378,6 +447,20 @@ class TestSolveExact:
         # two spheres of five points each need ten points
         assert sol.status is SolveStatus.INFEASIBLE
         assert math.isinf(sol.objective)
+
+    @pytest.mark.parametrize("C,limit", [
+        (math.inf, None), (math.nan, None), (-1.0, None), (0.0, None),
+        (0.5, math.nan), (0.5, -1.0),
+    ])
+    def test_bad_penalty_or_time_limit_rejected(self, C, limit, rng):
+        g = gram(LINEAR, rng.normal(size=(6, 2)))
+        with pytest.raises(InputError):
+            MsvddProblem(gram=g, p=2, C=C, time_limit=limit)
+
+    @pytest.mark.parametrize("limit", [None, 0.0, 2.5, math.inf])
+    def test_time_limit_accepted(self, limit, rng):
+        g = gram(LINEAR, rng.normal(size=(6, 2)))
+        assert MsvddProblem(gram=g, p=2, C=0.5, time_limit=limit).time_limit == limit
 
     def test_p_larger_than_n_rejected(self, rng):
         g = gram(LINEAR, rng.normal(size=(3, 2)))

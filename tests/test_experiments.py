@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -62,6 +63,18 @@ class TestConfig:
             small_config(tmp_path, nu_grid=(1.5,))
         with pytest.raises(InputError):
             small_config(tmp_path, p_grid=())
+
+    @pytest.mark.parametrize("bad", [
+        {"C_grid": (0.2, math.inf)}, {"C_grid": (math.nan,)}, {"C_grid": (-0.1,)},
+        {"time_limit": math.nan}, {"time_limit": -1.0},
+    ])
+    def test_non_finite_penalty_or_bad_time_limit_rejected(self, tmp_path, bad):
+        with pytest.raises(InputError):
+            small_config(tmp_path, **bad)
+
+    @pytest.mark.parametrize("limit", [None, 0.0, math.inf])
+    def test_time_limit_accepted(self, tmp_path, limit):
+        assert small_config(tmp_path, time_limit=limit).time_limit == limit
 
 
 @pytest.fixture(scope="module")
