@@ -15,25 +15,19 @@ import sys
 
 import numpy as np
 
-from .data import (
-    SyntheticSpec,
-    generate_synthetic,
-    read_dataset_csv,
-    write_dataset_csv,
-    write_spec_json,
-)
+from .codec import from_dict, to_dict, write_json
+from .data import SyntheticSpec, generate_synthetic, read_dataset_csv, write_dataset_csv
 from .errors import InputError, MsvddError, SolverFailure
 from .exact import MsvddProblem, incumbent_gap_rows, solve_exact
 from .experiments import (
     ExperimentConfig,
-    config_from_dict,
     emit_plot_data,
     run_cross_validation,
     run_gap_study,
     solution_to_dict,
 )
 from .heuristic import HeuristicConfig, solve_heuristic
-from .kernels import KernelKind, KernelSpec, gram
+from .kernels import LINEAR, KernelSpec, gram, rbf
 from .solution import SolveStatus
 
 EXIT_OK = 0
@@ -44,10 +38,10 @@ EXIT_TIME_LIMIT = 3
 
 def _kernel_from_args(args) -> KernelSpec:
     if args.kernel == "linear":
-        return KernelSpec(KernelKind.LINEAR)
+        return LINEAR
     if args.sigma2 is None:
         raise InputError("--sigma2 is required with --kernel rbf")
-    return KernelSpec(KernelKind.RBF, args.sigma2)
+    return rbf(args.sigma2)
 
 
 def _add_solver_flags(sub):
@@ -65,19 +59,19 @@ def _add_solver_flags(sub):
     sub.add_argument("--out", default="results")
 
 
+def _field_flags(cls, args) -> dict:
+    """The given flags whose argparse dest is a field of ``cls``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
+
+
 def cmd_generate(args) -> int:
-    spec = SyntheticSpec(
-        n_train=args.n_train,
-        n_val=args.n_val,
-        n_test=args.n_test,
-        noise_level=args.noise,
-        seed=args.seed,
-    )
+    spec = from_dict(SyntheticSpec, _field_flags(SyntheticSpec, args))
     dataset = generate_synthetic(spec)
     os.makedirs(args.out, exist_ok=True)
     write_dataset_csv(dataset, os.path.join(args.out, "dataset.csv"))
-    write_spec_json(spec, os.path.join(args.out, "spec.json"))
-    print(f"wrote {dataset.n} points ({args.noise:.0%} anomalies) to {args.out}/dataset.csv")
+    write_json(to_dict(spec), os.path.join(args.out, "spec.json"))
+    print(f"wrote {dataset.n} points ({args.noise_level:.0%} anomalies) to {args.out}/dataset.csv")
     return EXIT_OK
 
 
@@ -105,9 +99,7 @@ def cmd_solve(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     payload = solution_to_dict(sol, train_points=train.points)
-    with open(os.path.join(args.out, "solution.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, os.path.join(args.out, "solution.json"))
     if sol.incumbent_log:
         with open(os.path.join(args.out, "incumbents.csv"), "w", newline="") as fh:
             writer = csv.DictWriter(
@@ -136,57 +128,39 @@ def cmd_solve(args) -> int:
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The JSON config file, if any, with the given flags merged over it."""
     payload = {}
     if args.config:
         with open(args.config) as fh:
             payload = json.load(fh)
-    config = config_from_dict(payload)
-    overrides = {}
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.p:
-        overrides["p_grid"] = tuple(args.p)
-    if args.C:
-        overrides["C_grid"] = tuple(args.C)
-    if args.nu:
-        overrides["nu_grid"] = tuple(args.nu)
-    if args.seed:
-        overrides["seeds"] = tuple(args.seed)
-    if args.kernel:
+        if not isinstance(payload, dict):
+            raise InputError(f"{args.config} must hold a JSON object")
+    payload.update(_field_flags(ExperimentConfig, args))
+    if args.kernel is not None:
+        if "rbf" in args.kernel and not args.sigma2:
+            raise InputError("--kernel rbf needs --sigma2")
         kernels = []
         for name in args.kernel:
-            if name == "linear":
-                kernels.append(KernelSpec(KernelKind.LINEAR))
-            else:
-                for s2 in args.sigma2 or []:
-                    kernels.append(KernelSpec(KernelKind.RBF, s2))
-        if not kernels:
-            raise InputError("no usable kernel grid (rbf needs --sigma2)")
-        overrides["kernels"] = tuple(kernels)
-    if args.time_limit is not None:
-        overrides["time_limit"] = args.time_limit
-    if args.workers is not None:
-        overrides["workers"] = args.workers
+            kernels += [LINEAR] if name == "linear" else [rbf(s2) for s2 in args.sigma2]
+        payload["kernels"] = kernels
     if args.cardinality:
-        overrides["enforce_cardinality"] = args.cardinality == "on"
-    if args.out:
-        overrides["out_dir"] = args.out
-    return dataclasses.replace(config, **overrides)
+        payload["enforce_cardinality"] = args.cardinality == "on"
+    return from_dict(ExperimentConfig, payload)
 
 
 def _add_grid_flags(sub):
     sub.add_argument("--config", default=None, help="JSON experiment config")
     sub.add_argument("--mode", choices=["exact", "heuristic", "both"], default=None)
-    sub.add_argument("--p", type=int, nargs="*", default=None)
-    sub.add_argument("--C", type=float, nargs="*", default=None)
-    sub.add_argument("--nu", type=float, nargs="*", default=None)
+    sub.add_argument("--p", dest="p_grid", type=int, nargs="*", default=None)
+    sub.add_argument("--C", dest="C_grid", type=float, nargs="*", default=None)
+    sub.add_argument("--nu", dest="nu_grid", type=float, nargs="*", default=None)
     sub.add_argument("--kernel", nargs="*", choices=["linear", "rbf"], default=None)
     sub.add_argument("--sigma2", type=float, nargs="*", default=None)
-    sub.add_argument("--seed", type=int, nargs="*", default=None)
+    sub.add_argument("--seed", dest="seeds", type=int, nargs="*", default=None)
     sub.add_argument("--time-limit", type=float, default=None)
     sub.add_argument("--workers", type=int, default=None)
     sub.add_argument("--cardinality", choices=["on", "off"], default=None)
-    sub.add_argument("--out", default=None)
+    sub.add_argument("--out", dest="out_dir", default=None)
 
 
 def cmd_cv(args) -> int:
@@ -200,8 +174,6 @@ def cmd_cv(args) -> int:
 
 def cmd_gap(args) -> int:
     config = _config_from_args(args)
-    if args.mode is None and config.mode != "exact":
-        config = dataclasses.replace(config, mode="exact")
     rows = run_gap_study(config)
     print(f"incumbents: {os.path.join(config.out_dir, 'incumbents.csv')} ({len(rows)} rows)")
     return EXIT_OK
@@ -228,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n-train", type=int, default=60)
     g.add_argument("--n-val", type=int, default=40)
     g.add_argument("--n-test", type=int, default=100)
-    g.add_argument("--noise", type=float, default=0.1)
+    g.add_argument("--noise", dest="noise_level", type=float, default=0.1)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default="results")
     g.set_defaults(func=cmd_generate)
@@ -244,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gap", help="incumbent/optimality-gap study (exact mode)")
     _add_grid_flags(p)
-    p.set_defaults(func=cmd_gap)
+    p.set_defaults(func=cmd_gap, mode="exact")
 
     d = subs.add_parser("plotdata", help="emit plot-ready CSVs from prior results")
     d.add_argument("--results", required=True)

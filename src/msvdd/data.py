@@ -1,7 +1,7 @@
 """Dataset generation, libSVM parsing, feature scaling, and splitting.
 
 Everything here is a pure function of its inputs and seed, so datasets are
-bit-reproducible.  Labels follow two conventions depending on provenance:
+bit-reproducible.  Labels follow two conventions depending on origin:
 generated and split datasets carry 0/1 outlier flags, freshly parsed libSVM
 files carry the raw integer class labels until a split protocol designates
 regular and anomalous classes.
@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, ParseError
 
 CLUSTER_CENTERS = np.array([[-2.0, -2.0], [2.0, 2.0]])
+CLUSTER_SIGMAS = (0.5, 0.6)
 SPLIT_NAMES = ("train", "val", "test")
 # anomalies are drawn on an annulus around a cluster center, between these
 # multiples of that cluster's sigma: close to, but clearly outside, the mode
@@ -31,7 +31,6 @@ class Dataset:
     points: np.ndarray
     labels: np.ndarray | None = None
     split: np.ndarray | None = None
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -56,12 +55,8 @@ class Dataset:
         if self.split is None:
             raise InputError("dataset has no split tags")
         mask = self.split == split_name
-        return Dataset(
-            self.points[mask],
-            None if self.labels is None else self.labels[mask],
-            self.split[mask],
-            dict(self.provenance, subset=split_name),
-        )
+        labels = None if self.labels is None else self.labels[mask]
+        return Dataset(self.points[mask], labels, self.split[mask])
 
 
 @dataclass(frozen=True)
@@ -70,7 +65,7 @@ class SyntheticSpec:
     n_val: int
     n_test: int
     noise_level: float
-    cluster_sigmas: tuple[float, float] = (0.5, 0.6)
+    cluster_sigmas: tuple[float, float] = CLUSTER_SIGMAS
     seed: int = 0
 
     def __post_init__(self):
@@ -107,54 +102,15 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         pts.append(np.vstack([reg, anom]))
         labels.append(np.r_[np.zeros(n_reg, int), np.ones(n_out, int)])
         tags.extend([name] * count)
-    return Dataset(
-        np.vstack(pts),
-        np.concatenate(labels),
-        np.array(tags, dtype=object),
-        provenance={"generator": "synthetic", "spec": spec_to_dict(spec)},
-    )
+    return Dataset(np.vstack(pts), np.concatenate(labels), np.array(tags, dtype=object))
 
 
-def spec_to_dict(spec: SyntheticSpec) -> dict:
-    return {
-        "n_train": spec.n_train,
-        "n_val": spec.n_val,
-        "n_test": spec.n_test,
-        "noise_level": spec.noise_level,
-        "cluster_sigmas": list(spec.cluster_sigmas),
-        "seed": spec.seed,
-    }
-
-
-def spec_from_dict(payload: dict) -> SyntheticSpec:
-    return SyntheticSpec(
-        n_train=int(payload["n_train"]),
-        n_val=int(payload["n_val"]),
-        n_test=int(payload["n_test"]),
-        noise_level=float(payload["noise_level"]),
-        cluster_sigmas=tuple(payload.get("cluster_sigmas", (0.5, 0.6))),
-        seed=int(payload.get("seed", 0)),
-    )
-
-
-def write_spec_json(spec: SyntheticSpec, path):
-    with open(path, "w") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_spec_json(path) -> SyntheticSpec:
-    with open(path) as fh:
-        return spec_from_dict(json.load(fh))
-
-
-def parse_libsvm(text: str, strict_indices: bool = True) -> Dataset:
+def parse_libsvm(text: str) -> Dataset:
     """Parse sparse 'label idx:val ...' lines (1-based indices) into dense rows.
 
-    Absent indices are zero.  In strict mode (default) feature indices must be
-    strictly increasing within a line.  Malformed input, including NaN or
-    infinite values, raises with the line number.  Class labels are kept as
-    raw integers.
+    Absent indices are zero, and feature indices must be strictly increasing
+    within a line.  Malformed input, including NaN or infinite values, raises
+    with the line number.  Class labels are kept as raw integers.
     """
     rows: list[dict[int, float]] = []
     labels: list[int] = []
@@ -185,13 +141,11 @@ def parse_libsvm(text: str, strict_indices: bool = True) -> Dataset:
                 raise ParseError(f"non-finite feature value {tok!r}", line=lineno)
             if idx < 1:
                 raise ParseError(f"feature index {idx} must be >= 1", line=lineno)
-            if strict_indices and idx <= prev_idx:
+            if idx <= prev_idx:
                 raise ParseError(
                     f"feature index {idx} not increasing (previous {prev_idx})",
                     line=lineno,
                 )
-            if not strict_indices and idx in feats:
-                raise ParseError(f"duplicate feature index {idx}", line=lineno)
             feats[idx] = val
             prev_idx = idx
             max_idx = max(max_idx, idx)
@@ -201,7 +155,7 @@ def parse_libsvm(text: str, strict_indices: bool = True) -> Dataset:
     for r, feats in enumerate(rows):
         for idx, val in feats.items():
             points[r, idx - 1] = val
-    return Dataset(points, np.array(labels, int), provenance={"format": "libsvm"})
+    return Dataset(points, np.array(labels, int))
 
 
 def serialize_libsvm(dataset: Dataset) -> str:
@@ -250,12 +204,7 @@ def scale_to_unit_box(train: Dataset, others=()) -> tuple[Dataset, ...]:
     scaler = FeatureScaler.fit(train.points)
 
     def remap(ds: Dataset) -> Dataset:
-        return Dataset(
-            scaler.apply(ds.points),
-            ds.labels,
-            ds.split,
-            dict(ds.provenance, scaled="unit_box"),
-        )
+        return Dataset(scaler.apply(ds.points), ds.labels, ds.split)
 
     return (remap(train),) + tuple(remap(ds) for ds in others)
 
@@ -311,20 +260,7 @@ def split_real(
         labels.append(np.zeros(size, int))
         labels.append(np.ones(n_anom, int))
         tags.extend([name] * (size + n_anom))
-    return Dataset(
-        np.vstack(pts),
-        np.concatenate(labels),
-        np.array(tags, dtype=object),
-        provenance=dict(
-            dataset.provenance,
-            protocol={
-                "fractions": list(fractions),
-                "anomaly_classes": sorted(anomaly_classes),
-                "anomaly_fraction": anomaly_fraction,
-                "seed": seed,
-            },
-        ),
-    )
+    return Dataset(np.vstack(pts), np.concatenate(labels), np.array(tags, dtype=object))
 
 
 def write_dataset_csv(dataset: Dataset, path):
@@ -359,5 +295,4 @@ def read_dataset_csv(path) -> Dataset:
         np.array(pts, dtype=float),
         np.array([0 if v is None else v for v in labels], int) if has_labels else None,
         np.array(tags, dtype=object) if has_tags else None,
-        provenance={"source": str(path)},
     )

@@ -20,10 +20,13 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
+from .codec import from_dict, to_dict, write_json
 from .data import (
+    CLUSTER_SIGMAS,
     Dataset,
     SyntheticSpec,
     generate_synthetic,
@@ -43,22 +46,56 @@ MODEL_EXACT = "msvdd-exact"
 MODEL_HEURISTIC = "cluster-svdd"
 
 
+# the fixed synthetic draw a config uses by default
+_DEFAULT_DRAW = {"n_train": 60, "n_val": 40, "n_test": 100, "noise_levels": (0.1,)}
+# the keys each data source accepts besides "type", with their defaults;
+# None marks a required key
+DATA_SOURCES = {
+    "synthetic": {**_DEFAULT_DRAW, "cluster_sigmas": CLUSTER_SIGMAS},
+    "libsvm": {
+        "path": None, "fractions": (0.3, 0.2, 0.5), "anomaly_classes": (),
+        "anomaly_fractions": (0.1,), "scale": True,
+    },
+    "csv": {"path": None},
+}
+
+
+def _grid(name: str, values, kind=object, ok=lambda v: True, what="values") -> tuple:
+    """``values`` as a tuple, if it is a list of ``kind`` entries that are all ``ok``."""
+    if not isinstance(values, (list, tuple)) or not all(
+        isinstance(v, kind) and ok(v) for v in values
+    ):
+        raise InputError(f"{name} must be a list of {what}, got {values!r}")
+    return tuple(values)
+
+
+def _checked_data(data) -> dict:
+    """The data block with list values as tuples, once its keys fit its source."""
+    if not isinstance(data, dict) or data.get("type") not in DATA_SOURCES:
+        raise InputError(f"data needs a 'type' among {', '.join(DATA_SOURCES)}, got {data!r}")
+    kind = data["type"]
+    defaults = DATA_SOURCES[kind]
+    unknown = sorted(set(data) - set(defaults) - {"type"})
+    if unknown:
+        raise InputError(f"unknown key(s) for {kind} data: {', '.join(unknown)}")
+    for key, default in defaults.items():
+        if default is None and key not in data:
+            raise InputError(f"{kind} data needs a {key!r} key")
+        if isinstance(default, tuple) and key in data:
+            _grid(f"data {key}", data[key])
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
+
+
 @dataclass
 class ExperimentConfig:
+    """One grid study.  The JSON config file holds these fields by name."""
+
     mode: str = "both"  # exact | heuristic | both
     p_grid: tuple[int, ...] = (1, 2)
     C_grid: tuple[float, ...] = (0.1, 0.15, 0.2, 0.25, 0.4, 0.8)
     nu_grid: tuple[float, ...] = (0.025, 0.05, 0.075, 0.1, 0.15, 0.2)
     kernels: tuple[KernelSpec, ...] = (KernelSpec(KernelKind.LINEAR),)
-    data: dict = field(
-        default_factory=lambda: {
-            "type": "synthetic",
-            "n_train": 60,
-            "n_val": 40,
-            "n_test": 100,
-            "noise_levels": [0.1],
-        }
-    )
+    data: dict = field(default_factory=lambda: {"type": "synthetic", **_DEFAULT_DRAW})
     seeds: tuple[int, ...] = (0,)
     time_limit: float | None = None
     workers: int = 1
@@ -70,20 +107,33 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "heuristic", "both"):
             raise InputError(f"unknown mode {self.mode!r}")
+        self.p_grid = _grid("p_grid", self.p_grid, Integral, lambda p: p >= 1, "integers >= 1")
+        self.C_grid = _grid(
+            "C_grid", self.C_grid, Real, lambda c: 0 < c < math.inf, "finite numbers > 0"
+        )
+        self.nu_grid = _grid(
+            "nu_grid", self.nu_grid, Real, lambda v: 0 < v <= 1, "values in (0, 1]"
+        )
+        self.seeds = _grid("seeds", self.seeds, Integral, what="integers")
+        self.kernels = tuple(
+            k if isinstance(k, KernelSpec) else from_dict(KernelSpec, k)
+            for k in _grid("kernels", self.kernels)
+        )
+        self.data = _checked_data(self.data)
         if not self.p_grid or not self.seeds or not self.kernels:
             raise InputError("p grid, seeds, and kernel grid must be nonempty")
         if self.mode in ("exact", "both") and not self.C_grid:
             raise InputError("C grid must be nonempty for exact runs")
         if self.mode in ("heuristic", "both") and not self.nu_grid:
             raise InputError("nu grid must be nonempty for heuristic runs")
-        if not all(c > 0 and math.isfinite(c) for c in self.C_grid):
-            raise InputError("C grid entries must be positive and finite")
         if self.time_limit is not None and not self.time_limit >= 0:
             raise InputError(f"time_limit must be None or >= 0, got {self.time_limit}")
-        if any(not 0 < v <= 1 for v in self.nu_grid):
-            raise InputError("nu grid entries must lie in (0, 1]")
-        if self.workers < 1:
-            raise InputError("workers must be >= 1")
+        for name in ("workers", "heuristic_restarts", "heuristic_max_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.enforce_cardinality, bool):
+            raise InputError("enforce_cardinality must be true or false")
 
     @property
     def models(self) -> tuple[str, ...]:
@@ -94,92 +144,37 @@ class ExperimentConfig:
         return (MODEL_HEURISTIC, MODEL_EXACT)
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "mode": config.mode,
-        "p_grid": list(config.p_grid),
-        "C_grid": list(config.C_grid),
-        "nu_grid": list(config.nu_grid),
-        "kernels": [
-            {"kind": k.kind.value, "sigma_squared": k.sigma_squared}
-            for k in config.kernels
-        ],
-        "data": config.data,
-        "seeds": list(config.seeds),
-        "time_limit": config.time_limit,
-        "workers": config.workers,
-        "enforce_cardinality": config.enforce_cardinality,
-        "heuristic_restarts": config.heuristic_restarts,
-        "heuristic_max_iters": config.heuristic_max_iters,
-        "out_dir": config.out_dir,
-    }
-
-
-def config_from_dict(payload: dict) -> ExperimentConfig:
-    kernels = tuple(
-        KernelSpec(k["kind"], k.get("sigma_squared")) for k in payload.get(
-            "kernels", [{"kind": "linear", "sigma_squared": None}]
-        )
-    )
-    base = ExperimentConfig()
-    return ExperimentConfig(
-        mode=payload.get("mode", base.mode),
-        p_grid=tuple(payload.get("p_grid", base.p_grid)),
-        C_grid=tuple(payload.get("C_grid", base.C_grid)),
-        nu_grid=tuple(payload.get("nu_grid", base.nu_grid)),
-        kernels=kernels,
-        data=payload.get("data", base.data),
-        seeds=tuple(payload.get("seeds", base.seeds)),
-        time_limit=payload.get("time_limit"),
-        workers=int(payload.get("workers", 1)),
-        enforce_cardinality=bool(payload.get("enforce_cardinality", True)),
-        heuristic_restarts=int(payload.get("heuristic_restarts", 5)),
-        heuristic_max_iters=int(payload.get("heuristic_max_iters", 100)),
-        out_dir=payload.get("out_dir", base.out_dir),
-    )
-
-
 def noise_levels(config: ExperimentConfig) -> tuple:
-    data = config.data
-    if data["type"] == "synthetic":
-        return tuple(data.get("noise_levels", [0.1]))
-    if data["type"] == "libsvm":
-        return tuple(data.get("anomaly_fractions", [0.1]))
-    return ("na",)
+    """Synthetic noise levels, libSVM anomaly fractions, or "na" for a CSV file."""
+    data = {**DATA_SOURCES[config.data["type"]], **config.data}
+    return tuple(data.get("noise_levels", data.get("anomaly_fractions", ("na",))))
 
 
 def load_dataset(config: ExperimentConfig, noise, seed: int) -> Dataset:
     """Materialize one dataset draw for a (noise level, seed) pair."""
-    data = config.data
-    kind = data["type"]
-    if kind == "synthetic":
+    data = {**DATA_SOURCES[config.data["type"]], **config.data}
+    if data["type"] == "synthetic":
         spec = SyntheticSpec(
-            n_train=int(data.get("n_train", 60)),
-            n_val=int(data.get("n_val", 40)),
-            n_test=int(data.get("n_test", 100)),
+            n_train=int(data["n_train"]),
+            n_val=int(data["n_val"]),
+            n_test=int(data["n_test"]),
             noise_level=float(noise),
-            cluster_sigmas=tuple(data.get("cluster_sigmas", (0.5, 0.6))),
+            cluster_sigmas=tuple(data["cluster_sigmas"]),
             seed=seed,
         )
         return generate_synthetic(spec)
-    if kind == "libsvm":
+    if data["type"] == "libsvm":
         with open(data["path"]) as fh:
             raw = parse_libsvm(fh.read())
         ds = split_real(
             raw,
-            fractions=tuple(data.get("fractions", (0.3, 0.2, 0.5))),
-            anomaly_classes=data.get("anomaly_classes", ()),
+            fractions=tuple(data["fractions"]),
+            anomaly_classes=data["anomaly_classes"],
             anomaly_fraction=float(noise),
             seed=seed,
         )
-        if data.get("scale", True):
-            train = ds.subset("train")
-            scaled_all = scale_to_unit_box(train, (ds,))[1]
-            return scaled_all
-        return ds
-    if kind == "csv":
-        return read_dataset_csv(data["path"])
-    raise InputError(f"unknown dataset source {kind!r}")
+        return scale_to_unit_box(ds.subset("train"), (ds,))[1] if data["scale"] else ds
+    return read_dataset_csv(data["path"])
 
 
 def _kernel_name(spec: KernelSpec) -> str:
@@ -380,7 +375,7 @@ REPORT_COLUMNS = [
 def run_cross_validation(config: ExperimentConfig) -> list[dict]:
     """Full grid study; writes report/cells/timings and returns report rows."""
     os.makedirs(config.out_dir, exist_ok=True)
-    _write_resolved_config(config)
+    write_json(to_dict(config), os.path.join(config.out_dir, "resolved_config.json"))
     cells = _collect_cells(config)
     rows = select_and_summarize(config, cells)
     _write_csv(os.path.join(config.out_dir, "cells.csv"), cells, CELL_COLUMNS)
@@ -395,12 +390,6 @@ def run_cross_validation(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def _write_resolved_config(config: ExperimentConfig):
-    with open(os.path.join(config.out_dir, "resolved_config.json"), "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 GAP_COLUMNS = ["run_id", "wall_time_s", "objective", "gap", "test_auc", "reference"]
 
 
@@ -409,7 +398,7 @@ def run_gap_study(config: ExperimentConfig) -> list[dict]:
     if config.mode != "exact":
         raise InputError("gap study requires mode='exact'")
     os.makedirs(config.out_dir, exist_ok=True)
-    _write_resolved_config(config)
+    write_json(to_dict(config), os.path.join(config.out_dir, "resolved_config.json"))
     all_rows = []
     summaries = []
     for noise in noise_levels(config):
@@ -422,15 +411,7 @@ def run_gap_study(config: ExperimentConfig) -> list[dict]:
                 for p in config.p_grid:
                     for C in config.C_grid:
                         run_id = _run_id(MODEL_EXACT, noise, seed, p, kspec, C)
-                        problem = MsvddProblem(
-                            gram=gram_train,
-                            p=p,
-                            C=C,
-                            enforce_cardinality=config.enforce_cardinality,
-                            time_limit=config.time_limit,
-                            seed=seed,
-                        )
-                        sol = solve_exact(problem)
+                        sol = _solve_cell(MODEL_EXACT, gram_train, p, C, config, seed)
                         if sol.status is SolveStatus.INFEASIBLE:
                             summaries.append({"run_id": run_id, "status": "infeasible"})
                             continue
@@ -460,9 +441,7 @@ def run_gap_study(config: ExperimentConfig) -> list[dict]:
                             }
                         )
     _write_csv(os.path.join(config.out_dir, "incumbents.csv"), all_rows, GAP_COLUMNS)
-    with open(os.path.join(config.out_dir, "gap_summary.json"), "w") as fh:
-        json.dump(summaries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summaries, os.path.join(config.out_dir, "gap_summary.json"))
     return all_rows
 
 

@@ -36,8 +36,8 @@ class KernelSpec:
 
     def __post_init__(self):
         kind = self.kind
-        if isinstance(kind, str):
-            kind = KernelKind(kind.lower())
+        if not isinstance(kind, KernelKind):
+            kind = KernelKind(str(kind).lower())
             object.__setattr__(self, "kind", kind)
         if kind is KernelKind.RBF:
             if self.sigma_squared is None or not self.sigma_squared > 0:

@@ -177,7 +177,6 @@ def solve_svdd(
     members,
     C: float,
     warm_alpha=None,
-    tols: SolverTolerances = DEFAULT_TOLS,
     max_iters: int = MAX_ITERATIONS,
 ) -> SvddSolution:
     """Solve the single-sphere subproblem on the given member set.
@@ -232,8 +231,8 @@ def solve_svdd(
         gap = max(float(R + C * xi.sum()) - dual, 0.0)
         if gap < best_gap:
             best_gap, best_alpha = gap, a.copy()
-        if gap <= tols.duality_gap:
-            return _assemble(ia, a, d2, R, xi, C, dual, quad, gap, it, tols.feasibility)
+        if gap <= DEFAULT_TOLS.duality_gap:
+            return _assemble(ia, a, d2, R, xi, C, dual, quad, gap, it, DEFAULT_TOLS.feasibility)
 
         # SMO pair steps on min a'Ka - q'a; G is its gradient
         G = 2.0 * Ka - q
@@ -252,7 +251,7 @@ def solve_svdd(
             i = int(np.argmin(G_up))
             b = G - G_up[i]
             # the gap is at most the largest violation b_j over a_j > 0
-            if np.max(b, where=a > 0.0, initial=-np.inf) <= tols.duality_gap:
+            if np.max(b, where=a > 0.0, initial=-np.inf) <= DEFAULT_TOLS.duality_gap:
                 break
             eta = np.maximum(q[i] + q - 2.0 * K[i], eta_floor)
             j = int(np.argmax(np.where((a > 0.0) & (b > 0.0), b * b / eta, -1.0)))

@@ -195,6 +195,28 @@ class TestCvAndGap:
         assert resolved["heuristic_restarts"] == 2
         assert resolved["nu_grid"] == [0.25]
 
+    @pytest.mark.parametrize("payload", [
+        {"C": [0.3]},
+        {"data": {"type": "synthetic", "noise_level": [0.2]}},
+        {"data": {"type": "parquet", "path": "x"}},
+        {"kernels": [{"sigma_squared": 1.0}]},
+        {"p_grid": 2},
+        [{"p_grid": [2]}],
+    ], ids=["top_key", "data_key", "data_type", "kernel_kind", "scalar_p", "not_object"])
+    def test_malformed_config_is_input_error(self, tmp_path, capsys, payload):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(payload))
+        assert run_cli(["cv", "--config", config_path, "--out", tmp_path / "cv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "cv")
+
+    def test_rbf_grid_requires_sigma2(self, tmp_path, capsys):
+        code = run_cli(["cv", "--kernel", "linear", "rbf", "--out", tmp_path / "cv"])
+        assert code == 1
+        assert "--sigma2" in capsys.readouterr().err
+
     def test_gap_then_plotdata(self, tmp_path):
         out = tmp_path / "gap"
         code = run_cli(

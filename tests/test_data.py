@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from msvdd.codec import from_dict, to_dict
 from msvdd.data import (
     CLUSTER_CENTERS,
     Dataset,
@@ -9,12 +12,10 @@ from msvdd.data import (
     generate_synthetic,
     parse_libsvm,
     read_dataset_csv,
-    read_spec_json,
     scale_to_unit_box,
     serialize_libsvm,
     split_real,
     write_dataset_csv,
-    write_spec_json,
 )
 from msvdd.errors import InputError, ParseError
 
@@ -28,11 +29,17 @@ class TestSyntheticSpec:
         with pytest.raises(InputError):
             SyntheticSpec(0, 10, 10, noise_level=0.1)
 
-    def test_json_round_trip(self, tmp_path):
-        spec = SyntheticSpec(30, 20, 50, noise_level=0.15, seed=9)
-        path = tmp_path / "spec.json"
-        write_spec_json(spec, path)
-        assert read_spec_json(path) == spec
+    def test_json_round_trip(self):
+        for spec in (
+            SyntheticSpec(30, 20, 50, noise_level=0.15, seed=9),
+            SyntheticSpec(5, 6, 7, noise_level=0.4, cluster_sigmas=(0.25, 1.5)),
+        ):
+            text = json.dumps(to_dict(spec))
+            assert from_dict(SyntheticSpec, json.loads(text)) == spec
+
+    def test_json_needs_the_split_counts(self):
+        with pytest.raises(InputError, match="n_test"):
+            from_dict(SyntheticSpec, {"n_train": 3, "n_val": 3, "noise_level": 0.1})
 
 
 class TestGenerateSynthetic:
@@ -109,10 +116,6 @@ class TestParseLibsvm:
         with pytest.raises(ParseError) as err:
             parse_libsvm(f"{label} 1:0.5\n")
         assert err.value.line == 1
-
-    def test_unsorted_allowed_in_lenient_mode(self):
-        ds = parse_libsvm("1 3:1 2:5\n", strict_indices=False)
-        assert np.array_equal(ds.points[0], [0.0, 5.0, 1.0])
 
     def test_round_trip(self):
         text = "1 1:0.5 3:-1.25\n2\n-1 2:7.0\n"

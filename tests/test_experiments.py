@@ -6,13 +6,12 @@ import os
 import numpy as np
 import pytest
 
+from msvdd.codec import from_dict, to_dict
 from msvdd.errors import InputError
 from msvdd.experiments import (
     MODEL_EXACT,
     MODEL_HEURISTIC,
     ExperimentConfig,
-    config_from_dict,
-    config_to_dict,
     emit_plot_data,
     load_dataset,
     run_cross_validation,
@@ -43,6 +42,50 @@ def small_config(out_dir, **overrides):
     return ExperimentConfig(**base)
 
 
+# resolved_config.json of small_config, with its out_dir written as OUT
+RESOLVED_SMALL_CONFIG = """\
+{
+  "C_grid": [
+    0.5,
+    1.0
+  ],
+  "data": {
+    "n_test": 20,
+    "n_train": 14,
+    "n_val": 12,
+    "noise_levels": [
+      0.1
+    ],
+    "type": "synthetic"
+  },
+  "enforce_cardinality": true,
+  "heuristic_max_iters": 100,
+  "heuristic_restarts": 2,
+  "kernels": [
+    {
+      "kind": "linear",
+      "sigma_squared": null
+    }
+  ],
+  "mode": "both",
+  "nu_grid": [
+    0.2,
+    0.4
+  ],
+  "out_dir": "OUT",
+  "p_grid": [
+    2
+  ],
+  "seeds": [
+    0,
+    1
+  ],
+  "time_limit": null,
+  "workers": 1
+}
+"""
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -50,9 +93,20 @@ def read_csv(path):
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
-        config = small_config(tmp_path, kernels=(KernelSpec(KernelKind.RBF, 0.25),))
-        again = config_from_dict(config_to_dict(config))
-        assert again == config
+        rbf = KernelSpec(KernelKind.RBF, 0.25)
+        linear = KernelSpec(KernelKind.LINEAR)
+        sources = (
+            {"type": "synthetic", "n_train": 10, "noise_levels": [0.1, 0.2],
+             "cluster_sigmas": [0.4, 0.7]},
+            {"type": "libsvm", "path": "x.libsvm", "anomaly_classes": [3],
+             "anomaly_fractions": [0.05], "fractions": [0.3, 0.2, 0.5], "scale": False},
+            {"type": "csv", "path": "x.csv"},
+        )
+        for kernels in ((rbf,), (linear,), (linear, rbf)):
+            for data in sources:
+                config = small_config(tmp_path, kernels=kernels, data=data, time_limit=2.5)
+                again = from_dict(ExperimentConfig, json.loads(json.dumps(to_dict(config))))
+                assert again == config
 
     def test_validation(self, tmp_path):
         with pytest.raises(InputError):
@@ -67,6 +121,12 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         {"C_grid": (0.2, math.inf)}, {"C_grid": (math.nan,)}, {"C_grid": (-0.1,)},
         {"time_limit": math.nan}, {"time_limit": -1.0},
+        {"heuristic_restarts": 0}, {"heuristic_max_iters": 0}, {"p_grid": (2, 0)},
+        {"p_grid": 2}, {"p_grid": (1.5,)}, {"seeds": "01"}, {"workers": 2.0},
+        {"enforce_cardinality": "no"}, {"kernels": ({"sigma_squared": 1.0},)},
+        {"data": {"type": "synthetic", "noise_level": [0.2]}},
+        {"data": {"type": "synthetic", "noise_levels": 0.2}},
+        {"data": {"type": "parquet"}}, {"data": {"type": "csv"}},
     ])
     def test_non_finite_penalty_or_bad_time_limit_rejected(self, tmp_path, bad):
         with pytest.raises(InputError):
@@ -101,6 +161,12 @@ class TestRunCrossValidation:
         for row in rows:
             assert row["n_seeds"] == len(config.seeds)
             assert 0.0 <= row["mean_test_auc"] <= 1.0
+
+    def test_resolved_config_text(self, run):
+        config, _ = run
+        with open(os.path.join(config.out_dir, "resolved_config.json")) as fh:
+            text = fh.read().replace(json.dumps(config.out_dir), '"OUT"')
+        assert text == RESOLVED_SMALL_CONFIG
 
     def test_artifacts_written(self, run):
         config, _ = run
