@@ -55,7 +55,6 @@ from .kernels import (
     KernelKind,
     KernelSpec,
     eval_kernel,
-    feature_distance_sq,
     gram,
 )
 from .solution import (

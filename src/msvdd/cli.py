@@ -17,6 +17,7 @@ import numpy as np
 
 from .codec import from_dict, to_dict, write_json
 from .data import SyntheticSpec, generate_synthetic, read_dataset_csv, write_dataset_csv
+from .detection import DetectionModel
 from .errors import InputError, MsvddError, SolverFailure
 from .exact import MsvddProblem, incumbent_gap_rows, solve_exact
 from .experiments import (
@@ -98,7 +99,8 @@ def cmd_solve(args) -> int:
         sol = solve_exact(problem)
 
     os.makedirs(args.out, exist_ok=True)
-    payload = solution_to_dict(sol, train_points=train.points)
+    model = DetectionModel.from_solution(sol, gram_train, train.points)
+    payload = solution_to_dict(sol, model)
     write_json(payload, os.path.join(args.out, "solution.json"))
     if sol.incumbent_log:
         with open(os.path.join(args.out, "incumbents.csv"), "w", newline="") as fh:
@@ -136,6 +138,8 @@ def _config_from_args(args) -> ExperimentConfig:
         if not isinstance(payload, dict):
             raise InputError(f"{args.config} must hold a JSON object")
     payload.update(_field_flags(ExperimentConfig, args))
+    if args.sigma2 is not None and "rbf" not in (args.kernel or ()):
+        raise InputError("--sigma2 needs --kernel rbf")
     if args.kernel is not None:
         if "rbf" in args.kernel and not args.sigma2:
             raise InputError("--kernel rbf needs --sigma2")

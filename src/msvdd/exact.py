@@ -60,7 +60,7 @@ from .solution import (
     solve_sphere,
     sphere_distances_sq,
 )
-from .svdd import grow_certified
+from .svdd import grow_certified, zero_radius_sphere
 
 _ROOT_RESTARTS = 5
 
@@ -90,55 +90,6 @@ class MsvddProblem:
             raise InputError(f"C must be positive and finite, got {self.C}")
         if self.time_limit is not None and not self.time_limit >= 0:
             raise InputError(f"time_limit must be None or >= 0, got {self.time_limit}")
-
-
-class _SubproblemCache:
-    """Memoizes single-sphere solves within one branch-and-bound run.
-
-    Spheres below the 1/C floor are valued by the radius-floored fallback;
-    with cardinality enforcement such spheres can only appear at inner nodes
-    (the counting prune bars them from leaves), where that value is a valid
-    lower bound on any completion.
-    """
-
-    def __init__(self, gram, C):
-        self.gram = gram
-        self.C = C
-        self._store: dict[tuple[int, ...], object] = {}
-
-    def solve(self, members: tuple[int, ...], parent=None, point=None, distance_sq=None):
-        """The sphere on ``members``, solved once per run.
-
-        A sphere grown from ``parent`` by ``point``, at squared distance
-        ``distance_sq`` from the parent's center, is certified from the parent
-        when its weights still certify it (`grow_certified`) and warm-started
-        from them, with a 0 for the point, otherwise.
-        """
-        hit = self._store.get(members)
-        if hit is not None:
-            return hit
-        sol = None if parent is None else grow_certified(parent, point, distance_sq)
-        if sol is None:
-            warm = None
-            if parent is not None:
-                k = members.index(point)
-                warm = np.concatenate((parent.alpha[:k], [0.0], parent.alpha[k:]))
-            try:
-                sol = solve_sphere(
-                    self.gram, members, self.C, enforce_cardinality=False, warm_alpha=warm
-                )
-            except ConvergenceError:
-                # one retry from a cold start, then give up with a diagnostic
-                try:
-                    sol = solve_sphere(self.gram, members, self.C, enforce_cardinality=False)
-                except ConvergenceError as exc:
-                    raise SolverFailure(
-                        f"sphere subproblem on {len(members)} members failed to "
-                        f"converge twice (best gap {exc.gap:.3e})"
-                    ) from exc
-        if len(self._store) < 500_000:
-            self._store[members] = sol
-        return sol
 
 
 def compute_delta_primal(points, i: int) -> float:
@@ -203,30 +154,52 @@ def lower_bound(
     This is the key the search gives a child; the completion lift (`_pick`)
     is added on top when the child is popped.
     """
-    labels = np.unique(assignment.sphere_of)
-    total = 0.0
-    for j in labels:
-        if j == UNASSIGNED:
-            continue
-        members = tuple(int(i) for i in assignment.members(int(j)))
-        sol = solve_sphere(gram_matrix, members, C, enforce_cardinality=False)
-        total += sol.dual_objective
-    return total
+    p = int(assignment.sphere_of.max()) + 1
+    return float(_node_of(assignment, gram_matrix, C, p).lb)
 
 
+def _sphere(gram_matrix, C, members, parent=None, point=None, distance_sq=None):
+    """The sphere on ``members``, in the search's order of trials.
+
+    A sphere grown from ``parent`` by ``point``, at squared distance
+    ``distance_sq`` from the parent's center, is certified from the parent
+    when its weights still certify it (`grow_certified`) and warm-started
+    from them, with a 0 for the point, otherwise.  Spheres below the 1/C
+    floor take the radius-floored value; with cardinality enforcement such
+    spheres only appear at inner nodes (the counting prune bars them from
+    leaves), where that value is a valid lower bound on any completion.
+    """
+    sol = None if parent is None else grow_certified(parent, point, distance_sq)
+    if sol is not None:
+        return sol
+    warm = None
+    if parent is not None:
+        k = members.index(point)
+        warm = np.concatenate((parent.alpha[:k], [0.0], parent.alpha[k:]))
+    try:
+        return solve_sphere(gram_matrix, members, C, warm_alpha=warm)
+    except ConvergenceError:
+        # one retry from a cold start, then give up with a diagnostic
+        try:
+            return solve_sphere(gram_matrix, members, C)
+        except ConvergenceError as exc:
+            raise SolverFailure(
+                f"sphere subproblem on {len(members)} members failed to "
+                f"converge twice (best gap {exc.gap:.3e})"
+            ) from exc
+
+
+@dataclass(eq=False, slots=True)
 class _Node:
     """A partial assignment of ``depth`` points with one solved sphere (or None
     if empty) per label; ``lb`` sums their certified dual values.  ``pick``
     caches `_pick` once the search has computed it."""
 
-    __slots__ = ("sphere_of", "depth", "spheres", "lb", "pick")
-
-    def __init__(self, sphere_of, depth, spheres, lb):
-        self.sphere_of = sphere_of
-        self.depth = depth
-        self.spheres = spheres
-        self.lb = lb
-        self.pick = None
+    sphere_of: np.ndarray
+    depth: int
+    spheres: tuple
+    lb: float
+    pick: tuple | None = None
 
 
 def _centroid_size(C: float, enforce_cardinality: bool) -> int:
@@ -276,14 +249,14 @@ def _pick(node, gram_matrix, size):
     return int(unassigned[row]), dict(zip(placed, d2[row].tolist())), lift
 
 
-def _expand(node, gram_matrix, cache, p, floor):
+def _expand(node, gram_matrix, C, p, floor):
     """Children of a node: the search's one way of making them.
 
     The branch point is the node's `_pick`.  It joins every nonempty sphere
     and exactly one empty one, which removes the label permutations.  A child
     is dropped when the points left cannot bring every sphere to ``floor``
     members.  A sphere grown by the point is certified from the node's sphere
-    when it can be (`_SubproblemCache.solve`) and solved otherwise.  Child
+    when it can be and solved otherwise (`_sphere`).  Child
     bounds are plain dual sums; the search adds a child's lift when it pops it.
     """
     sphere_of, spheres = node.sphere_of, node.spheres
@@ -297,7 +270,7 @@ def _expand(node, gram_matrix, cache, p, floor):
             continue
         old = spheres[j]
         members = (point,) if old is None else tuple(sorted(old.members + (point,)))
-        sol = cache.solve(members, old, point, dist.get(j))
+        sol = _sphere(gram_matrix, C, members, old, point, dist.get(j))
         child_spheres = spheres[:j] + (sol,) + spheres[j + 1 :]
         lb = sum(s.dual_objective for s in child_spheres if s is not None)
         child_of = sphere_of.copy()
@@ -306,10 +279,12 @@ def _expand(node, gram_matrix, cache, p, floor):
     return children
 
 
-def _node_of(assignment: Assignment, cache, p) -> _Node:
+def _node_of(assignment: Assignment, gram_matrix, C, p) -> _Node:
     counts = assignment.counts(p)
     spheres = tuple(
-        cache.solve(tuple(int(i) for i in assignment.members(j))) if counts[j] else None
+        _sphere(gram_matrix, C, tuple(int(i) for i in assignment.members(j)))
+        if counts[j]
+        else None
         for j in range(p)
     )
     lb = sum(s.dual_objective for s in spheres if s is not None)
@@ -328,30 +303,20 @@ def branch(
     (ceil(1/C) members per sphere with it, one without)."""
     if assignment.is_complete():
         raise InputError("cannot branch on a complete assignment")
-    cache = _SubproblemCache(gram_matrix, C)
     floor = min_members(C, enforce_cardinality)
-    children = _expand(_node_of(assignment, cache, p), gram_matrix, cache, p, floor)
+    children = _expand(_node_of(assignment, gram_matrix, C, p), gram_matrix, C, p, floor)
     return [Assignment(child.sphere_of) for child in children]
 
 
-def _infeasible_solution(problem: MsvddProblem) -> MsvddSolution:
-    return MsvddSolution(
-        assignment=Assignment.empty(problem.gram.n),
-        spheres=(),
-        objective=math.inf,
-        status=SolveStatus.INFEASIBLE,
-        p=problem.p,
-        C=problem.C,
-        enforce_cardinality=problem.enforce_cardinality,
-        lower_bound=math.inf,
-    )
+def _repair_cardinality(sphere_of, gram_matrix, C, p, floor):
+    """Move cheapest points into deficient spheres until all meet the floor.
 
-
-def _repair_cardinality(sphere_of, gram_matrix, p, floor):
-    """Move cheapest points into deficient spheres until all meet the floor."""
+    A sphere below the floor sits at the centroid of its members (C * |S| < 1,
+    `zero_radius_sphere`), so a move into it is priced by the point's squared
+    distance to that centroid, re-taken after every move.  Donors keep the
+    floor.
+    """
     sphere_of = sphere_of.copy()
-    K = gram_matrix.values
-    diag = np.diag(K)
     for _ in range(sphere_of.size * p):
         counts = np.bincount(sphere_of, minlength=p)[:p]
         needy = np.flatnonzero(counts < floor)
@@ -362,20 +327,15 @@ def _repair_cardinality(sphere_of, gram_matrix, p, floor):
         donors = donors[sphere_of[donors] != j]
         if donors.size == 0:
             return None
-        target = np.flatnonzero(sphere_of == j)
-        if target.size:
-            alpha = np.full(target.size, 1.0 / target.size)
-            w = K[np.ix_(donors, list(target))] @ alpha
-            quad = float(alpha @ K[np.ix_(list(target), list(target))] @ alpha)
-            cost = diag[donors] - 2.0 * w + quad
-        else:
-            cost = np.zeros(donors.size)
+        centroid = zero_radius_sphere(gram_matrix, np.flatnonzero(sphere_of == j), C)
+        cost = sphere_distances_sq(gram_matrix, [centroid])[donors, 0]
         sphere_of[int(donors[np.argmin(cost)])] = j
     return None
 
 
-def _root_incumbent(problem, cache):
-    """Heuristic warm start re-evaluated under the exact model's global C."""
+def _root_incumbent(problem):
+    """Heuristic warm start re-evaluated under the exact model's global C, as a
+    complete node, or None when the heuristic or the floor repair fails."""
     gram_mat, p, C = problem.gram, problem.p, problem.C
     n = gram_mat.n
     nu = min(1.0, max(p / (C * n), 1.0 / n))
@@ -386,48 +346,45 @@ def _root_incumbent(problem, cache):
         heur = solve_heuristic(gram_mat, config)
     except SolverFailure:
         return None
-    sphere_of = heur.assignment.sphere_of.copy()
     floor = min_members(C, problem.enforce_cardinality)
-    repaired = _repair_cardinality(sphere_of, gram_mat, p, floor)
+    repaired = _repair_cardinality(heur.assignment.sphere_of, gram_mat, C, p, floor)
     if repaired is None:
         return None
-    objs = []
-    for j in range(p):
-        members = tuple(int(i) for i in np.flatnonzero(repaired == j))
-        objs.append(cache.solve(members).objective)
-    return repaired, canonical_objective(objs)
+    return _node_of(Assignment(repaired), gram_mat, C, p)
+
+
+def _objective(node) -> float:
+    return canonical_objective([s.objective for s in node.spheres])
 
 
 def solve_exact(problem: MsvddProblem) -> MsvddSolution:
-    """Globally optimal multisphere solution (or the best incumbent on timeout)."""
+    """Globally optimal multisphere solution (or the best incumbent on timeout).
+
+    When p spheres cannot all reach the cardinality floor the solve skips
+    the root heuristic and the search and reports `SolveStatus.INFEASIBLE`.
+    """
     gram_mat, p, C = problem.gram, problem.p, problem.C
     n = gram_mat.n
     floor = min_members(C, problem.enforce_cardinality)
-    if p * floor > n:
-        return _infeasible_solution(problem)
+    feasible = p * floor <= n
     size = _centroid_size(C, problem.enforce_cardinality)
 
     t0 = time.perf_counter()
-    cache = _SubproblemCache(gram_mat, C)
-
-    incumbent_of = None
+    best = None  # the incumbent, a complete node carrying its spheres
     incumbent = math.inf
     log: list[IncumbentRecord] = []
 
-    if n > p:
-        seeded = _root_incumbent(problem, cache)
-        if seeded is not None:
-            incumbent_of, incumbent = seeded
-            log.append(
-                IncumbentRecord(incumbent, time.perf_counter() - t0, incumbent_of.copy())
-            )
+    if feasible and n > p:
+        best = _root_incumbent(problem)
+        if best is not None:
+            incumbent = _objective(best)
+            log.append(IncumbentRecord(incumbent, time.perf_counter() - t0, best.sphere_of.copy()))
 
     root = _Node(np.full(n, UNASSIGNED, dtype=np.int16), 0, (None,) * p, 0.0)
     counter = itertools.count()
-    heap = [(root.lb, 0, next(counter), root)]
+    heap = [(root.lb, 0, next(counter), root)] if feasible else []
     node_count = 0
     timed_out = False
-    final_lb = None
 
     def prune_tol(ub):
         return 1e-9 * max(1.0, abs(ub)) if math.isfinite(ub) else 0.0
@@ -435,7 +392,6 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
     while heap:
         lb, _, _, node = heapq.heappop(heap)
         if lb >= incumbent - prune_tol(incumbent):
-            final_lb = incumbent
             break
         if problem.time_limit is not None and time.perf_counter() - t0 > problem.time_limit:
             timed_out = True
@@ -444,12 +400,11 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
 
         if node.depth == n:
             node_count += 1
-            value = canonical_objective([s.objective for s in node.spheres])
+            value = _objective(node)
             if value < incumbent - 1e-12:
-                incumbent = value
-                incumbent_of = node.sphere_of.copy()
+                best, incumbent = node, value
                 log.append(
-                    IncumbentRecord(incumbent, time.perf_counter() - t0, incumbent_of.copy())
+                    IncumbentRecord(incumbent, time.perf_counter() - t0, node.sphere_of.copy())
                 )
             continue
 
@@ -463,37 +418,20 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
                 continue
         node_count += 1
 
-        for child in _expand(node, gram_mat, cache, p, floor):
+        for child in _expand(node, gram_mat, C, p, floor):
             if child.lb < incumbent - prune_tol(incumbent):
                 heapq.heappush(heap, (child.lb, -child.depth, next(counter), child))
 
-    if final_lb is None:
-        final_lb = incumbent  # queue exhausted: the incumbent is optimal
-
-    if incumbent_of is None:
-        if timed_out:
-            return MsvddSolution(
-                assignment=Assignment.empty(n),
-                spheres=(),
-                objective=math.inf,
-                status=SolveStatus.TIME_LIMIT_INCUMBENT,
-                p=p,
-                C=C,
-                enforce_cardinality=problem.enforce_cardinality,
-                node_count=node_count,
-                lower_bound=final_lb,
-            )
-        return _infeasible_solution(problem)
-
-    assignment = Assignment(incumbent_of)
-    spheres = tuple(
-        cache.solve(tuple(int(i) for i in assignment.members(j))) for j in range(p)
-    )
+    if timed_out:
+        status = SolveStatus.TIME_LIMIT_INCUMBENT
+    else:
+        final_lb = incumbent  # every node left is pruned: the incumbent is optimal
+        status = SolveStatus.INFEASIBLE if best is None else SolveStatus.OPTIMAL
     return MsvddSolution(
-        assignment=assignment,
-        spheres=spheres,
-        objective=canonical_objective([s.objective for s in spheres]),
-        status=SolveStatus.TIME_LIMIT_INCUMBENT if timed_out else SolveStatus.OPTIMAL,
+        assignment=Assignment.empty(n) if best is None else Assignment(best.sphere_of),
+        spheres=() if best is None else best.spheres,
+        objective=incumbent,
+        status=status,
         p=p,
         C=C,
         enforce_cardinality=problem.enforce_cardinality,

@@ -35,7 +35,7 @@ from .data import (
     scale_to_unit_box,
     split_real,
 )
-from .detection import DetectionModel, auc_roc, score_points
+from .detection import DetectionModel, auc_roc, linear_centers, score_points
 from .errors import InputError, MsvddError
 from .exact import MsvddProblem, incumbent_gap_rows, solve_exact
 from .heuristic import HeuristicConfig, solve_heuristic
@@ -79,10 +79,19 @@ def _checked_data(data) -> dict:
     if unknown:
         raise InputError(f"unknown key(s) for {kind} data: {', '.join(unknown)}")
     for key, default in defaults.items():
-        if default is None and key not in data:
-            raise InputError(f"{kind} data needs a {key!r} key")
-        if isinstance(default, tuple) and key in data:
-            _grid(f"data {key}", data[key])
+        if key not in data:
+            if default is None:
+                raise InputError(f"{kind} data needs a {key!r} key")
+            continue
+        value = data[key]
+        if isinstance(default, tuple):
+            _grid(f"data {key}", value)
+        elif isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise InputError(f"data {key} must be true or false, got {value!r}")
+        elif isinstance(default, int):
+            if not isinstance(value, Integral) or value < 1:
+                raise InputError(f"data {key} must be an integer >= 1, got {value!r}")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
 
 
@@ -126,8 +135,10 @@ class ExperimentConfig:
             raise InputError("C grid must be nonempty for exact runs")
         if self.mode in ("heuristic", "both") and not self.nu_grid:
             raise InputError("nu grid must be nonempty for heuristic runs")
-        if self.time_limit is not None and not self.time_limit >= 0:
-            raise InputError(f"time_limit must be None or >= 0, got {self.time_limit}")
+        if self.time_limit is not None and not (
+            isinstance(self.time_limit, Real) and self.time_limit >= 0
+        ):
+            raise InputError(f"time_limit must be None or a number >= 0, got {self.time_limit!r}")
         for name in ("workers", "heuristic_restarts", "heuristic_max_iters"):
             value = getattr(self, name)
             if not isinstance(value, Integral) or value < 1:
@@ -155,9 +166,9 @@ def load_dataset(config: ExperimentConfig, noise, seed: int) -> Dataset:
     data = {**DATA_SOURCES[config.data["type"]], **config.data}
     if data["type"] == "synthetic":
         spec = SyntheticSpec(
-            n_train=int(data["n_train"]),
-            n_val=int(data["n_val"]),
-            n_test=int(data["n_test"]),
+            n_train=data["n_train"],
+            n_val=data["n_val"],
+            n_test=data["n_test"],
             noise_level=float(noise),
             cluster_sigmas=tuple(data["cluster_sigmas"]),
             seed=seed,
@@ -445,7 +456,9 @@ def run_gap_study(config: ExperimentConfig) -> list[dict]:
     return all_rows
 
 
-def solution_to_dict(sol: MsvddSolution, train_points=None) -> dict:
+def solution_to_dict(sol: MsvddSolution, model: DetectionModel | None = None) -> dict:
+    """JSON-ready solution; the spheres' input-space centres are added under
+    ``linear_centers`` when ``model`` is a linear-kernel model of ``sol``."""
     payload = {
         "status": sol.status.value,
         "objective": None if not np.isfinite(sol.objective) else sol.objective,
@@ -474,12 +487,8 @@ def solution_to_dict(sol: MsvddSolution, train_points=None) -> dict:
             for r in sol.incumbent_log
         ],
     }
-    if train_points is not None and sol.spheres:
-        pts = np.atleast_2d(np.asarray(train_points, dtype=float))
-        centers = []
-        for s in sol.spheres:
-            centers.append([float(v) for v in s.alpha @ pts[list(s.members)]])
-        payload["linear_centers"] = centers
+    if model is not None and model.kernel_spec.kind is KernelKind.LINEAR and sol.spheres:
+        payload["linear_centers"] = linear_centers(model).tolist()
     return payload
 
 

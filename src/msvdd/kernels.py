@@ -10,16 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import InputError
-
-# Distances computed through kernel expansions can land a hair below zero from
-# floating-point cancellation; anything within this band is clamped to 0.
-DISTANCE_CLAMP = 1e-9
-
-ALPHA_SUM_TOL = 1e-8
 
 
 class KernelKind(enum.Enum):
@@ -40,8 +35,9 @@ class KernelSpec:
             kind = KernelKind(str(kind).lower())
             object.__setattr__(self, "kind", kind)
         if kind is KernelKind.RBF:
-            if self.sigma_squared is None or not self.sigma_squared > 0:
-                raise InputError("RBF kernel requires sigma_squared > 0")
+            s2 = self.sigma_squared
+            if not (isinstance(s2, Real) and s2 > 0):
+                raise InputError(f"RBF kernel requires sigma_squared > 0, got {s2!r}")
 
 
 LINEAR = KernelSpec(KernelKind.LINEAR)
@@ -121,27 +117,3 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     if spec.kind is KernelKind.RBF:
         np.fill_diagonal(values, 1.0)
     return GramMatrix(values, spec)
-
-
-def feature_distance_sq(gram_matrix: GramMatrix, i: int, alpha) -> float:
-    """Squared feature-space distance from point i to the weighted center.
-
-    The center is the alpha-weighted combination of all mapped points, so the
-    value is computed purely from Gram entries:
-
-        K[i, i] - 2 * K[i] @ alpha + alpha @ K @ alpha
-
-    ``alpha`` must sum to 1.  Small negative results from cancellation are
-    clamped to zero.
-    """
-    K = gram_matrix.values
-    a = np.asarray(alpha, dtype=float)
-    if a.shape != (K.shape[0],):
-        raise InputError(f"alpha length {a.size} does not match {K.shape[0]} points")
-    if abs(a.sum() - 1.0) > ALPHA_SUM_TOL:
-        raise InputError("alpha weights must sum to 1")
-    Ka = K @ a
-    v = float(K[i, i] - 2.0 * Ka[i] + a @ Ka)
-    if -DISTANCE_CLAMP <= v < 0.0:
-        return 0.0
-    return v

@@ -144,21 +144,14 @@ def min_members(C: float, enforce_cardinality: bool) -> int:
     return max(1, int(math.ceil(1.0 / C - 1e-9)))
 
 
-def solve_sphere(
-    gram_matrix: GramMatrix,
-    members,
-    C: float,
-    enforce_cardinality: bool = True,
-    warm_alpha=None,
-) -> SvddSolution:
+def solve_sphere(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) -> SvddSolution:
     """Single-sphere subproblem with the radius-floored fallback.
 
-    With cardinality enforcement every solved sphere has C * |S| >= 1 and this
-    is a plain dual solve.  Without it, spheres smaller than 1/C collapse to
-    the zero-radius centroid solution.
+    A sphere with C * |S| >= 1 is a plain dual solve; a smaller one collapses
+    to the zero-radius centroid solution.
     """
     members = tuple(members)
-    if not enforce_cardinality and C * len(members) < 1.0 - 1e-12:
+    if C * len(members) < 1.0 - 1e-12:
         return zero_radius_sphere(gram_matrix, members, C)
     return solve_svdd(gram_matrix, members, C, warm_alpha=warm_alpha)
 
@@ -181,10 +174,7 @@ def evaluate_assignment(
     floor = min_members(C, enforce_cardinality)
     if np.any(counts < floor):
         return None
-    spheres = tuple(
-        solve_sphere(gram_matrix, assignment.members(j), C, enforce_cardinality)
-        for j in range(p)
-    )
+    spheres = tuple(solve_sphere(gram_matrix, assignment.members(j), C) for j in range(p))
     return MsvddSolution(
         assignment=assignment.copy(),
         spheres=spheres,

@@ -68,9 +68,7 @@ def enumerate_msvdd(gram_matrix: GramMatrix, p, C, enforce_cardinality=True):
 
     def sphere_value(members):
         if members not in cache:
-            cache[members] = solve_sphere(
-                gram_matrix, members, C, enforce_cardinality=False
-            ).objective
+            cache[members] = solve_sphere(gram_matrix, members, C).objective
         return cache[members]
 
     best = None

@@ -107,7 +107,7 @@ class TestSolve:
         assert code == 0
         with open(out / "solution.json") as fh:
             payload = json.load(fh)
-        assert "linear_centers" not in payload or payload["status"] == "optimal"
+        assert "linear_centers" not in payload
 
     def test_cardinality_off(self, dataset_dir, tmp_path):
         # C = 0.05 is infeasible with the floor but fine without it
@@ -216,6 +216,16 @@ class TestCvAndGap:
         code = run_cli(["cv", "--kernel", "linear", "rbf", "--out", tmp_path / "cv"])
         assert code == 1
         assert "--sigma2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cv", "gap"])
+    @pytest.mark.parametrize("kernel", [[], ["--kernel", "linear"]], ids=["no-kernel", "linear"])
+    def test_sigma2_without_rbf_is_input_error(self, tmp_path, capsys, command, kernel):
+        out = tmp_path / command
+        code = run_cli([command, "--mode", "heuristic", "--p", 1, *kernel,
+                        "--sigma2", 0.5, "--out", out])
+        assert code == 1
+        assert "--sigma2 needs --kernel rbf" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_gap_then_plotdata(self, tmp_path):
         out = tmp_path / "gap"

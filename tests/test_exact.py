@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 import msvdd.exact
 from msvdd.data import SyntheticSpec, generate_synthetic
-from msvdd.errors import InputError
+from msvdd.errors import ConvergenceError, InputError, SolverFailure
 from msvdd.exact import (
     MsvddProblem,
     _centroid_size,
     _expand,
     _node_of,
     _pick,
-    _SubproblemCache,
+    _repair_cardinality,
     branch,
     compute_delta_dual,
     compute_delta_primal,
@@ -164,10 +164,9 @@ class TestExpand:
         # max-min point 0.1 lies inside it, so the parent's weights plus a 0
         # certify the grown sphere
         g = gram(LINEAR, [[-2.0], [2.0], [0.1], [-0.1]])
-        cache = _SubproblemCache(g, 1.0)
-        node = _node_of(Assignment(np.array([0, 0, -1, -1])), cache, 1)
+        node = _node_of(Assignment(np.array([0, 0, -1, -1])), g, 1.0, 1)
         calls = count_sphere_solves(monkeypatch)
-        (child,) = _expand(node, g, cache, 1, 1)
+        (child,) = _expand(node, g, 1.0, 1, 1)
         assert calls == []
         assert list(child.sphere_of) == [0, 0, 0, -1]
         grown = child.spheres[0]
@@ -182,13 +181,44 @@ class TestExpand:
 
     def test_far_point_is_solved(self, monkeypatch):
         g = gram(LINEAR, [[-2.0], [2.0], [9.0]])
-        cache = _SubproblemCache(g, 1.0)
-        node = _node_of(Assignment(np.array([0, 0, -1])), cache, 1)
+        node = _node_of(Assignment(np.array([0, 0, -1])), g, 1.0, 1)
         calls = count_sphere_solves(monkeypatch)
-        (child,) = _expand(node, g, cache, 1, 1)
+        (child,) = _expand(node, g, 1.0, 1, 1)
         assert calls == [(0, 1, 2)]
         cold = solve_sphere(g, (0, 1, 2), 1.0)
         assert child.spheres[0].objective == pytest.approx(cold.objective, abs=1e-7)
+
+    @staticmethod
+    def failing_solves(monkeypatch, fail_cold):
+        # every warm solve (and every cold one with ``fail_cold``) raises
+        calls = []
+
+        def flaky(gram_matrix, members, C, warm_alpha=None):
+            calls.append(warm_alpha is not None)
+            if warm_alpha is not None or fail_cold:
+                raise ConvergenceError("no convergence", gap=0.5)
+            return solve_sphere(gram_matrix, members, C)
+
+        monkeypatch.setattr(msvdd.exact, "solve_sphere", flaky)
+        return calls
+
+    def test_failed_warm_solve_retries_cold(self, monkeypatch):
+        g = gram(LINEAR, [[-2.0], [2.0], [9.0]])
+        node = _node_of(Assignment(np.array([0, 0, -1])), g, 1.0, 1)
+        calls = self.failing_solves(monkeypatch, fail_cold=False)
+        (child,) = _expand(node, g, 1.0, 1, 1)
+        assert calls == [True, False]
+        cold = solve_sphere(g, (0, 1, 2), 1.0)
+        assert child.spheres[0].objective == cold.objective
+
+    def test_child_solve_fails_after_cold_retry(self, monkeypatch):
+        g = gram(LINEAR, [[-2.0], [2.0], [9.0]])
+        node = _node_of(Assignment(np.array([0, 0, -1])), g, 1.0, 1)
+        calls = self.failing_solves(monkeypatch, fail_cold=True)
+        with pytest.raises(SolverFailure, match="on 3 members failed to converge twice") as err:
+            _expand(node, g, 1.0, 1, 1)
+        assert calls == [True, False]
+        assert isinstance(err.value.__cause__, ConvergenceError)
 
     @settings(max_examples=30)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -204,10 +234,9 @@ class TestExpand:
         pts = r.normal(scale=1.5, size=(n, 2))
         spec = rbf(float(r.uniform(0.2, 2.0))) if r.random() < 0.5 else LINEAR
         g = gram(spec, pts)
-        cache = _SubproblemCache(g, C)
-        node = _node_of(Assignment.empty(n), cache, p)
+        node = _node_of(Assignment.empty(n), g, C, p)
         while node.depth < n:
-            children = _expand(node, g, cache, p, floor)
+            children = _expand(node, g, C, p, floor)
             if not children:
                 break
             for child in children:
@@ -225,7 +254,7 @@ class TestCompletionLift:
         g = gram(LINEAR, [[0.0], [1.0], [3.0]])
         C = 1.0 / 3.0
         assert _centroid_size(C, True) == 3
-        node = _node_of(Assignment(np.array([0, -1, -1])), _SubproblemCache(g, C), 1)
+        node = _node_of(Assignment(np.array([0, -1, -1])), g, C, 1)
         point, _, lift = _pick(node, g, _centroid_size(C, True))
         assert point == 2
         assert lift == pytest.approx(10.0 / 9.0, abs=1e-12)
@@ -253,7 +282,7 @@ class TestCompletionLift:
         base = r.integers(0, p, size=n)
         free = r.choice(n, size=int(r.integers(n // 2, min(n - 1, 7) + 1)), replace=False)
         base[free] = -1
-        node = _node_of(Assignment(base), _SubproblemCache(g, C), p)
+        node = _node_of(Assignment(base), g, C, p)
         lift = _pick(node, g, _centroid_size(C, True))[2]
         assert lift >= 0.0
         assert _pick(node, g, _centroid_size(C, False))[2] == 0.0
@@ -265,6 +294,20 @@ class TestCompletionLift:
             if sol is not None:
                 best = min(best, sol.objective)
         assert node.lb + lift <= best + 1e-9
+
+
+class TestRepairCardinality:
+    def test_nearest_point_joins_the_undersized_sphere(self):
+        # sphere 1 holds only the point at 10 and needs two members; of the
+        # donors at 0, 1 and 5 the one at 5 is nearest its centroid
+        g = gram(LINEAR, [[0.0], [1.0], [5.0], [10.0]])
+        repaired = _repair_cardinality(np.array([0, 0, 0, 1]), g, 0.5, 2, 2)
+        assert list(repaired) == [0, 0, 1, 1]
+
+    def test_no_donor_left(self):
+        # the only donor sphere sits at the floor, so nothing can move
+        g = gram(LINEAR, [[0.0], [1.0], [10.0]])
+        assert _repair_cardinality(np.array([0, 0, 1]), g, 0.5, 2, 2) is None
 
 
 class TestLowerBound:
@@ -283,7 +326,7 @@ class TestLowerBound:
         g = gram(rbf(0.5), rng.normal(size=(12, 2)))
         C = 0.3
         a = Assignment(np.array([0, 1, 0, -1, 1, 0, 1, 0, 2, 1, 0, 1]))
-        sols = [solve_sphere(g, a.members(j), C, enforce_cardinality=False) for j in range(3)]
+        sols = [solve_sphere(g, a.members(j), C) for j in range(3)]
         # the primal values sit above the dual ones by up to the gap tolerance
         assert sum(s.objective for s in sols) > sum(s.dual_objective for s in sols)
         assert lower_bound(a, g, C) == sum(s.dual_objective for s in sols)
@@ -447,6 +490,31 @@ class TestSolveExact:
         # two spheres of five points each need ten points
         assert sol.status is SolveStatus.INFEASIBLE
         assert math.isinf(sol.objective)
+
+    def test_infeasible_skips_the_heuristic_and_the_search(self, rng, monkeypatch):
+        def no_heuristic(*args, **kwargs):
+            raise AssertionError("the root heuristic ran")
+
+        monkeypatch.setattr(msvdd.exact, "solve_heuristic", no_heuristic)
+        g = gram(LINEAR, rng.normal(size=(6, 2)))
+        sol = solve_exact(MsvddProblem(gram=g, p=2, C=0.2, seed=0))
+        assert sol.status is SolveStatus.INFEASIBLE
+        assert sol.objective == math.inf and sol.lower_bound == math.inf
+        assert sol.node_count == 0
+        assert sol.spheres == () and sol.incumbent_log == ()
+        assert list(sol.assignment.sphere_of) == [-1] * 6
+
+    def test_time_limit_before_any_incumbent(self, rng):
+        # with p = n there is no root heuristic, and a zero limit stops the
+        # search at the root: no incumbent, the root's bound of 0
+        g = gram(LINEAR, rng.normal(size=(3, 2)))
+        sol = solve_exact(MsvddProblem(gram=g, p=3, C=1.0, time_limit=0.0, seed=0))
+        assert sol.status is SolveStatus.TIME_LIMIT_INCUMBENT
+        assert sol.objective == math.inf
+        assert sol.spheres == () and sol.incumbent_log == ()
+        assert list(sol.assignment.sphere_of) == [-1] * 3
+        assert sol.node_count == 0
+        assert sol.lower_bound == 0.0
 
     @pytest.mark.parametrize("C,limit", [
         (math.inf, None), (math.nan, None), (-1.0, None), (0.0, None),

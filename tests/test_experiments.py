@@ -20,6 +20,17 @@ from msvdd.experiments import (
 from msvdd.kernels import KernelKind, KernelSpec
 
 
+# values of the wrong type, each with the field its message must name
+WRONGLY_TYPED = (
+    {"data": {"type": "synthetic", "n_train": 20.7}},
+    {"data": {"type": "synthetic", "n_val": "10"}},
+    {"data": {"type": "libsvm", "path": "x.libsvm", "scale": "no"}},
+    {"time_limit": "x"},
+    {"kernels": ({"kind": "rbf", "sigma_squared": "x"},)},
+)
+WRONGLY_TYPED_NAMES = ("n_train", "n_val", "scale", "time_limit", "sigma_squared")
+
+
 def small_config(out_dir, **overrides):
     base = dict(
         mode="both",
@@ -127,9 +138,17 @@ class TestConfig:
         {"data": {"type": "synthetic", "noise_level": [0.2]}},
         {"data": {"type": "synthetic", "noise_levels": 0.2}},
         {"data": {"type": "parquet"}}, {"data": {"type": "csv"}},
+        *WRONGLY_TYPED,
     ])
     def test_non_finite_penalty_or_bad_time_limit_rejected(self, tmp_path, bad):
         with pytest.raises(InputError):
+            small_config(tmp_path, **bad)
+
+    @pytest.mark.parametrize("bad,name", zip(WRONGLY_TYPED, WRONGLY_TYPED_NAMES))
+    def test_wrongly_typed_value_is_named(self, tmp_path, bad, name):
+        # a value of the wrong type is refused, not coerced, and the message
+        # names the field rather than repeating Python's comparison error
+        with pytest.raises(InputError, match=name):
             small_config(tmp_path, **bad)
 
     @pytest.mark.parametrize("limit", [None, 0.0, math.inf])
@@ -291,6 +310,7 @@ class TestEmitPlotData:
 
     def test_scatter_and_spheres_from_solve_artifacts(self, tmp_path, rng):
         from msvdd.data import SyntheticSpec, generate_synthetic, write_dataset_csv
+        from msvdd.detection import DetectionModel
         from msvdd.exact import MsvddProblem, solve_exact
         from msvdd.experiments import solution_to_dict
         from msvdd.kernels import LINEAR, gram
@@ -302,8 +322,9 @@ class TestEmitPlotData:
         train = ds.subset("train")
         g = gram(LINEAR, train.points)
         sol = solve_exact(MsvddProblem(gram=g, p=2, C=0.5, seed=0))
+        model = DetectionModel.from_solution(sol, g, train.points)
         with open(out / "solution.json", "w") as fh:
-            json.dump(solution_to_dict(sol, train.points), fh)
+            json.dump(solution_to_dict(sol, model), fh)
         written = emit_plot_data(str(out))
         names = {os.path.basename(p) for p in written}
         assert {"scatter.csv", "spheres.csv"} <= names

@@ -11,10 +11,11 @@ from msvdd.kernels import (
     LINEAR,
     cross_kernel,
     eval_kernel,
-    feature_distance_sq,
     gram,
     rbf,
 )
+from msvdd.solution import sphere_distances_sq
+from msvdd.svdd import zero_radius_sphere
 
 
 class TestEvalKernel:
@@ -101,55 +102,41 @@ class TestGram:
 
 
 class TestFeatureDistanceSq:
+    """Squared feature distances to a sphere's center from Gram entries alone,
+    through `sphere_distances_sq`; a zero-radius sphere is centred at the
+    uniform mean of its members."""
+
+    @staticmethod
+    def distance_sq(g, i, members):
+        return float(sphere_distances_sq(g, [zero_radius_sphere(g, members, 1.0)])[i, 0])
+
     def test_unit_weight_on_self(self, rng):
-        pts = rng.normal(size=(5, 2))
-        g = gram(LINEAR, pts)
-        alpha = np.zeros(5)
-        alpha[2] = 1.0
-        assert feature_distance_sq(g, 2, alpha) == 0.0
+        g = gram(LINEAR, rng.normal(size=(5, 2)))
+        assert self.distance_sq(g, 2, [2]) == 0.0
 
     def test_distance_to_other_point(self):
         g = gram(LINEAR, [(0.0, 0.0), (2.0, 0.0)])
-        assert feature_distance_sq(g, 0, (0.0, 1.0)) == pytest.approx(4.0, abs=1e-12)
+        assert self.distance_sq(g, 0, [1]) == pytest.approx(4.0, abs=1e-12)
 
     def test_midpoint_center(self):
         g = gram(LINEAR, [(0.0, 0.0), (2.0, 0.0)])
-        assert feature_distance_sq(g, 0, (0.5, 0.5)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_unnormalized_alpha_rejected(self):
-        g = gram(LINEAR, [(0.0, 0.0), (2.0, 0.0)])
-        with pytest.raises(InputError):
-            feature_distance_sq(g, 0, (0.5, 0.4))
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_linear_matches_euclidean(self, seed):
-        r = np.random.default_rng(seed)
-        n = int(r.integers(2, 9))
-        pts = r.normal(scale=3.0, size=(n, int(r.integers(1, 4))))
-        alpha = r.dirichlet(np.ones(n))
-        g = gram(LINEAR, pts)
-        i = int(r.integers(0, n))
-        direct = float(np.sum((pts[i] - alpha @ pts) ** 2))
-        assert feature_distance_sq(g, i, alpha) == pytest.approx(direct, abs=1e-9)
+        assert self.distance_sq(g, 0, [0, 1]) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_joint_permutation_invariance(self, seed):
         r = np.random.default_rng(seed)
         n = 6
         pts = r.normal(size=(n, 2))
-        alpha = r.dirichlet(np.ones(n))
+        members = sorted(r.choice(n, size=int(r.integers(1, n + 1)), replace=False))
         perm = r.permutation(n)
+        where = np.argsort(perm)  # position of each original point in pts[perm]
         g = gram(LINEAR, pts)
         gp = gram(LINEAR, pts[perm])
         i = int(r.integers(0, n))
-        where_i = int(np.flatnonzero(perm == i)[0])
-        a = feature_distance_sq(g, i, alpha)
-        b = feature_distance_sq(gp, where_i, alpha[perm])
+        a = self.distance_sq(g, i, members)
+        b = self.distance_sq(gp, int(where[i]), sorted(int(where[k]) for k in members))
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_clamps_tiny_negative(self, rng):
-        pts = rng.normal(size=(6, 2))
-        g = gram(rbf(0.05), pts)
-        alpha = np.zeros(6)
-        alpha[4] = 1.0
-        assert feature_distance_sq(g, 4, alpha) == 0.0
+        g = gram(rbf(0.05), rng.normal(size=(6, 2)))
+        assert self.distance_sq(g, 4, [4]) == 0.0

@@ -496,6 +496,12 @@ class TestSupportGeometry:
         assert np.allclose(
             sphere_distances_sq(g, spheres), np.maximum(full, 0.0), rtol=0.0, atol=1e-12
         )
+        if spec is LINEAR:
+            # under the linear kernel these are Euclidean distances to the
+            # alpha-weighted mean of the members
+            centers = np.stack([s.alpha @ pts[list(s.members)] for s in spheres])
+            direct = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            assert np.allclose(sphere_distances_sq(g, spheres), direct, rtol=0.0, atol=1e-9)
 
 
 class TestMonotoneCheck:
