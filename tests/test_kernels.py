@@ -15,7 +15,7 @@ from msvdd.kernels import (
     rbf,
 )
 from msvdd.solution import sphere_distances_sq
-from msvdd.svdd import zero_radius_sphere
+from msvdd.svdd import solve_svdd, zero_radius_sphere
 
 
 class TestEvalKernel:
@@ -121,6 +121,18 @@ class TestFeatureDistanceSq:
     def test_midpoint_center(self):
         g = gram(LINEAR, [(0.0, 0.0), (2.0, 0.0)])
         assert self.distance_sq(g, 0, [0, 1]) == pytest.approx(1.0, abs=1e-12)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_linear_matches_euclidean(self, seed):
+        r = np.random.default_rng(seed)
+        n = int(r.integers(2, 9))
+        pts = r.normal(scale=3.0, size=(n, int(r.integers(1, 4))))
+        g = gram(LINEAR, pts)
+        sphere = solve_svdd(g, range(n), float(r.uniform(1.0 / n, 1.0)))
+        i = int(r.integers(0, n))
+        direct = float(np.sum((pts[i] - sphere.alpha @ pts) ** 2))
+        got = float(sphere_distances_sq(g, [sphere])[i, 0])
+        assert got == pytest.approx(direct, abs=1e-9)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_joint_permutation_invariance(self, seed):
