@@ -7,7 +7,6 @@ Subcommands: generate, solve, cv, gap, plotdata.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -26,6 +25,7 @@ from .experiments import (
     run_cross_validation,
     run_gap_study,
     solution_to_dict,
+    write_csv,
 )
 from .heuristic import HeuristicConfig, solve_heuristic
 from .kernels import LINEAR, KernelSpec, gram, rbf
@@ -103,13 +103,10 @@ def cmd_solve(args) -> int:
     payload = solution_to_dict(sol, model)
     write_json(payload, os.path.join(args.out, "solution.json"))
     if sol.incumbent_log:
-        with open(os.path.join(args.out, "incumbents.csv"), "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["wall_time_s", "objective", "gap", "reference"]
-            )
-            writer.writeheader()
-            for row in incumbent_gap_rows(sol):
-                writer.writerow(row)
+        write_csv(
+            os.path.join(args.out, "incumbents.csv"), incumbent_gap_rows(sol),
+            ["wall_time_s", "objective", "gap", "reference"],
+        )
 
     print(f"status:     {sol.status.value}")
     if sol.status is not SolveStatus.INFEASIBLE:

@@ -8,7 +8,6 @@ negative inside, positive outside, and monotone in the rule.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import InputError, UndefinedMetricError
 from .kernels import GramMatrix, KernelKind, KernelSpec, cross_kernel
-from .solution import MsvddSolution
+from .solution import IncumbentRecord, MsvddSolution
 
 BOUNDARY_TOL = 1e-9
 
@@ -43,8 +42,10 @@ class DetectionModel:
 
     @classmethod
     def from_solution(
-        cls, solution: MsvddSolution, gram_matrix: GramMatrix, train_points
+        cls, solution: MsvddSolution | IncumbentRecord, gram_matrix: GramMatrix, train_points
     ) -> "DetectionModel":
+        """The model of the spheres ``solution`` carries (a solution's, or an
+        incumbent's along the search)."""
         pts = np.atleast_2d(np.asarray(train_points, dtype=float))
         n = pts.shape[0]
         p = len(solution.spheres)
@@ -152,21 +153,6 @@ def auc_roc(scores, labels) -> RocResult:
     tpr = np.r_[0.0, tp / n_out]
     fpr = np.r_[0.0, fp / n_reg]
     return RocResult(auc=float(auc), thresholds=thresholds, fpr=fpr, tpr=tpr)
-
-
-def roc_csv_rows(roc: RocResult) -> list[dict]:
-    return [
-        {"threshold": float(t), "fpr": float(f), "tpr": float(r)}
-        for t, f, r in zip(roc.thresholds, roc.fpr, roc.tpr)
-    ]
-
-
-def write_roc_csv(roc: RocResult, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["threshold", "fpr", "tpr"])
-        writer.writeheader()
-        for row in roc_csv_rows(roc):
-            writer.writerow(row)
 
 
 def linear_centers(model: DetectionModel) -> np.ndarray:

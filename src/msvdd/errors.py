@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the value check that raises
+`InputError` where a config value enters."""
+
+import math
+from numbers import Integral, Real
 
 
 class MsvddError(Exception):
@@ -7,6 +11,22 @@ class MsvddError(Exception):
 
 class InputError(MsvddError, ValueError):
     """Malformed or inconsistent user input (bad dimensions, bad grids, parse errors)."""
+
+
+# (kind, ok, what) rules for `checked`, shared by every config taking such a value
+COUNT = (Integral, lambda v: v >= 1, "an integer >= 1")
+INTEGER = (Integral, lambda v: True, "an integer")
+PENALTY = (Real, lambda v: 0 < v < math.inf, "a finite number > 0")
+FRACTION = (Real, lambda v: 0 < v <= 1, "a number in (0, 1]")
+TIME_LIMIT = ((Real, type(None)), lambda v: v is None or v >= 0, "None or a number >= 0")
+
+
+def checked(name, value, kind, ok=lambda v: True, what="a value"):
+    """``value`` if it is a ``kind`` that is ``ok``; otherwise an `InputError`
+    that names ``name``, so a wrongly typed value is refused, not coerced."""
+    if not (isinstance(value, kind) and ok(value)):
+        raise InputError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 class ParseError(InputError):

@@ -46,7 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError, SolverFailure
+from .errors import (
+    COUNT, INTEGER, PENALTY, TIME_LIMIT, ConvergenceError, InputError, SolverFailure,
+    checked,
+)
 from .heuristic import HeuristicConfig, solve_heuristic
 from .kernels import GramMatrix
 from .solution import (
@@ -82,14 +85,11 @@ class MsvddProblem:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise InputError("p must be >= 1")
+        for name, rule in (("p", COUNT), ("C", PENALTY), ("time_limit", TIME_LIMIT),
+                           ("seed", INTEGER)):
+            checked(name, getattr(self, name), *rule)
         if self.p > self.gram.n:
             raise InputError(f"p={self.p} exceeds the number of points {self.gram.n}")
-        if not (self.C > 0 and math.isfinite(self.C)):
-            raise InputError(f"C must be positive and finite, got {self.C}")
-        if self.time_limit is not None and not self.time_limit >= 0:
-            raise InputError(f"time_limit must be None or >= 0, got {self.time_limit}")
 
 
 def compute_delta_primal(points, i: int) -> float:
@@ -378,7 +378,9 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
         best = _root_incumbent(problem)
         if best is not None:
             incumbent = _objective(best)
-            log.append(IncumbentRecord(incumbent, time.perf_counter() - t0, best.sphere_of.copy()))
+            log.append(IncumbentRecord(
+                incumbent, time.perf_counter() - t0, best.sphere_of.copy(), best.spheres
+            ))
 
     root = _Node(np.full(n, UNASSIGNED, dtype=np.int16), 0, (None,) * p, 0.0)
     counter = itertools.count()
@@ -403,9 +405,9 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
             value = _objective(node)
             if value < incumbent - 1e-12:
                 best, incumbent = node, value
-                log.append(
-                    IncumbentRecord(incumbent, time.perf_counter() - t0, node.sphere_of.copy())
-                )
+                log.append(IncumbentRecord(
+                    incumbent, time.perf_counter() - t0, node.sphere_of.copy(), node.spheres
+                ))
             continue
 
         if node.pick is None:
@@ -446,17 +448,20 @@ def incumbent_gap_rows(solution: MsvddSolution) -> list[dict]:
 
     gap = (Z_incumbent - Z_reference) / Z_incumbent, where the reference is
     the final objective on optimal solves and the proven lower bound
-    otherwise (flagged in the ``reference`` column).
+    otherwise (flagged in the ``reference`` column).  A solve with no finite
+    bound, such as the heuristic's, gets an empty gap and reference "none".
     """
     if solution.status is SolveStatus.OPTIMAL:
-        z_ref = solution.objective
-        ref = "optimal"
+        z_ref, ref = solution.objective, "optimal"
+    elif math.isfinite(solution.lower_bound):
+        z_ref, ref = solution.lower_bound, "lower_bound"
     else:
-        z_ref = solution.lower_bound
-        ref = "lower_bound"
+        z_ref, ref = None, "none"
     rows = []
     for rec in solution.incumbent_log:
-        if abs(rec.objective) <= 1e-300:
+        if z_ref is None:
+            gap = ""
+        elif abs(rec.objective) <= 1e-300:
             gap = 0.0
         else:
             gap = (rec.objective - z_ref) / rec.objective

@@ -15,14 +15,12 @@ import csv
 import json
 import math
 import os
+import shutil
 import statistics
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from numbers import Integral, Real
-
-import numpy as np
 
 from .codec import from_dict, to_dict, write_json
 from .data import (
@@ -36,11 +34,14 @@ from .data import (
     split_real,
 )
 from .detection import DetectionModel, auc_roc, linear_centers, score_points
-from .errors import InputError, MsvddError
+from .errors import (
+    COUNT, FRACTION, INTEGER, PENALTY, TIME_LIMIT, InputError, MsvddError, SolverFailure,
+    checked,
+)
 from .exact import MsvddProblem, incumbent_gap_rows, solve_exact
 from .heuristic import HeuristicConfig, solve_heuristic
 from .kernels import KernelKind, KernelSpec, gram
-from .solution import Assignment, MsvddSolution, SolveStatus, evaluate_assignment
+from .solution import MsvddSolution, SolveStatus
 
 MODEL_EXACT = "msvdd-exact"
 MODEL_HEURISTIC = "cluster-svdd"
@@ -60,13 +61,12 @@ DATA_SOURCES = {
 }
 
 
-def _grid(name: str, values, kind=object, ok=lambda v: True, what="values") -> tuple:
+def _grid(name: str, values, kind=object, ok=lambda v: True, what="a value") -> tuple:
     """``values`` as a tuple, if it is a list of ``kind`` entries that are all ``ok``."""
-    if not isinstance(values, (list, tuple)) or not all(
-        isinstance(v, kind) and ok(v) for v in values
-    ):
-        raise InputError(f"{name} must be a list of {what}, got {values!r}")
-    return tuple(values)
+    return tuple(checked(
+        name, values, (list, tuple), lambda vs: all(isinstance(v, kind) and ok(v) for v in vs),
+        f"a list, each entry {what}",
+    ))
 
 
 def _checked_data(data) -> dict:
@@ -87,11 +87,9 @@ def _checked_data(data) -> dict:
         if isinstance(default, tuple):
             _grid(f"data {key}", value)
         elif isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise InputError(f"data {key} must be true or false, got {value!r}")
+            checked(f"data {key}", value, bool, what="true or false")
         elif isinstance(default, int):
-            if not isinstance(value, Integral) or value < 1:
-                raise InputError(f"data {key} must be an integer >= 1, got {value!r}")
+            checked(f"data {key}", value, *COUNT)
     return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
 
 
@@ -116,14 +114,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "heuristic", "both"):
             raise InputError(f"unknown mode {self.mode!r}")
-        self.p_grid = _grid("p_grid", self.p_grid, Integral, lambda p: p >= 1, "integers >= 1")
-        self.C_grid = _grid(
-            "C_grid", self.C_grid, Real, lambda c: 0 < c < math.inf, "finite numbers > 0"
-        )
-        self.nu_grid = _grid(
-            "nu_grid", self.nu_grid, Real, lambda v: 0 < v <= 1, "values in (0, 1]"
-        )
-        self.seeds = _grid("seeds", self.seeds, Integral, what="integers")
+        self.p_grid = _grid("p_grid", self.p_grid, *COUNT)
+        self.C_grid = _grid("C_grid", self.C_grid, *PENALTY)
+        self.nu_grid = _grid("nu_grid", self.nu_grid, *FRACTION)
+        self.seeds = _grid("seeds", self.seeds, *INTEGER)
         self.kernels = tuple(
             k if isinstance(k, KernelSpec) else from_dict(KernelSpec, k)
             for k in _grid("kernels", self.kernels)
@@ -135,16 +129,10 @@ class ExperimentConfig:
             raise InputError("C grid must be nonempty for exact runs")
         if self.mode in ("heuristic", "both") and not self.nu_grid:
             raise InputError("nu grid must be nonempty for heuristic runs")
-        if self.time_limit is not None and not (
-            isinstance(self.time_limit, Real) and self.time_limit >= 0
-        ):
-            raise InputError(f"time_limit must be None or a number >= 0, got {self.time_limit!r}")
+        checked("time_limit", self.time_limit, *TIME_LIMIT)
         for name in ("workers", "heuristic_restarts", "heuristic_max_iters"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 1:
-                raise InputError(f"{name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.enforce_cardinality, bool):
-            raise InputError("enforce_cardinality must be true or false")
+            checked(name, getattr(self, name), *COUNT)
+        checked("enforce_cardinality", self.enforce_cardinality, bool, what="true or false")
 
     @property
     def models(self) -> tuple[str, ...]:
@@ -198,6 +186,9 @@ def _run_id(model, noise, seed, p, kspec, param) -> str:
     return f"{model}_a{noise}_s{seed}_p{p}_{_kernel_name(kspec)}_{param:g}"
 
 
+_INFEASIBLE = "infeasible cardinality for this (p, C)"
+
+
 def _solve_cell(model, gram_train, p, param, config, seed):
     if model == MODEL_EXACT:
         problem = MsvddProblem(
@@ -219,46 +210,44 @@ def _solve_cell(model, gram_train, p, param, config, seed):
     return solve_heuristic(gram_train, hconfig)
 
 
+def _aucs(solved, gram_train, train, *splits) -> list[float]:
+    """AUC on each split of the rule that the spheres of ``solved``, a solution
+    or an incumbent record, induce."""
+    model = DetectionModel.from_solution(solved, gram_train, train.points)
+    return [auc_roc(score_points(model, split.points), split.labels).auc for split in splits]
+
+
 def run_dataset_block(config: ExperimentConfig, noise, seed: int) -> list[dict]:
-    """All grid cells for one dataset draw; failures are recorded, not raised."""
+    """All grid cells for one dataset draw; failures are recorded, not raised.
+
+    A solved exact cell also carries its ``lower_bound`` and its
+    ``incumbents``: the `incumbent_gap_rows`, each with its run id and the
+    test AUC of the rule that incumbent's spheres induce.
+    """
     dataset = load_dataset(config, noise, seed)
-    train = dataset.subset("train")
-    val = dataset.subset("val")
-    test = dataset.subset("test")
+    train, val, test = (dataset.subset(name) for name in ("train", "val", "test"))
     cells = []
     for kspec in config.kernels:
         gram_train = gram(kspec, train.points)
         for model in config.models:
             grid = config.C_grid if model == MODEL_EXACT else config.nu_grid
-            param_name = "C" if model == MODEL_EXACT else "nu"
             for p in config.p_grid:
                 for param in grid:
-                    cell = {
-                        "run_id": _run_id(model, noise, seed, p, kspec, param),
-                        "model": model,
-                        "anomaly_pct": noise,
-                        "seed": seed,
-                        "p": p,
-                        "kernel": _kernel_name(kspec),
-                        "param_name": param_name,
-                        "param_value": param,
-                        "n_train": train.n,
-                        "status": "",
-                        "objective": "",
-                        "node_count": "",
-                        "val_auc": "",
-                        "test_auc": "",
-                        "error": "",
-                        "seconds": None,
-                    }
+                    cell = dict.fromkeys(CELL_COLUMNS, "")
+                    cell.update(
+                        run_id=_run_id(model, noise, seed, p, kspec, param), model=model,
+                        anomaly_pct=noise, seed=seed, p=p, kernel=_kernel_name(kspec),
+                        param_name="C" if model == MODEL_EXACT else "nu",
+                        param_value=param, n_train=train.n,
+                    )
                     t0 = time.perf_counter()
                     try:
                         sol = _solve_cell(model, gram_train, p, param, config, seed)
                         if sol.status is SolveStatus.INFEASIBLE:
-                            raise InputError("infeasible cardinality for this (p, C)")
-                        dm = DetectionModel.from_solution(sol, gram_train, train.points)
-                        val_auc = auc_roc(score_points(dm, val.points), val.labels).auc
-                        test_auc = auc_roc(score_points(dm, test.points), test.labels).auc
+                            raise InputError(_INFEASIBLE)
+                        if not sol.spheres:
+                            raise SolverFailure("time limit hit before any incumbent")
+                        val_auc, test_auc = _aucs(sol, gram_train, train, val, test)
                         cell.update(
                             status=sol.status.value,
                             objective=sol.objective,
@@ -266,6 +255,15 @@ def run_dataset_block(config: ExperimentConfig, noise, seed: int) -> list[dict]:
                             val_auc=val_auc,
                             test_auc=test_auc,
                         )
+                        if model == MODEL_EXACT:
+                            rows = incumbent_gap_rows(sol)
+                            for rec, row in zip(sol.incumbent_log, rows):
+                                # the last incumbent's spheres are the solution's
+                                row.update(run_id=cell["run_id"], test_auc=(
+                                    test_auc if rec.spheres is sol.spheres
+                                    else _aucs(rec, gram_train, train, test)[0]
+                                ))
+                            cell.update(lower_bound=sol.lower_bound, incumbents=rows)
                     except MsvddError as exc:
                         cell["error"] = f"{type(exc).__name__}: {exc}"
                     cell["seconds"] = time.perf_counter() - t0
@@ -274,24 +272,16 @@ def run_dataset_block(config: ExperimentConfig, noise, seed: int) -> list[dict]:
 
 
 def _collect_cells(config: ExperimentConfig) -> list[dict]:
+    """Every cell of the grid in run-id order, its (noise, seed) blocks run
+    by ``config.workers`` processes."""
     blocks = [(noise, seed) for noise in noise_levels(config) for seed in config.seeds]
+    args = ([config] * len(blocks), *zip(*blocks))
     if config.workers > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(
-                pool.map(_block_worker, [(config, noise, seed) for noise, seed in blocks])
-            )
-        cells = [cell for block in results for cell in block]
+            results = list(pool.map(run_dataset_block, *args))
     else:
-        cells = []
-        for noise, seed in blocks:
-            cells.extend(run_dataset_block(config, noise, seed))
-    cells.sort(key=lambda c: c["run_id"])
-    return cells
-
-
-def _block_worker(args):
-    config, noise, seed = args
-    return run_dataset_block(config, noise, seed)
+        results = map(run_dataset_block, *args)
+    return sorted((cell for block in results for cell in block), key=lambda c: c["run_id"])
 
 
 def select_and_summarize(config: ExperimentConfig, cells: list[dict]) -> list[dict]:
@@ -343,7 +333,7 @@ def select_and_summarize(config: ExperimentConfig, cells: list[dict]) -> list[di
     return rows
 
 
-def _write_csv(path, rows, columns):
+def write_csv(path, rows, columns):
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
@@ -389,13 +379,13 @@ def run_cross_validation(config: ExperimentConfig) -> list[dict]:
     write_json(to_dict(config), os.path.join(config.out_dir, "resolved_config.json"))
     cells = _collect_cells(config)
     rows = select_and_summarize(config, cells)
-    _write_csv(os.path.join(config.out_dir, "cells.csv"), cells, CELL_COLUMNS)
-    _write_csv(
+    write_csv(os.path.join(config.out_dir, "cells.csv"), cells, CELL_COLUMNS)
+    write_csv(
         os.path.join(config.out_dir, "timings.csv"),
         [{"run_id": c["run_id"], "seconds": c["seconds"]} for c in cells],
         ["run_id", "seconds"],
     )
-    _write_csv(os.path.join(config.out_dir, "report.csv"), rows, REPORT_COLUMNS)
+    write_csv(os.path.join(config.out_dir, "report.csv"), rows, REPORT_COLUMNS)
     with open(os.path.join(config.out_dir, "report.txt"), "w") as fh:
         fh.write(_format_report_text(rows))
     return rows
@@ -404,69 +394,43 @@ def run_cross_validation(config: ExperimentConfig) -> list[dict]:
 GAP_COLUMNS = ["run_id", "wall_time_s", "objective", "gap", "test_auc", "reference"]
 
 
+def _gap_summary(cell: dict) -> dict:
+    """A cell's gap_summary.json entry: its solve, or how it failed."""
+    if cell["error"]:
+        status = "infeasible" if cell["error"] == f"InputError: {_INFEASIBLE}" else "failed"
+        return {"run_id": cell["run_id"], "status": status, "error": cell["error"]}
+    keys = ("run_id", "status", "objective", "lower_bound", "node_count")
+    return {**{k: cell[k] for k in keys}, "incumbents": len(cell["incumbents"])}
+
+
 def run_gap_study(config: ExperimentConfig) -> list[dict]:
-    """Incumbent trajectories of the exact solver with per-incumbent test AUC."""
+    """Incumbent trajectories of the exact cells, with per-incumbent test AUC,
+    in run-id order; writes incumbents.csv and gap_summary.json."""
     if config.mode != "exact":
         raise InputError("gap study requires mode='exact'")
     os.makedirs(config.out_dir, exist_ok=True)
     write_json(to_dict(config), os.path.join(config.out_dir, "resolved_config.json"))
-    all_rows = []
-    summaries = []
-    for noise in noise_levels(config):
-        for seed in config.seeds:
-            dataset = load_dataset(config, noise, seed)
-            train = dataset.subset("train")
-            test = dataset.subset("test")
-            for kspec in config.kernels:
-                gram_train = gram(kspec, train.points)
-                for p in config.p_grid:
-                    for C in config.C_grid:
-                        run_id = _run_id(MODEL_EXACT, noise, seed, p, kspec, C)
-                        sol = _solve_cell(MODEL_EXACT, gram_train, p, C, config, seed)
-                        if sol.status is SolveStatus.INFEASIBLE:
-                            summaries.append({"run_id": run_id, "status": "infeasible"})
-                            continue
-                        rows = incumbent_gap_rows(sol)
-                        for rec, row in zip(sol.incumbent_log, rows):
-                            inc = evaluate_assignment(
-                                gram_train,
-                                Assignment(rec.sphere_of),
-                                p,
-                                C,
-                                config.enforce_cardinality,
-                            )
-                            dm = DetectionModel.from_solution(inc, gram_train, train.points)
-                            row["test_auc"] = auc_roc(
-                                score_points(dm, test.points), test.labels
-                            ).auc
-                            row["run_id"] = run_id
-                        all_rows.extend(rows)
-                        summaries.append(
-                            {
-                                "run_id": run_id,
-                                "status": sol.status.value,
-                                "objective": sol.objective,
-                                "lower_bound": sol.lower_bound,
-                                "node_count": sol.node_count,
-                                "incumbents": len(rows),
-                            }
-                        )
-    _write_csv(os.path.join(config.out_dir, "incumbents.csv"), all_rows, GAP_COLUMNS)
-    write_json(summaries, os.path.join(config.out_dir, "gap_summary.json"))
-    return all_rows
+    cells = _collect_cells(config)
+    rows = [row for cell in cells for row in cell.get("incumbents", ())]
+    write_csv(os.path.join(config.out_dir, "incumbents.csv"), rows, GAP_COLUMNS)
+    write_json([_gap_summary(c) for c in cells], os.path.join(config.out_dir, "gap_summary.json"))
+    return rows
 
 
 def solution_to_dict(sol: MsvddSolution, model: DetectionModel | None = None) -> dict:
     """JSON-ready solution; the spheres' input-space centres are added under
     ``linear_centers`` when ``model`` is a linear-kernel model of ``sol``."""
+    def finite(x):
+        return x if math.isfinite(x) else None
+
     payload = {
         "status": sol.status.value,
-        "objective": None if not np.isfinite(sol.objective) else sol.objective,
-        "lower_bound": None if not np.isfinite(sol.lower_bound) else sol.lower_bound,
-        "relative_gap": sol.relative_gap if sol.spheres else None,
+        "objective": finite(sol.objective),
+        "lower_bound": finite(sol.lower_bound),
+        "relative_gap": finite(sol.relative_gap),
         "node_count": sol.node_count,
         "p": sol.p,
-        "C": None if not np.isfinite(sol.C) else sol.C,
+        "C": finite(sol.C),
         "enforce_cardinality": sol.enforce_cardinality,
         "assignment": [int(j) for j in sol.assignment.sphere_of],
         "spheres": [
@@ -495,7 +459,8 @@ def solution_to_dict(sol: MsvddSolution, model: DetectionModel | None = None) ->
 def emit_plot_data(results_dir: str, out_dir: str | None = None) -> list[str]:
     """CSV bundle for external plotting, from whatever artifacts are present.
 
-    dataset.csv + solution.json -> scatter.csv, spheres.csv
+    dataset.csv                 -> scatter.csv  (a copy)
+    solution.json               -> spheres.csv
     timings.csv                 -> profile.csv  (nondecreasing solved fraction)
     cells.csv                   -> auc_curve.csv (one row per (model, p, param))
     incumbents.csv              -> gap_vs_auc.csv
@@ -507,16 +472,8 @@ def emit_plot_data(results_dir: str, out_dir: str | None = None) -> list[str]:
     dataset_path = os.path.join(results_dir, "dataset.csv")
     solution_path = os.path.join(results_dir, "solution.json")
     if os.path.exists(dataset_path):
-        ds = read_dataset_csv(dataset_path)
-        rows = []
-        for i in range(ds.n):
-            row = {f"x{j + 1}": repr(float(v)) for j, v in enumerate(ds.points[i])}
-            row["label"] = "" if ds.labels is None else int(ds.labels[i])
-            row["split"] = "" if ds.split is None else ds.split[i]
-            rows.append(row)
-        cols = [f"x{j + 1}" for j in range(ds.d)] + ["label", "split"]
         path = os.path.join(out_dir, "scatter.csv")
-        _write_csv(path, rows, cols)
+        shutil.copyfile(dataset_path, path)
         written.append(path)
     if os.path.exists(solution_path):
         with open(solution_path) as fh:
@@ -535,7 +492,7 @@ def emit_plot_data(results_dir: str, out_dir: str | None = None) -> list[str]:
         if rows:
             cols = sorted({k for row in rows for k in row}, key=str)
             path = os.path.join(out_dir, "spheres.csv")
-            _write_csv(path, rows, cols)
+            write_csv(path, rows, cols)
             written.append(path)
 
     timings_path = os.path.join(results_dir, "timings.csv")
@@ -548,7 +505,7 @@ def emit_plot_data(results_dir: str, out_dir: str | None = None) -> list[str]:
             for k, s in enumerate(seconds)
         ]
         path = os.path.join(out_dir, "profile.csv")
-        _write_csv(path, rows, ["seconds", "fraction_solved"])
+        write_csv(path, rows, ["seconds", "fraction_solved"])
         written.append(path)
 
     cells_path = os.path.join(results_dir, "cells.csv")
@@ -575,7 +532,7 @@ def emit_plot_data(results_dir: str, out_dir: str | None = None) -> list[str]:
             )
         ]
         path = os.path.join(out_dir, "auc_curve.csv")
-        _write_csv(
+        write_csv(
             path,
             rows,
             ["model", "p", "param_name", "param_value", "mean_val_auc", "mean_test_auc"],
@@ -591,6 +548,6 @@ def emit_plot_data(results_dir: str, out_dir: str | None = None) -> list[str]:
         cols = [c for c in ("run_id", "gap", "test_auc", "objective") if c in have]
         if "gap" in cols:
             path = os.path.join(out_dir, "gap_vs_auc.csv")
-            _write_csv(path, rows, cols)
+            write_csv(path, rows, cols)
             written.append(path)
     return written

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import COUNT, FRACTION, INTEGER, InputError, checked
 from .kernels import GramMatrix
 from .solution import (
     Assignment,
@@ -38,14 +38,9 @@ class HeuristicConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise InputError("p must be >= 1")
-        if not 0.0 < self.nu <= 1.0:
-            raise InputError("nu must lie in (0, 1]")
-        if self.max_iters < 1:
-            raise InputError("max_iters must be >= 1")
-        if self.restarts < 1:
-            raise InputError("restarts must be >= 1")
+        for name, rule in (("p", COUNT), ("nu", FRACTION), ("max_iters", COUNT),
+                           ("restarts", COUNT), ("seed", INTEGER)):
+            checked(name, getattr(self, name), *rule)
 
 
 def reassign(gram_matrix: GramMatrix, spheres) -> Assignment:
@@ -138,7 +133,9 @@ def _single_run(gram_matrix, p, nu, max_iters, rng, t0, solved):
         history.append(obj)
         state = (sphere_of.copy(), spheres, obj)
         if not log or obj < log[-1].objective - 1e-12:
-            log.append(IncumbentRecord(obj, time.perf_counter() - t0, sphere_of.copy()))
+            log.append(
+                IncumbentRecord(obj, time.perf_counter() - t0, sphere_of.copy(), tuple(spheres))
+            )
         d2 = sphere_distances_sq(gram_matrix, spheres)
         radii = np.array([s.radius_sq for s in spheres])
         new_assign = _repair_empty(_nearest_sphere(d2, radii), d2, radii, p)

@@ -56,11 +56,12 @@ class Assignment:
 
 @dataclass(frozen=True)
 class IncumbentRecord:
-    """One improving feasible solution found during a solve."""
+    """One improving feasible solution found during a solve, with its spheres."""
 
     objective: float
     wall_time: float
     sphere_of: np.ndarray
+    spheres: tuple[SvddSolution, ...]
 
 
 @dataclass
@@ -99,12 +100,12 @@ class MsvddSolution:
 
     @property
     def relative_gap(self) -> float:
-        if self.status is SolveStatus.INFEASIBLE:
-            return math.nan
+        """(objective - lower_bound) / objective; NaN without a finite bound
+        and incumbent (a heuristic solve, an infeasible one)."""
         diff = self.objective - self.lower_bound
-        if not math.isfinite(diff) or abs(diff) <= 1e-12:
-            return 0.0
-        return diff / self.objective
+        if not math.isfinite(diff):
+            return math.nan
+        return 0.0 if abs(diff) <= 1e-12 else diff / self.objective
 
 
 def canonical_objective(values) -> float:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -10,6 +11,11 @@ from msvdd.data import read_dataset_csv
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture
@@ -49,7 +55,10 @@ class TestSolve:
         assert payload["p"] == 2
         assert len(payload["spheres"]) == 2
         assert "linear_centers" in payload
-        assert os.path.exists(out / "incumbents.csv")
+        assert payload["relative_gap"] == 0.0
+        rows = read_rows(out / "incumbents.csv")
+        assert rows and all(r["reference"] == "optimal" for r in rows)
+        assert float(rows[-1]["gap"]) == 0.0
 
     def test_heuristic_solve(self, dataset_dir, tmp_path):
         out = tmp_path / "heur"
@@ -61,6 +70,22 @@ class TestSolve:
         with open(out / "solution.json") as fh:
             payload = json.load(fh)
         assert payload["status"] == "time_limit_incumbent"
+
+    def test_heuristic_solve_reports_no_gap(self, dataset_dir, tmp_path):
+        # the heuristic proves no bound: no gap in solution.json, and its
+        # incumbent rows have an empty gap against reference "none"
+        out = tmp_path / "heur"
+        code = run_cli(
+            ["solve", "--data", dataset_dir / "dataset.csv", "--p", 2,
+             "--nu", 0.1, "--seed", 0, "--out", out]
+        )
+        assert code == 0
+        with open(out / "solution.json") as fh:
+            payload = json.load(fh)
+        assert payload["relative_gap"] is None and payload["lower_bound"] is None
+        rows = read_rows(out / "incumbents.csv")
+        assert rows and list(rows[0]) == ["wall_time_s", "objective", "gap", "reference"]
+        assert all(r["gap"] == "" and r["reference"] == "none" for r in rows)
 
     def test_infeasible_cardinality_is_input_error(self, dataset_dir, tmp_path):
         code = run_cli(

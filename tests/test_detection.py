@@ -12,7 +12,6 @@ from msvdd.detection import (
     classify,
     linear_centers,
     model_distances_sq,
-    roc_csv_rows,
     score_points,
 )
 from msvdd.errors import InputError, UndefinedMetricError
@@ -154,6 +153,9 @@ class TestAucRoc:
         assert np.all(np.diff(roc.tpr) >= 0)
         assert roc.fpr[0] == 0.0 and roc.tpr[0] == 0.0
         assert roc.fpr[-1] == 1.0 and roc.tpr[-1] == 1.0
+        # one curve point per threshold, the first above every score
+        assert roc.thresholds[0] == np.inf
+        assert len(roc.thresholds) == len(roc.fpr) == len(roc.tpr)
         assert abs(roc.auc - trapezoid_auc(roc.fpr, roc.tpr)) <= 1e-12
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -167,26 +169,6 @@ class TestAucRoc:
         base = auc_roc(scores, labels).auc
         warped = auc_roc(np.expm1(2.0 * scores), labels).auc
         assert warped == pytest.approx(base, abs=1e-12)
-
-    def test_csv_rows(self):
-        roc = auc_roc([1, 2, 3, 4], [0, 1, 0, 1])
-        rows = roc_csv_rows(roc)
-        assert rows[0]["threshold"] == float("inf")
-        assert {"threshold", "fpr", "tpr"} == set(rows[0])
-        assert len(rows) == len(roc.thresholds)
-
-    def test_csv_file_export(self, tmp_path):
-        import csv
-
-        from msvdd.detection import write_roc_csv
-
-        roc = auc_roc([1, 2, 3, 4], [0, 1, 0, 1])
-        path = tmp_path / "roc.csv"
-        write_roc_csv(roc, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == len(roc.thresholds)
-        assert float(rows[-1]["fpr"]) == 1.0 and float(rows[-1]["tpr"]) == 1.0
 
 
 class TestScoreRuleConsistency:

@@ -28,6 +28,7 @@ from msvdd.kernels import LINEAR, gram, rbf
 from msvdd.solution import (
     Assignment,
     SolveStatus,
+    canonical_objective,
     evaluate_assignment,
     min_members,
     solve_sphere,
@@ -525,6 +526,14 @@ class TestSolveExact:
         with pytest.raises(InputError):
             MsvddProblem(gram=g, p=2, C=C, time_limit=limit)
 
+    @pytest.mark.parametrize("field,value", [
+        ("p", 2.5), ("C", "x"), ("time_limit", "x"), ("seed", 1.5),
+    ])
+    def test_wrongly_typed_field_is_named(self, field, value, rng):
+        g = gram(LINEAR, rng.normal(size=(6, 2)))
+        with pytest.raises(InputError, match=field):
+            MsvddProblem(**{"gram": g, "p": 2, "C": 0.5, field: value})
+
     @pytest.mark.parametrize("limit", [None, 0.0, 2.5, math.inf])
     def test_time_limit_accepted(self, limit, rng):
         g = gram(LINEAR, rng.normal(size=(6, 2)))
@@ -556,6 +565,19 @@ class TestSolveExact:
         assert sol.incumbent_log[-1].objective == pytest.approx(
             sol.objective, abs=1e-9
         )
+
+    def test_incumbents_carry_their_spheres(self, rng):
+        # each record's spheres are its assignment's, as a cold re-solve
+        # gives them, and the last record's are the solution's
+        g = gram(LINEAR, rng.normal(scale=1.5, size=(12, 2)))
+        sol = solve_exact(MsvddProblem(gram=g, p=3, C=0.3, seed=0))
+        assert len(sol.incumbent_log) >= 1
+        for rec in sol.incumbent_log:
+            cold = evaluate_assignment(g, Assignment(rec.sphere_of), 3, 0.3)
+            assert [s.members for s in rec.spheres] == [s.members for s in cold.spheres]
+            assert canonical_objective([s.objective for s in rec.spheres]) == rec.objective
+            assert rec.objective == pytest.approx(cold.objective, abs=1e-7)
+        assert sol.incumbent_log[-1].spheres is sol.spheres
 
     def test_optimal_gap_zero(self, two_cluster_solution):
         _, sol = two_cluster_solution

@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
+import msvdd.experiments
 from msvdd.codec import from_dict, to_dict
-from msvdd.errors import InputError
+from msvdd.errors import InputError, SolverFailure
 from msvdd.experiments import (
     MODEL_EXACT,
     MODEL_HEURISTIC,
@@ -100,6 +101,15 @@ RESOLVED_SMALL_CONFIG = """\
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def gap_outputs(out_dir):
+    """incumbents.csv without its wall clock, and gap_summary.json."""
+    rows = read_csv(os.path.join(out_dir, "incumbents.csv"))
+    for row in rows:
+        del row["wall_time_s"]
+    with open(os.path.join(out_dir, "gap_summary.json")) as fh:
+        return rows, json.load(fh)
 
 
 class TestConfig:
@@ -287,6 +297,72 @@ class TestRunGapStudy:
             pytest.approx(r["test_auc"]) for r in rows
         ]
 
+    def test_worker_pool_matches_serial(self, tmp_path):
+        serial = tmp_path / "serial"
+        pooled = tmp_path / "pooled"
+        run_gap_study(small_config(serial, mode="exact", workers=1))
+        run_gap_study(small_config(pooled, mode="exact", workers=2))
+        rows, summary = gap_outputs(serial)
+        assert rows and len(summary) == 4
+        assert gap_outputs(pooled) == (rows, summary)
+
+    def test_failed_cells_recorded_and_study_finishes(self, tmp_path, monkeypatch):
+        # C = 0.05 needs 20 points per sphere but the train split has 14;
+        # the C = 1 cell of seed 1 fails in the solver
+        solve = msvdd.experiments._solve_cell
+
+        def failing(model, gram_train, p, param, config, seed):
+            if param == 1.0 and seed == 1:
+                raise SolverFailure("no convergence")
+            return solve(model, gram_train, p, param, config, seed)
+
+        monkeypatch.setattr(msvdd.experiments, "_solve_cell", failing)
+        config = small_config(tmp_path, mode="exact", C_grid=(0.05, 0.5, 1.0))
+        rows = run_gap_study(config)
+        with open(os.path.join(config.out_dir, "gap_summary.json")) as fh:
+            summary = {e["run_id"]: e for e in json.load(fh)}
+        assert len(summary) == 6
+        solved = set()
+        for run_id, entry in summary.items():
+            if run_id.endswith("_0.05"):
+                assert entry["status"] == "infeasible"
+                assert entry["error"] == "InputError: infeasible cardinality for this (p, C)"
+            elif run_id.endswith("_s1_p2_linear_1"):
+                assert entry == {"run_id": run_id, "status": "failed",
+                                 "error": "SolverFailure: no convergence"}
+            else:
+                assert set(entry) == {"run_id", "status", "objective", "lower_bound",
+                                      "node_count", "incumbents"}
+                assert entry["status"] == "optimal"
+                solved.add(run_id)
+        assert len(solved) == 3
+        assert {r["run_id"] for r in rows} == solved
+
+    def test_cell_without_incumbent_is_recorded(self, tmp_path):
+        # with p = n there is no root heuristic, and a zero limit stops the
+        # search before any incumbent: the cell fails, the runs finish
+        config = small_config(
+            tmp_path, mode="exact", p_grid=(14,), C_grid=(1.0,), seeds=(0,), time_limit=0.0
+        )
+        assert run_gap_study(config) == []
+        with open(os.path.join(config.out_dir, "gap_summary.json")) as fh:
+            (entry,) = json.load(fh)
+        assert entry["status"] == "failed"
+        assert entry["error"] == "SolverFailure: time limit hit before any incumbent"
+        assert run_cross_validation(config) == []
+        (cell,) = read_csv(os.path.join(config.out_dir, "cells.csv"))
+        assert cell["error"] == entry["error"]
+
+    def test_last_incumbent_scores_as_its_cell(self, tmp_path):
+        config = small_config(tmp_path, mode="exact")
+        rows = run_gap_study(config)
+        run_cross_validation(config)
+        cells = {c["run_id"]: c for c in read_csv(os.path.join(config.out_dir, "cells.csv"))}
+        last = {r["run_id"]: r for r in rows}
+        assert last.keys() == cells.keys()
+        for run_id, row in last.items():
+            assert repr(row["test_auc"]) == cells[run_id]["test_auc"]
+
 
 class TestEmitPlotData:
     def test_bundle_from_cv_results(self, tmp_path):
@@ -328,6 +404,7 @@ class TestEmitPlotData:
         written = emit_plot_data(str(out))
         names = {os.path.basename(p) for p in written}
         assert {"scatter.csv", "spheres.csv"} <= names
+        assert (out / "scatter.csv").read_bytes() == (out / "dataset.csv").read_bytes()
         spheres = read_csv(out / "spheres.csv")
         assert len(spheres) == 2
         assert "center_x1" in spheres[0] and "radius_sq" in spheres[0]

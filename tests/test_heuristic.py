@@ -26,6 +26,21 @@ class TestConfig:
         with pytest.raises(InputError):
             HeuristicConfig(p=0, nu=0.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("p", 2.5), ("nu", "x"), ("restarts", 1.5), ("seed", 0.5), ("max_iters", "9"),
+    ])
+    def test_wrongly_typed_field_is_named(self, field, value):
+        with pytest.raises(InputError, match=field):
+            HeuristicConfig(**{"p": 2, "nu": 0.5, field: value})
+
+    def test_incumbents_carry_their_spheres(self, rng):
+        g = gram(LINEAR, rng.normal(size=(12, 2)))
+        sol = solve_heuristic(g, HeuristicConfig(p=2, nu=0.3, seed=0))
+        for rec in sol.incumbent_log:
+            members = [tuple(np.flatnonzero(rec.sphere_of == j)) for j in range(2)]
+            assert [s.members for s in rec.spheres] == members
+            assert sum(s.objective for s in rec.spheres) == pytest.approx(rec.objective)
+
 
 class TestSolveHeuristic:
     def test_single_sphere_equals_direct_solve(self, rng):
