@@ -12,7 +12,6 @@ from .data import (
     generate_synthetic,
     parse_libsvm,
     scale_to_unit_box,
-    serialize_libsvm,
     split_real,
 )
 from .detection import (
@@ -33,37 +32,16 @@ from .errors import (
     SolverFailure,
     UndefinedMetricError,
 )
-from .exact import (
-    MsvddProblem,
-    branch,
-    compute_delta_dual,
-    compute_delta_primal,
-    incumbent_gap_rows,
-    lower_bound,
-    solve_exact,
-    verify_bigM_feasibility,
-)
+from .exact import MsvddProblem, incumbent_gap_rows, solve_exact
 from .experiments import (
     ExperimentConfig,
     emit_plot_data,
     run_cross_validation,
     run_gap_study,
 )
-from .heuristic import HeuristicConfig, reassign, solve_heuristic
-from .kernels import (
-    GramMatrix,
-    KernelKind,
-    KernelSpec,
-    eval_kernel,
-    gram,
-)
-from .solution import (
-    Assignment,
-    IncumbentRecord,
-    MsvddSolution,
-    SolveStatus,
-    evaluate_assignment,
-)
+from .heuristic import HeuristicConfig, solve_heuristic
+from .kernels import GramMatrix, KernelKind, KernelSpec, gram
+from .solution import Assignment, IncumbentRecord, MsvddSolution, SolveStatus
 from .svdd import (
     DEFAULT_TOLS,
     SolverTolerances,

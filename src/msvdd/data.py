@@ -10,7 +10,6 @@ regular and anomalous classes.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -158,53 +157,21 @@ def parse_libsvm(text: str) -> Dataset:
     return Dataset(points, np.array(labels, int))
 
 
-def serialize_libsvm(dataset: Dataset) -> str:
-    """Inverse of `parse_libsvm` on canonical fixtures (zeros are dropped)."""
-    if dataset.labels is None:
-        raise InputError("libSVM serialization needs labels")
-    out = io.StringIO()
-    for row, label in zip(dataset.points, dataset.labels):
-        parts = [str(int(label))]
-        for j, val in enumerate(row, start=1):
-            if val != 0.0:
-                parts.append(f"{j}:{float(val)!r}")
-        out.write(" ".join(parts) + "\n")
-    return out.getvalue()
-
-
-@dataclass(frozen=True)
-class FeatureScaler:
-    """Per-feature affine map fitted on training data, sending (min, max) to
-    (-1, 1); constant features map to 0."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    @classmethod
-    def fit(cls, points) -> "FeatureScaler":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] == 0:
-            raise InputError("cannot fit a scaler on an empty dataset")
-        return cls(pts.min(axis=0), pts.max(axis=0))
-
-    def apply(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        span = self.hi - self.lo
-        safe = np.where(span == 0.0, 1.0, span)
-        scaled = -1.0 + 2.0 * (pts - self.lo) / safe
-        return np.where(span == 0.0, 0.0, scaled)
-
-
 def scale_to_unit_box(train: Dataset, others=()) -> tuple[Dataset, ...]:
     """Scale features to [-1, 1] using ranges fitted on the training set only.
 
-    The identical affine map is applied to the other datasets; values outside
-    the training range extrapolate past +-1 (no clipping).
+    The identical affine map, sending each training (min, max) to (-1, 1), is
+    applied to the other datasets; values outside the training range
+    extrapolate past +-1 (no clipping), and constant features map to 0.
     """
-    scaler = FeatureScaler.fit(train.points)
+    if train.n == 0:
+        raise InputError("cannot fit a scaler on an empty dataset")
+    lo, span = train.points.min(axis=0), np.ptp(train.points, axis=0)
+    safe = np.where(span == 0.0, 1.0, span)
 
     def remap(ds: Dataset) -> Dataset:
-        return Dataset(scaler.apply(ds.points), ds.labels, ds.split)
+        scaled = np.where(span == 0.0, 0.0, -1.0 + 2.0 * (ds.points - lo) / safe)
+        return Dataset(scaled, ds.labels, ds.split)
 
     return (remap(train),) + tuple(remap(ds) for ds in others)
 
@@ -278,17 +245,29 @@ def write_dataset_csv(dataset: Dataset, path):
 
 
 def read_dataset_csv(path) -> Dataset:
+    """Inverse of `write_dataset_csv`.  Malformed input, including a row of
+    the wrong width, a non-numeric or non-finite coordinate and a non-integer
+    label, raises with the line number."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[-2:] != ["label", "split"]:
             raise ParseError("expected trailing 'label,split' columns", line=1)
         d = len(header) - 2
         pts, labels, tags = [], [], []
         for row in reader:
-            pts.append([float(v) for v in row[:d]])
-            labels.append(None if row[d] == "" else int(row[d]))
-            tags.append(None if row[d + 1] == "" else row[d + 1])
+            line = reader.line_num
+            if len(row) != d + 2:
+                raise ParseError(f"expected {d + 2} fields, got {len(row)}", line=line)
+            *coords, label, tag = row
+            try:
+                pts.append([float(v) for v in coords])
+                labels.append(None if label == "" else int(label))
+            except ValueError as exc:
+                raise ParseError(str(exc), line=line)
+            if not all(math.isfinite(v) for v in pts[-1]):
+                raise ParseError(f"non-finite coordinate in {coords}", line=line)
+            tags.append(None if tag == "" else tag)
     has_labels = any(v is not None for v in labels)
     has_tags = any(v is not None for v in tags)
     return Dataset(

@@ -30,10 +30,6 @@ a 0 keep their dual value, the max-min pick already gave the point's distance
 to the parent's center, and when the gap stays within tolerance the child
 needs no solve (`msvdd.svdd.grow_certified`).  Otherwise it is warm-started
 from the parent.
-
-The big-M constants of the assignment-linearized formulation are not used by
-the search at all; they are computed only so `verify_bigM_feasibility` can
-certify a returned solution against that formulation.
 """
 
 from __future__ import annotations
@@ -90,72 +86,6 @@ class MsvddProblem:
             checked(name, getattr(self, name), *rule)
         if self.p > self.gram.n:
             raise InputError(f"p={self.p} exceeds the number of points {self.gram.n}")
-
-
-def compute_delta_primal(points, i: int) -> float:
-    """Largest squared Euclidean distance from point i to any other point.
-
-    Deactivates the distance constraint of any sphere whose center stays in
-    the convex hull of the data, which holds for all solutions produced here.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    diffs = pts - pts[i]
-    return float(np.max(np.sum(diffs * diffs, axis=1)))
-
-
-def compute_delta_dual(gram_matrix: GramMatrix, C: float, i: int) -> float:
-    """Kernel-space constraint-deactivation constant for point i.
-
-    Worst-case bound of the expanded squared distance over weight vectors in
-    the box [0, C]^n: with pi[k, l] = C where K[k, l] < 0 and 0 elsewhere,
-
-        Delta_i = K[i, i] + 2 * sum_k pi[i, k] * |K[i, k]|
-                   + sum_{k, l} (C - pi[k, l])^2 * K[k, l]
-
-    The linear term takes the magnitude of the negative kernel values (the
-    cross term -2 * sum_k a_k K[i, k] is largest when a_k sits at the cap
-    exactly on those entries); the quadratic term keeps nonnegative entries at
-    the cap-squared weight and zeroes out negative ones.
-    """
-    K = gram_matrix.values
-    pi = np.where(K < 0.0, C, 0.0)
-    linear = 2.0 * float(pi[i] @ np.abs(K[i]))
-    quad = float(((C - pi) ** 2 * K).sum())
-    return float(K[i, i]) + linear + quad
-
-
-def verify_bigM_feasibility(
-    solution: MsvddSolution, deltas, gram_matrix: GramMatrix, tol: float = 1e-6
-) -> bool:
-    """Check every (point, sphere) constraint of the big-M formulation.
-
-    True iff d2[i, j] <= R_j + xi_i + Delta_i * (1 - z[i, j]) + tol for all
-    pairs, certifying the solution is feasible for the assignment-linearized
-    model exactly as written.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    d2 = sphere_distances_sq(gram_matrix, solution.spheres)
-    radii = solution.radii
-    xi = solution.xi_full()
-    z = np.zeros_like(d2)
-    z[np.arange(solution.assignment.n), solution.assignment.sphere_of] = 1.0
-    rhs = radii[None, :] + xi[:, None] + deltas[:, None] * (1.0 - z)
-    return bool(np.all(d2 <= rhs + tol))
-
-
-def lower_bound(
-    assignment: Assignment, gram_matrix: GramMatrix, C: float
-) -> float:
-    """Decomposition bound for a partial assignment.
-
-    Sum of certified single-sphere dual values over the members assigned so
-    far; empty spheres contribute 0.  Spheres still below the 1/C floor are
-    bounded by their radius-floored value, which no completion can undercut.
-    This is the key the search gives a child; the completion lift (`_pick`)
-    is added on top when the child is popped.
-    """
-    p = int(assignment.sphere_of.max()) + 1
-    return float(_node_of(assignment, gram_matrix, C, p).lb)
 
 
 def _sphere(gram_matrix, C, members, parent=None, point=None, distance_sq=None):
@@ -280,6 +210,8 @@ def _expand(node, gram_matrix, C, p, floor):
 
 
 def _node_of(assignment: Assignment, gram_matrix, C, p) -> _Node:
+    """A (partial) assignment as a node whose spheres are all solved cold; its
+    ``lb`` is the decomposition bound (`_Node`), with empty spheres at 0."""
     counts = assignment.counts(p)
     spheres = tuple(
         _sphere(gram_matrix, C, tuple(int(i) for i in assignment.members(j)))
@@ -289,23 +221,6 @@ def _node_of(assignment: Assignment, gram_matrix, C, p) -> _Node:
     )
     lb = sum(s.dual_objective for s in spheres if s is not None)
     return _Node(assignment.sphere_of.copy(), int(counts.sum()), spheres, lb)
-
-
-def branch(
-    assignment: Assignment,
-    gram_matrix: GramMatrix,
-    C: float,
-    p: int,
-    enforce_cardinality: bool = True,
-) -> list[Assignment]:
-    """Children of a partial assignment, as the search makes them (`_expand`),
-    under the cardinality floor `min_members` gives for ``enforce_cardinality``
-    (ceil(1/C) members per sphere with it, one without)."""
-    if assignment.is_complete():
-        raise InputError("cannot branch on a complete assignment")
-    floor = min_members(C, enforce_cardinality)
-    children = _expand(_node_of(assignment, gram_matrix, C, p), gram_matrix, C, p, floor)
-    return [Assignment(child.sphere_of) for child in children]
 
 
 def _repair_cardinality(sphere_of, gram_matrix, C, p, floor):

@@ -217,12 +217,15 @@ def _aucs(solved, gram_train, train, *splits) -> list[float]:
     return [auc_roc(score_points(model, split.points), split.labels).auc for split in splits]
 
 
-def run_dataset_block(config: ExperimentConfig, noise, seed: int) -> list[dict]:
+def run_dataset_block(
+    config: ExperimentConfig, noise, seed: int, incumbents: bool = False
+) -> list[dict]:
     """All grid cells for one dataset draw; failures are recorded, not raised.
 
-    A solved exact cell also carries its ``lower_bound`` and its
-    ``incumbents``: the `incumbent_gap_rows`, each with its run id and the
-    test AUC of the rule that incumbent's spheres induce.
+    With ``incumbents``, which only the gap study asks for, a solved exact
+    cell also carries its ``lower_bound`` and its ``incumbents``: the
+    `incumbent_gap_rows`, each with its run id and the test AUC of the rule
+    that incumbent's spheres induce.
     """
     dataset = load_dataset(config, noise, seed)
     train, val, test = (dataset.subset(name) for name in ("train", "val", "test"))
@@ -255,7 +258,7 @@ def run_dataset_block(config: ExperimentConfig, noise, seed: int) -> list[dict]:
                             val_auc=val_auc,
                             test_auc=test_auc,
                         )
-                        if model == MODEL_EXACT:
+                        if model == MODEL_EXACT and incumbents:
                             rows = incumbent_gap_rows(sol)
                             for rec, row in zip(sol.incumbent_log, rows):
                                 # the last incumbent's spheres are the solution's
@@ -271,11 +274,11 @@ def run_dataset_block(config: ExperimentConfig, noise, seed: int) -> list[dict]:
     return cells
 
 
-def _collect_cells(config: ExperimentConfig) -> list[dict]:
+def _collect_cells(config: ExperimentConfig, incumbents: bool = False) -> list[dict]:
     """Every cell of the grid in run-id order, its (noise, seed) blocks run
-    by ``config.workers`` processes."""
+    by ``config.workers`` processes; ``incumbents`` as `run_dataset_block`."""
     blocks = [(noise, seed) for noise in noise_levels(config) for seed in config.seeds]
-    args = ([config] * len(blocks), *zip(*blocks))
+    args = ([config] * len(blocks), *zip(*blocks), [incumbents] * len(blocks))
     if config.workers > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(run_dataset_block, *args))
@@ -410,7 +413,7 @@ def run_gap_study(config: ExperimentConfig) -> list[dict]:
         raise InputError("gap study requires mode='exact'")
     os.makedirs(config.out_dir, exist_ok=True)
     write_json(to_dict(config), os.path.join(config.out_dir, "resolved_config.json"))
-    cells = _collect_cells(config)
+    cells = _collect_cells(config, incumbents=True)
     rows = [row for cell in cells for row in cell.get("incumbents", ())]
     write_csv(os.path.join(config.out_dir, "incumbents.csv"), rows, GAP_COLUMNS)
     write_json([_gap_summary(c) for c in cells], os.path.join(config.out_dir, "gap_summary.json"))

@@ -43,17 +43,6 @@ class HeuristicConfig:
             checked(name, getattr(self, name), *rule)
 
 
-def reassign(gram_matrix: GramMatrix, spheres) -> Assignment:
-    """Send each point to the sphere with the smallest boundary excess.
-
-    Excess is max(0, d2 - R); ties are broken by the smaller distance, then by
-    the lower sphere index.
-    """
-    d2 = sphere_distances_sq(gram_matrix, spheres)
-    radii = np.array([s.radius_sq for s in spheres])
-    return Assignment(_nearest_sphere(d2, radii))
-
-
 def _nearest_sphere(d2, radii) -> np.ndarray:
     """Per-point sphere index with the smallest (excess, distance, index)."""
     excess = np.maximum(0.0, d2 - radii[None, :])

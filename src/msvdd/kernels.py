@@ -69,17 +69,6 @@ class GramMatrix:
         return self.values.shape[0]
 
 
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Kernel value for a single pair of points."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise InputError(f"point dimensions differ: {x.shape[0]} vs {y.shape[0]}")
-    if spec.kind is KernelKind.LINEAR:
-        return float(x @ y)
-    return float(np.exp(-np.sum((x - y) ** 2) / spec.sigma_squared))
-
-
 def cross_kernel(spec: KernelSpec, X, Y) -> np.ndarray:
     """Kernel values between two point sets, as an (len(X), len(Y)) block."""
     X = np.atleast_2d(np.asarray(X, dtype=float))

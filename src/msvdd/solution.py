@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
 from .kernels import GramMatrix
 from .svdd import SvddSolution, solve_svdd, zero_radius_sphere
 
@@ -47,12 +46,6 @@ class Assignment:
         assigned = self.sphere_of[self.sphere_of >= 0]
         return np.bincount(assigned, minlength=p)[:p]
 
-    def is_complete(self) -> bool:
-        return bool(np.all(self.sphere_of >= 0))
-
-    def copy(self) -> "Assignment":
-        return Assignment(self.sphere_of.copy())
-
 
 @dataclass(frozen=True)
 class IncumbentRecord:
@@ -86,17 +79,6 @@ class MsvddSolution:
     incumbent_log: tuple[IncumbentRecord, ...] = ()
     lower_bound: float = math.nan
     iterate_objectives: tuple[float, ...] = ()
-
-    @property
-    def radii(self) -> np.ndarray:
-        return np.array([s.radius_sq for s in self.spheres])
-
-    def xi_full(self) -> np.ndarray:
-        """Per-point errors, each taken from the point's assigned sphere."""
-        xi = np.zeros(self.assignment.n)
-        for s in self.spheres:
-            xi[list(s.members)] = s.errors
-        return xi
 
     @property
     def relative_gap(self) -> float:
@@ -155,33 +137,3 @@ def solve_sphere(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) ->
     if C * len(members) < 1.0 - 1e-12:
         return zero_radius_sphere(gram_matrix, members, C)
     return solve_svdd(gram_matrix, members, C, warm_alpha=warm_alpha)
-
-
-def evaluate_assignment(
-    gram_matrix: GramMatrix,
-    assignment: Assignment,
-    p: int,
-    C: float,
-    enforce_cardinality: bool = True,
-) -> MsvddSolution | None:
-    """Re-solve every sphere of a complete assignment under a single global C.
-
-    Returns None when the assignment is infeasible for the requested model
-    (an empty sphere, or a sphere below the ceil(1/C) cardinality floor).
-    """
-    if not assignment.is_complete():
-        raise InputError("evaluate_assignment needs a complete assignment")
-    counts = assignment.counts(p)
-    floor = min_members(C, enforce_cardinality)
-    if np.any(counts < floor):
-        return None
-    spheres = tuple(solve_sphere(gram_matrix, assignment.members(j), C) for j in range(p))
-    return MsvddSolution(
-        assignment=assignment.copy(),
-        spheres=spheres,
-        objective=canonical_objective([s.objective for s in spheres]),
-        status=SolveStatus.TIME_LIMIT_INCUMBENT,
-        p=p,
-        C=C,
-        enforce_cardinality=enforce_cardinality,
-    )

@@ -7,6 +7,15 @@ the coordinate-space Gram reconstructs inner products from pairwise squared
 Euclidean distances only.  The last few helpers are reference versions of
 package code that tests compare against (a rank loop, a sort-based radius
 recovery, input-space scores) and a monotonicity check on the sphere solver.
+
+Two oracles certify whole multisphere solutions.  The big-M check tests a
+solution against every (point, sphere) constraint of the paper's
+assignment-linearized MISOCP, with the constraint-deactivation constants
+computed in input space (`compute_delta_primal`) or from the kernel alone
+(`compute_delta_dual`); the search never uses that model.  The cold
+evaluation (`evaluate_assignment`) re-solves every sphere of a complete
+assignment from scratch, with no warm start or certificate carried from a
+parent, which is what the search's incumbents and bounds are compared against.
 """
 
 from __future__ import annotations
@@ -19,7 +28,15 @@ import numpy as np
 from msvdd.detection import DetectionModel, linear_centers
 from msvdd.errors import InputError
 from msvdd.kernels import GramMatrix, KernelKind, KernelSpec
-from msvdd.solution import min_members, solve_sphere
+from msvdd.solution import (
+    Assignment,
+    MsvddSolution,
+    SolveStatus,
+    canonical_objective,
+    min_members,
+    solve_sphere,
+    sphere_distances_sq,
+)
 from msvdd.svdd import solve_svdd
 
 
@@ -178,3 +195,90 @@ def geometric_scores(model: DetectionModel, X) -> np.ndarray:
     diffs = X[:, None, :] - centers[None, :, :]
     d2 = np.sum(diffs * diffs, axis=2)
     return np.min(d2 - model.radii[None, :], axis=1)
+
+
+def compute_delta_primal(points, i: int) -> float:
+    """Largest squared Euclidean distance from point i to any other point.
+
+    Deactivates the distance constraint of any sphere whose center stays in
+    the convex hull of the data, which holds for all solutions produced here.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    diffs = pts - pts[i]
+    return float(np.max(np.sum(diffs * diffs, axis=1)))
+
+
+def compute_delta_dual(gram_matrix: GramMatrix, C: float, i: int) -> float:
+    """Kernel-space constraint-deactivation constant for point i.
+
+    Worst-case bound of the expanded squared distance over weight vectors in
+    the box [0, C]^n: with pi[k, l] = C where K[k, l] < 0 and 0 elsewhere,
+
+        Delta_i = K[i, i] + 2 * sum_k pi[i, k] * |K[i, k]|
+                   + sum_{k, l} (C - pi[k, l])^2 * K[k, l]
+
+    The linear term takes the magnitude of the negative kernel values (the
+    cross term -2 * sum_k a_k K[i, k] is largest when a_k sits at the cap
+    exactly on those entries); the quadratic term keeps nonnegative entries at
+    the cap-squared weight and zeroes out negative ones.
+    """
+    K = gram_matrix.values
+    pi = np.where(K < 0.0, C, 0.0)
+    linear = 2.0 * float(pi[i] @ np.abs(K[i]))
+    quad = float(((C - pi) ** 2 * K).sum())
+    return float(K[i, i]) + linear + quad
+
+
+def xi_full(solution: MsvddSolution) -> np.ndarray:
+    """Per-point errors, each taken from the point's assigned sphere."""
+    xi = np.zeros(solution.assignment.n)
+    for s in solution.spheres:
+        xi[list(s.members)] = s.errors
+    return xi
+
+
+def verify_bigM_feasibility(
+    solution: MsvddSolution, deltas, gram_matrix: GramMatrix, tol: float = 1e-6
+) -> bool:
+    """Check every (point, sphere) constraint of the big-M formulation.
+
+    True iff d2[i, j] <= R_j + xi_i + Delta_i * (1 - z[i, j]) + tol for all
+    pairs, certifying the solution is feasible for the assignment-linearized
+    model exactly as written.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    d2 = sphere_distances_sq(gram_matrix, solution.spheres)
+    radii = np.array([s.radius_sq for s in solution.spheres])
+    z = np.zeros_like(d2)
+    z[np.arange(solution.assignment.n), solution.assignment.sphere_of] = 1.0
+    rhs = radii[None, :] + xi_full(solution)[:, None] + deltas[:, None] * (1.0 - z)
+    return bool(np.all(d2 <= rhs + tol))
+
+
+def evaluate_assignment(
+    gram_matrix: GramMatrix,
+    assignment: Assignment,
+    p: int,
+    C: float,
+    enforce_cardinality: bool = True,
+) -> MsvddSolution | None:
+    """Re-solve every sphere of a complete assignment cold under a single
+    global C.
+
+    Returns None when the assignment is infeasible for the requested model
+    (an empty sphere, or a sphere below the ceil(1/C) cardinality floor).
+    """
+    if np.any(assignment.sphere_of < 0):
+        raise InputError("evaluate_assignment needs a complete assignment")
+    if np.any(assignment.counts(p) < min_members(C, enforce_cardinality)):
+        return None
+    spheres = tuple(solve_sphere(gram_matrix, assignment.members(j), C) for j in range(p))
+    return MsvddSolution(
+        assignment=Assignment(assignment.sphere_of.copy()),
+        spheres=spheres,
+        objective=canonical_objective([s.objective for s in spheres]),
+        status=SolveStatus.TIME_LIMIT_INCUMBENT,
+        p=p,
+        C=C,
+        enforce_cardinality=enforce_cardinality,
+    )

@@ -21,19 +21,20 @@ from msvdd.data import (
     Dataset,
 )
 from msvdd.detection import DetectionModel, score_points
-from msvdd.exact import (
-    MsvddProblem,
-    compute_delta_dual,
-    compute_delta_primal,
-    solve_exact,
-    verify_bigM_feasibility,
-)
+from msvdd.exact import MsvddProblem, solve_exact
 from msvdd.experiments import ExperimentConfig, run_dataset_block, run_gap_study
 from msvdd.heuristic import HeuristicConfig, solve_heuristic
 from msvdd.kernels import LINEAR, KernelKind, KernelSpec, gram, rbf
-from msvdd.solution import SolveStatus, canonical_objective, evaluate_assignment
+from msvdd.solution import SolveStatus, canonical_objective
 from msvdd.svdd import recover_radius, solve_svdd
-from oracles import enumerate_msvdd, geometric_scores
+from oracles import (
+    compute_delta_dual,
+    compute_delta_primal,
+    enumerate_msvdd,
+    evaluate_assignment,
+    geometric_scores,
+    verify_bigM_feasibility,
+)
 
 
 @dataclass

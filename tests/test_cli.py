@@ -7,6 +7,7 @@ import pytest
 
 from msvdd.cli import main
 from msvdd.data import read_dataset_csv
+from test_data import MALFORMED_CSV
 
 
 def run_cli(args):
@@ -108,6 +109,23 @@ class TestSolve:
         path = tmp_path / "nan.csv"
         path.write_text("x1,x2,label,split\n0,0,1,\n1,nan,1,\n2,1,1,\n")
         assert run_cli(["solve", "--data", path, "--out", tmp_path / "n"]) == 1
+
+    @pytest.mark.parametrize("command", ["solve", "cv"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+    def test_malformed_csv_is_input_error(self, tmp_path, capsys, command, case):
+        text, line = MALFORMED_CSV[case]
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        if command == "solve":
+            args = ["solve", "--data", path]
+        else:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps({"data": {"type": "csv", "path": str(path)}}))
+            args = ["cv", "--config", config_path]
+        assert run_cli(args + ["--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: line {line}: ")
+        assert "Traceback" not in err
 
     def test_workers_flag_removed(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit):

@@ -7,17 +7,26 @@ from msvdd.codec import from_dict, to_dict
 from msvdd.data import (
     CLUSTER_CENTERS,
     Dataset,
-    FeatureScaler,
     SyntheticSpec,
     generate_synthetic,
     parse_libsvm,
     read_dataset_csv,
     scale_to_unit_box,
-    serialize_libsvm,
     split_real,
     write_dataset_csv,
 )
 from msvdd.errors import InputError, ParseError
+
+# dataset CSV texts that must be refused, each with the line that is at fault
+VALID_PREFIX = "x1,x2,label,split\n0.5,1.5,0,train\n"
+MALFORMED_CSV = {
+    "short_row": (VALID_PREFIX + "1.0,2.0\n", 3),
+    "long_row": (VALID_PREFIX + "1.0,2.0,0,train,extra\n", 3),
+    "non_numeric_coordinate": (VALID_PREFIX + "1.0,abc,0,train\n", 3),
+    "non_finite_coordinate": (VALID_PREFIX + "1.0,nan,0,train\n", 3),
+    "non_integer_label": (VALID_PREFIX + "1.0,2.0,zero,train\n", 3),
+    "empty_file": ("", 1),
+}
 
 
 class TestSyntheticSpec:
@@ -118,12 +127,9 @@ class TestParseLibsvm:
         assert err.value.line == 1
 
     def test_round_trip(self):
-        text = "1 1:0.5 3:-1.25\n2\n-1 2:7.0\n"
-        ds = parse_libsvm(text)
-        again = parse_libsvm(serialize_libsvm(ds))
-        assert np.array_equal(ds.points, again.points)
-        assert np.array_equal(ds.labels, again.labels)
-        assert serialize_libsvm(ds) == serialize_libsvm(again)
+        ds = parse_libsvm("1 1:0.5 3:-1.25\n2\n-1 2:7.0\n")
+        assert ds.points.tolist() == [[0.5, 0.0, -1.25], [0.0, 0.0, 0.0], [0.0, 7.0, 0.0]]
+        assert ds.labels.tolist() == [1, 2, -1]
 
 
 class TestScaling:
@@ -152,9 +158,13 @@ class TestScaling:
         assert scaled_other.points.min() < -1.0 or scaled_other.points.max() > 1.0
 
     def test_scaler_direct(self):
-        scaler = FeatureScaler.fit([[0.0, 2.0], [4.0, 2.0]])
-        out = scaler.apply([[2.0, 2.0]])
-        assert np.array_equal(out, [[0.0, 0.0]])
+        train = Dataset([[0.0, 2.0], [4.0, 2.0]])
+        _, out = scale_to_unit_box(train, (Dataset([[2.0, 2.0]]),))
+        assert np.array_equal(out.points, [[0.0, 0.0]])
+
+    def test_empty_train_rejected(self):
+        with pytest.raises(InputError, match="empty dataset"):
+            scale_to_unit_box(Dataset(np.zeros((0, 2))))
 
 
 class TestSplitReal:
@@ -252,3 +262,12 @@ class TestDatasetCsv:
         assert np.array_equal(ds.points, back.points)
         assert back.labels is None
         assert back.split is None
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+    def test_malformed_rows_name_their_line(self, tmp_path, case):
+        text, line = MALFORMED_CSV[case]
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_dataset_csv(path)
+        assert err.value.line == line

@@ -16,20 +16,14 @@ from msvdd.exact import (
     _node_of,
     _pick,
     _repair_cardinality,
-    branch,
-    compute_delta_dual,
-    compute_delta_primal,
     incumbent_gap_rows,
-    lower_bound,
     solve_exact,
-    verify_bigM_feasibility,
 )
 from msvdd.kernels import LINEAR, gram, rbf
 from msvdd.solution import (
     Assignment,
     SolveStatus,
     canonical_objective,
-    evaluate_assignment,
     min_members,
     solve_sphere,
     sphere_distances_sq,
@@ -38,8 +32,13 @@ from msvdd.svdd import DEFAULT_TOLS
 from oracles import (
     capped_simplex_samples,
     canonical_assignments,
+    compute_delta_dual,
+    compute_delta_primal,
     distance_space_gram,
     enumerate_msvdd,
+    evaluate_assignment,
+    verify_bigM_feasibility,
+    xi_full,
 )
 
 TWO_CLUSTERS_1D = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2]])
@@ -94,6 +93,13 @@ class TestDeltaDual:
             assert np.all(d2 <= delta + 1e-9), (i, d2.max(), delta)
 
 
+def branch(assignment, g, C, p, enforce_cardinality=True):
+    """Children of a partial assignment, as the search makes them, under the
+    floor ``enforce_cardinality`` gives."""
+    node = _node_of(assignment, g, C, p)
+    return _expand(node, g, C, p, min_members(C, enforce_cardinality))
+
+
 class TestBranch:
     def test_root_single_child(self, rng):
         pts = rng.normal(size=(5, 2))
@@ -141,11 +147,6 @@ class TestBranch:
         assert branch(a, g, 0.3, p=2) == []
         children = branch(a, g, 0.3, p=2, enforce_cardinality=False)
         assert sorted(int(c.sphere_of.max()) for c in children) == [0, 1]
-
-    def test_complete_assignment_rejected(self, rng):
-        g = gram(LINEAR, rng.normal(size=(3, 2)))
-        with pytest.raises(InputError):
-            branch(Assignment(np.array([0, 0, 1])), g, 1.0, p=2)
 
 
 def count_sphere_solves(monkeypatch):
@@ -241,7 +242,7 @@ class TestExpand:
             if not children:
                 break
             for child in children:
-                cold = lower_bound(Assignment(child.sphere_of), g, C)
+                cold = _node_of(Assignment(child.sphere_of), g, C, p).lb
                 slack = p * DEFAULT_TOLS.duality_gap + 1e-12 * max(1.0, abs(cold))
                 assert abs(child.lb - cold) <= slack
             node = children[int(r.integers(len(children)))]
@@ -314,11 +315,11 @@ class TestRepairCardinality:
 class TestLowerBound:
     def test_all_unassigned(self, rng):
         g = gram(LINEAR, rng.normal(size=(6, 2)))
-        assert lower_bound(Assignment.empty(6), g, 1.0) == 0.0
+        assert _node_of(Assignment.empty(6), g, 1.0, 2).lb == 0.0
 
     def test_tight_at_leaves(self, two_cluster_solution):
         g, sol = two_cluster_solution
-        lb = lower_bound(sol.assignment, g, 1.0)
+        lb = _node_of(sol.assignment, g, 1.0, 2).lb
         assert lb == pytest.approx(sol.objective, abs=1e-8)
 
     def test_sums_certified_dual_values(self, rng):
@@ -330,7 +331,7 @@ class TestLowerBound:
         sols = [solve_sphere(g, a.members(j), C) for j in range(3)]
         # the primal values sit above the dual ones by up to the gap tolerance
         assert sum(s.objective for s in sols) > sum(s.dual_objective for s in sols)
-        assert lower_bound(a, g, C) == sum(s.dual_objective for s in sols)
+        assert _node_of(a, g, C, 3).lb == sum(s.dual_objective for s in sols)
 
     def test_partial_equals_cluster_objective(self):
         from msvdd.svdd import solve_svdd
@@ -338,14 +339,14 @@ class TestLowerBound:
         g = gram(LINEAR, TWO_CLUSTERS_1D)
         a = Assignment(np.array([0, 0, 0, -1, -1, -1]))
         expected = solve_svdd(g, [0, 1, 2], 1.0).objective
-        assert lower_bound(a, g, 1.0) == pytest.approx(expected, abs=1e-9)
+        assert _node_of(a, g, 1.0, 2).lb == pytest.approx(expected, abs=1e-9)
 
     def test_bounds_every_completion_exhaustively(self, rng):
         pts = rng.normal(size=(7, 2))
         g = gram(LINEAR, pts)
         C = 0.5
         partial = Assignment(np.array([0, 1, -1, -1, 0, -1, -1]))
-        lb = lower_bound(partial, g, C)
+        lb = _node_of(partial, g, C, 2).lb
         base = partial.sphere_of.copy()
         free = np.flatnonzero(base < 0)
         from itertools import product
@@ -483,7 +484,7 @@ class TestSolveExact:
         assert sol.lower_bound <= sol.objective
         # weak duality at the leaf, up to the rounding of the two sums
         slack = 1e-12 * max(1.0, sol.objective)
-        assert lower_bound(sol.assignment, g, C) <= sol.objective + slack
+        assert _node_of(sol.assignment, g, C, p).lb <= sol.objective + slack
 
     def test_infeasible_cardinality(self, rng):
         g = gram(LINEAR, rng.normal(size=(6, 2)))
@@ -676,8 +677,8 @@ class TestVerifyBigM:
         g, sol = two_cluster_solution
         deltas = np.array([compute_delta_primal(TWO_CLUSTERS_1D, i) for i in range(6)])
         d2 = sphere_distances_sq(g, sol.spheres)
-        xi = sol.xi_full()
-        radii = sol.radii
+        xi = xi_full(sol)
+        radii = [s.radius_sq for s in sol.spheres]
         # pick a point whose distance to the sphere it is NOT assigned to
         # exceeds that sphere's radius plus its own error
         broken = deltas.copy()

@@ -248,6 +248,33 @@ class TestRunCrossValidation:
         assert good and all(c["error"] == "" for c in good)
 
 
+class TestScoring:
+    def test_cv_scores_each_solved_cell_on_val_and_test_only(self, tmp_path, monkeypatch):
+        # an exact cell of this grid has an earlier incumbent, which only the
+        # gap study scores
+        calls = []
+        score = msvdd.experiments.score_points
+
+        def counting(model, X):
+            calls.append(len(X))
+            return score(model, X)
+
+        monkeypatch.setattr(msvdd.experiments, "score_points", counting)
+        config = small_config(tmp_path, seeds=(0,))
+        run_cross_validation(config)
+        solved = [c for c in read_csv(os.path.join(config.out_dir, "cells.csv"))
+                  if not c["error"]]
+        assert len(solved) == 4
+        assert calls == [12, 20] * len(solved)
+        calls.clear()
+        # the gap study scores each cell on val and test, and each earlier
+        # incumbent on test
+        rows = run_gap_study(small_config(tmp_path / "gap", mode="exact", seeds=(0,)))
+        cells = len({r["run_id"] for r in rows})
+        assert len(rows) > cells
+        assert len(calls) == 2 * cells + len(rows) - cells
+
+
 class TestDeterminism:
     def test_deterministic_artifacts_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
@@ -360,6 +387,10 @@ class TestRunGapStudy:
         cells = {c["run_id"]: c for c in read_csv(os.path.join(config.out_dir, "cells.csv"))}
         last = {r["run_id"]: r for r in rows}
         assert last.keys() == cells.keys()
+        # some cell has an earlier incumbent, and every incumbent is scored
+        assert len(rows) > len(last)
+        assert all(isinstance(r["test_auc"], float) and 0.0 <= r["test_auc"] <= 1.0
+                   for r in rows)
         for run_id, row in last.items():
             assert repr(row["test_auc"]) == cells[run_id]["test_auc"]
 

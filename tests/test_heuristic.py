@@ -7,10 +7,11 @@ import msvdd.heuristic
 
 from msvdd.errors import InputError
 from msvdd.exact import MsvddProblem, solve_exact
-from msvdd.heuristic import HeuristicConfig, _nearest_sphere, reassign, solve_heuristic
+from msvdd.heuristic import HeuristicConfig, _nearest_sphere, solve_heuristic
 from msvdd.kernels import LINEAR, gram
-from msvdd.solution import SolveStatus, evaluate_assignment
+from msvdd.solution import SolveStatus, sphere_distances_sq
 from msvdd.svdd import solve_svdd
+from oracles import evaluate_assignment
 
 TWO_CLUSTERS_1D = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2]])
 
@@ -133,32 +134,30 @@ class TestSolveHeuristic:
 
 
 class TestReassign:
-    def _spheres(self, g, memberships, C):
-        return [solve_svdd(g, m, C) for m in memberships]
+    @staticmethod
+    def reassign(g, memberships, C):
+        # each point's sphere under the alternation's reassignment rule
+        spheres = [solve_svdd(g, m, C) for m in memberships]
+        radii = np.array([s.radius_sq for s in spheres])
+        return _nearest_sphere(sphere_distances_sq(g, spheres), radii)
 
     def test_point_inside_one_sphere(self):
         pts = np.array([[0.0], [1.0], [10.0], [11.0], [0.4]])
         g = gram(LINEAR, pts)
-        spheres = self._spheres(g, [(0, 1), (2, 3)], 1.0)
-        a = reassign(g, spheres)
-        assert a.sphere_of[4] == 0
+        assert self.reassign(g, [(0, 1), (2, 3)], 1.0)[4] == 0
 
     def test_tie_inside_two_goes_to_nearer_center(self):
         # point 4 sits inside both spheres; nearer center wins
         pts = np.array([[0.0], [4.0], [5.0], [9.0], [3.0]])
         g = gram(LINEAR, pts)
-        spheres = self._spheres(g, [(0, 1), (2, 3)], 1.0)
-        a = reassign(g, spheres)
-        assert a.sphere_of[4] == 0
+        assert self.reassign(g, [(0, 1), (2, 3)], 1.0)[4] == 0
 
     def test_outside_all_smallest_excess_wins(self):
         # centers 0.5 and 9.5 with radii ~0.25; point at 4 is outside both
         # but closer to the left boundary
         pts = np.array([[0.0], [1.0], [9.0], [10.0], [4.0]])
         g = gram(LINEAR, pts)
-        spheres = self._spheres(g, [(0, 1), (2, 3)], 1.0)
-        a = reassign(g, spheres)
-        assert a.sphere_of[4] == 0
+        assert self.reassign(g, [(0, 1), (2, 3)], 1.0)[4] == 0
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_vectorized_rule_matches_lexsort(self, seed):

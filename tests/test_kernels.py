@@ -10,7 +10,6 @@ from msvdd.kernels import (
     KernelSpec,
     LINEAR,
     cross_kernel,
-    eval_kernel,
     gram,
     rbf,
 )
@@ -19,20 +18,21 @@ from msvdd.svdd import solve_svdd, zero_radius_sphere
 
 
 class TestEvalKernel:
+    # single pairs, as 1-row blocks of cross_kernel
     def test_linear_dot_product(self):
-        assert eval_kernel(LINEAR, (1, 2), (3, 4)) == 11
+        assert cross_kernel(LINEAR, (1, 2), (3, 4)).tolist() == [[11.0]]
 
     def test_rbf_zero_distance(self):
-        assert eval_kernel(rbf(0.5), (7, -1), (7, -1)) == 1.0
+        assert cross_kernel(rbf(0.5), (7, -1), (7, -1))[0, 0] == 1.0
 
     def test_rbf_unit_distance(self):
         # exp(-1) under the fixed convention exp(-||x-y||^2 / sigma2)
-        val = eval_kernel(rbf(1.0), (0, 0), (1, 0))
+        val = cross_kernel(rbf(1.0), (0, 0), (1, 0))[0, 0]
         assert val == pytest.approx(0.36787944117144233, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            eval_kernel(LINEAR, (1, 2), (1, 2, 3))
+            cross_kernel(LINEAR, (1, 2), (1, 2, 3))
 
     def test_rbf_requires_positive_sigma(self):
         with pytest.raises(InputError):
