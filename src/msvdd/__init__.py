@@ -41,7 +41,7 @@ from .experiments import (
 )
 from .heuristic import HeuristicConfig, solve_heuristic
 from .kernels import GramMatrix, KernelKind, KernelSpec, gram
-from .solution import Assignment, IncumbentRecord, MsvddSolution, SolveStatus
+from .solution import IncumbentRecord, MsvddSolution, SolveStatus
 from .svdd import (
     DEFAULT_TOLS,
     SolverTolerances,

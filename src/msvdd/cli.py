@@ -37,12 +37,18 @@ EXIT_SOLVER = 2
 EXIT_TIME_LIMIT = 3
 
 
-def _kernel_from_args(args) -> KernelSpec:
-    if args.kernel == "linear":
-        return LINEAR
-    if args.sigma2 is None:
-        raise InputError("--sigma2 is required with --kernel rbf")
-    return rbf(args.sigma2)
+def _kernels_from_args(names, sigma2s) -> list[KernelSpec]:
+    """The kernels that --kernel and --sigma2 name, under one rule for every
+    subcommand: --sigma2 needs --kernel rbf, and --kernel rbf needs --sigma2."""
+    names = names or ()
+    if sigma2s is not None and "rbf" not in names:
+        raise InputError("--sigma2 needs --kernel rbf")
+    if "rbf" in names and not sigma2s:
+        raise InputError("--kernel rbf needs --sigma2")
+    kernels = []
+    for name in names:
+        kernels += [LINEAR] if name == "linear" else [rbf(s2) for s2 in sigma2s]
+    return kernels
 
 
 def _add_solver_flags(sub):
@@ -82,7 +88,7 @@ def cmd_solve(args) -> int:
         train = dataset.subset("train")
     else:
         train = dataset
-    kspec = _kernel_from_args(args)
+    (kspec,) = _kernels_from_args([args.kernel], None if args.sigma2 is None else [args.sigma2])
     gram_train = gram(kspec, train.points)
     if args.nu is not None:
         config = HeuristicConfig(p=args.p, nu=args.nu, seed=args.seed)
@@ -135,14 +141,8 @@ def _config_from_args(args) -> ExperimentConfig:
         if not isinstance(payload, dict):
             raise InputError(f"{args.config} must hold a JSON object")
     payload.update(_field_flags(ExperimentConfig, args))
-    if args.sigma2 is not None and "rbf" not in (args.kernel or ()):
-        raise InputError("--sigma2 needs --kernel rbf")
+    kernels = _kernels_from_args(args.kernel, args.sigma2)
     if args.kernel is not None:
-        if "rbf" in args.kernel and not args.sigma2:
-            raise InputError("--kernel rbf needs --sigma2")
-        kernels = []
-        for name in args.kernel:
-            kernels += [LINEAR] if name == "linear" else [rbf(s2) for s2 in args.sigma2]
         payload["kernels"] = kernels
     if args.cardinality:
         payload["enforce_cardinality"] = args.cardinality == "on"

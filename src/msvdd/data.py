@@ -245,15 +245,17 @@ def write_dataset_csv(dataset: Dataset, path):
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Inverse of `write_dataset_csv`.  Malformed input, including a row of
-    the wrong width, a non-numeric or non-finite coordinate and a non-integer
-    label, raises with the line number."""
+    """Inverse of `write_dataset_csv`.  Malformed input (no coordinate columns or
+    data rows, a row of the wrong width, a non-numeric or non-finite coordinate,
+    a non-integer label) raises with the line number."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header[-2:] != ["label", "split"]:
             raise ParseError("expected trailing 'label,split' columns", line=1)
         d = len(header) - 2
+        if d == 0:
+            raise ParseError("no coordinate columns", line=1)
         pts, labels, tags = [], [], []
         for row in reader:
             line = reader.line_num
@@ -268,6 +270,8 @@ def read_dataset_csv(path) -> Dataset:
             if not all(math.isfinite(v) for v in pts[-1]):
                 raise ParseError(f"non-finite coordinate in {coords}", line=line)
             tags.append(None if tag == "" else tag)
+    if not pts:
+        raise ParseError("no data rows", line=1)
     has_labels = any(v is not None for v in labels)
     has_tags = any(v is not None for v in tags)
     return Dataset(

@@ -100,12 +100,9 @@ def classify(model: DetectionModel, x) -> Label:
 
 @dataclass(frozen=True)
 class RocResult:
-    """ROC curve with outliers as the positive class, thresholds descending."""
+    """Area under the ROC curve, outliers the positive class."""
 
     auc: float
-    thresholds: np.ndarray
-    fpr: np.ndarray
-    tpr: np.ndarray
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -122,7 +119,9 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def auc_roc(scores, labels) -> RocResult:
-    """Rank-based AUC with average-rank tie handling, plus the ROC curve.
+    """Rank-based AUC with average-rank tie handling: the Mann-Whitney U of
+    the outlier scores over n_out * n_reg, which equals the trapezoid area
+    under the ROC curve with ties grouped into one step.
 
     ``labels`` flags outliers truthy; outliers are expected to score higher.
     Perfect separation gives 1, anti-separation 0.  Raises when only one class
@@ -137,22 +136,8 @@ def auc_roc(scores, labels) -> RocResult:
     n_reg = y.size - n_out
     if n_out == 0 or n_reg == 0:
         raise UndefinedMetricError("AUC needs both regular and outlier labels")
-
-    ranks = _average_ranks(s)
-    u = ranks[y].sum() - n_out * (n_out + 1) / 2.0
-    auc = u / (n_out * n_reg)
-
-    desc = np.argsort(-s, kind="mergesort")
-    ss = s[desc]
-    yy = y[desc]
-    # one curve point per distinct score (ties grouped into a single step)
-    last_of_group = np.flatnonzero(np.r_[ss[1:] != ss[:-1], True])
-    tp = np.cumsum(yy)[last_of_group]
-    fp = np.cumsum(~yy)[last_of_group]
-    thresholds = np.r_[np.inf, ss[last_of_group]]
-    tpr = np.r_[0.0, tp / n_out]
-    fpr = np.r_[0.0, fp / n_reg]
-    return RocResult(auc=float(auc), thresholds=thresholds, fpr=fpr, tpr=tpr)
+    u = _average_ranks(s)[y].sum() - n_out * (n_out + 1) / 2.0
+    return RocResult(auc=float(u / (n_out * n_reg)))
 
 
 def linear_centers(model: DetectionModel) -> np.ndarray:

@@ -48,17 +48,16 @@ class SolverFailure(MsvddError):
 
 
 class ConvergenceError(SolverFailure):
-    """Iteration cap hit before the duality gap closed.
+    """The duality gap did not close: the iteration cap was hit, or no pair
+    step was left to take.
 
-    Carries the best iterate seen and its certified gap so callers can decide
-    whether to retry or accept the approximate solution.
+    Carries the smallest certified gap the solve reached, which callers
+    report when they give up.
     """
 
-    def __init__(self, message, alpha=None, gap=None, iterations=None):
+    def __init__(self, message, gap):
         super().__init__(message)
-        self.alpha = alpha
         self.gap = gap
-        self.iterations = iterations
 
 
 class UndefinedMetricError(MsvddError):

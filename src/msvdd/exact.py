@@ -50,7 +50,6 @@ from .heuristic import HeuristicConfig, solve_heuristic
 from .kernels import GramMatrix
 from .solution import (
     UNASSIGNED,
-    Assignment,
     IncumbentRecord,
     MsvddSolution,
     SolveStatus,
@@ -209,18 +208,19 @@ def _expand(node, gram_matrix, C, p, floor):
     return children
 
 
-def _node_of(assignment: Assignment, gram_matrix, C, p) -> _Node:
-    """A (partial) assignment as a node whose spheres are all solved cold; its
-    ``lb`` is the decomposition bound (`_Node`), with empty spheres at 0."""
-    counts = assignment.counts(p)
+def _node_of(sphere_of, gram_matrix, C, p) -> _Node:
+    """A (partial) ``sphere_of`` map as a node whose spheres are all solved cold;
+    its ``lb`` is the decomposition bound (`_Node`), with empty spheres at 0."""
+    sphere_of = np.array(sphere_of, dtype=np.int16)
+    counts = np.bincount(sphere_of[sphere_of >= 0], minlength=p)[:p]
     spheres = tuple(
-        _sphere(gram_matrix, C, tuple(int(i) for i in assignment.members(j)))
+        _sphere(gram_matrix, C, tuple(np.flatnonzero(sphere_of == j).tolist()))
         if counts[j]
         else None
         for j in range(p)
     )
     lb = sum(s.dual_objective for s in spheres if s is not None)
-    return _Node(assignment.sphere_of.copy(), int(counts.sum()), spheres, lb)
+    return _Node(sphere_of, int(counts.sum()), spheres, lb)
 
 
 def _repair_cardinality(sphere_of, gram_matrix, C, p, floor):
@@ -262,10 +262,10 @@ def _root_incumbent(problem):
     except SolverFailure:
         return None
     floor = min_members(C, problem.enforce_cardinality)
-    repaired = _repair_cardinality(heur.assignment.sphere_of, gram_mat, C, p, floor)
+    repaired = _repair_cardinality(heur.sphere_of, gram_mat, C, p, floor)
     if repaired is None:
         return None
-    return _node_of(Assignment(repaired), gram_mat, C, p)
+    return _node_of(repaired, gram_mat, C, p)
 
 
 def _objective(node) -> float:
@@ -345,7 +345,7 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
         final_lb = incumbent  # every node left is pruned: the incumbent is optimal
         status = SolveStatus.INFEASIBLE if best is None else SolveStatus.OPTIMAL
     return MsvddSolution(
-        assignment=Assignment.empty(n) if best is None else Assignment(best.sphere_of),
+        sphere_of=root.sphere_of if best is None else best.sphere_of,
         spheres=() if best is None else best.spheres,
         objective=incumbent,
         status=status,

@@ -42,6 +42,7 @@ from .exact import MsvddProblem, incumbent_gap_rows, solve_exact
 from .heuristic import HeuristicConfig, solve_heuristic
 from .kernels import KernelKind, KernelSpec, gram
 from .solution import MsvddSolution, SolveStatus
+from .svdd import DEFAULT_TOLS
 
 MODEL_EXACT = "msvdd-exact"
 MODEL_HEURISTIC = "cluster-svdd"
@@ -287,23 +288,15 @@ def _collect_cells(config: ExperimentConfig, incumbents: bool = False) -> list[d
     return sorted((cell for block in results for cell in block), key=lambda c: c["run_id"])
 
 
-def select_and_summarize(config: ExperimentConfig, cells: list[dict]) -> list[dict]:
+def select_and_summarize(cells: list[dict]) -> list[dict]:
     """Validation-AUC selection per (model, noise, p, seed), then seed means."""
-    grid_order = {c["run_id"]: k for k, c in enumerate(cells)}
     chosen: dict[tuple, dict] = {}
     for cell in cells:
         if cell["error"]:
             continue
         key = (cell["model"], cell["anomaly_pct"], cell["p"], cell["seed"])
         cur = chosen.get(key)
-        if (
-            cur is None
-            or cell["val_auc"] > cur["val_auc"]
-            or (
-                cell["val_auc"] == cur["val_auc"]
-                and grid_order[cell["run_id"]] < grid_order[cur["run_id"]]
-            )
-        ):
+        if cur is None or cell["val_auc"] > cur["val_auc"]:  # ties keep the first
             chosen[key] = cell
     rows = []
     groups: dict[tuple, list[dict]] = {}
@@ -381,7 +374,7 @@ def run_cross_validation(config: ExperimentConfig) -> list[dict]:
     os.makedirs(config.out_dir, exist_ok=True)
     write_json(to_dict(config), os.path.join(config.out_dir, "resolved_config.json"))
     cells = _collect_cells(config)
-    rows = select_and_summarize(config, cells)
+    rows = select_and_summarize(cells)
     write_csv(os.path.join(config.out_dir, "cells.csv"), cells, CELL_COLUMNS)
     write_csv(
         os.path.join(config.out_dir, "timings.csv"),
@@ -422,10 +415,14 @@ def run_gap_study(config: ExperimentConfig) -> list[dict]:
 
 def solution_to_dict(sol: MsvddSolution, model: DetectionModel | None = None) -> dict:
     """JSON-ready solution; the spheres' input-space centres are added under
-    ``linear_centers`` when ``model`` is a linear-kernel model of ``sol``."""
+    ``linear_centers`` when ``model`` is a linear-kernel model of ``sol``.
+    A sphere's free and bound support vectors are the members with weights
+    in (tol, C - tol) and [C - tol, C], tol the feasibility tolerance; the
+    weights 1/|S| > C of a zero-radius sphere fall in neither."""
     def finite(x):
         return x if math.isfinite(x) else None
 
+    tol = DEFAULT_TOLS.feasibility
     payload = {
         "status": sol.status.value,
         "objective": finite(sol.objective),
@@ -435,7 +432,7 @@ def solution_to_dict(sol: MsvddSolution, model: DetectionModel | None = None) ->
         "p": sol.p,
         "C": finite(sol.C),
         "enforce_cardinality": sol.enforce_cardinality,
-        "assignment": [int(j) for j in sol.assignment.sphere_of],
+        "assignment": [int(j) for j in sol.sphere_of],
         "spheres": [
             {
                 "members": list(s.members),
@@ -444,8 +441,8 @@ def solution_to_dict(sol: MsvddSolution, model: DetectionModel | None = None) ->
                 "errors": [float(e) for e in s.errors],
                 "objective": s.objective,
                 "C": s.C,
-                "support_free": list(s.support_free),
-                "support_bound": list(s.support_bound),
+                "support_free": [i for i, a in zip(s.members, s.alpha) if tol < a < s.C - tol],
+                "support_bound": [i for i, a in zip(s.members, s.alpha) if s.C - tol <= a <= s.C],
             }
             for s in sol.spheres
         ],

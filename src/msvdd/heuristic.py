@@ -19,7 +19,6 @@ import numpy as np
 from .errors import COUNT, FRACTION, INTEGER, InputError, checked
 from .kernels import GramMatrix
 from .solution import (
-    Assignment,
     IncumbentRecord,
     MsvddSolution,
     SolveStatus,
@@ -156,7 +155,7 @@ def solve_heuristic(gram_matrix: GramMatrix, config: HeuristicConfig) -> MsvddSo
             best = (state, history, log)
     (sphere_of, spheres, obj), history, log = best
     return MsvddSolution(
-        assignment=Assignment(sphere_of),
+        sphere_of=sphere_of,
         spheres=tuple(spheres),
         objective=obj,
         status=SolveStatus.TIME_LIMIT_INCUMBENT,

@@ -22,31 +22,6 @@ class SolveStatus(enum.Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass
-class Assignment:
-    """Point-to-sphere map; entries are sphere ids or UNASSIGNED (-1)."""
-
-    sphere_of: np.ndarray
-
-    def __post_init__(self):
-        self.sphere_of = np.asarray(self.sphere_of, dtype=np.int16)
-
-    @classmethod
-    def empty(cls, n: int) -> "Assignment":
-        return cls(np.full(n, UNASSIGNED, dtype=np.int16))
-
-    @property
-    def n(self) -> int:
-        return self.sphere_of.size
-
-    def members(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.sphere_of == j)
-
-    def counts(self, p: int) -> np.ndarray:
-        assigned = self.sphere_of[self.sphere_of >= 0]
-        return np.bincount(assigned, minlength=p)[:p]
-
-
 @dataclass(frozen=True)
 class IncumbentRecord:
     """One improving feasible solution found during a solve, with its spheres."""
@@ -61,14 +36,16 @@ class IncumbentRecord:
 class MsvddSolution:
     """A complete multisphere solution.
 
-    For exact solves ``objective`` is sum(R_j) + C * sum(xi_i) under the
-    global C; for heuristic solves each sphere carries its own per-cluster C
-    and ``objective`` sums the per-sphere values accordingly.
+    ``sphere_of`` is the int16 point-to-sphere map, as in `IncumbentRecord`,
+    and all UNASSIGNED (-1) for an infeasible solve.  For exact solves
+    ``objective`` is sum(R_j) + C * sum(xi_i) under the global C; for
+    heuristic solves each sphere carries its own per-cluster C and
+    ``objective`` sums the per-sphere values accordingly.
     ``iterate_objectives`` is only populated by the heuristic (one entry per
     alternation step).
     """
 
-    assignment: Assignment
+    sphere_of: np.ndarray
     spheres: tuple[SvddSolution, ...]
     objective: float
     status: SolveStatus

@@ -24,11 +24,11 @@ free weights (the face solve of active-set SVM methods, Scheinberg, JMLR
 taken twice in a row, and refused when it would not raise the dual.  A warm
 start's first block is one pair step, which brings a branch-and-bound child's
 new zero-weight point onto the face, so the face step follows at once.
-The radius and per-point errors are recovered from the induced distances by a
-one-dimensional piecewise-linear minimization (`recover_radius`), which is
-total (it needs no free support vector) and returns the smallest minimizer on
-ties.  `grow_certified` applies the same certificate to a solved sphere grown
-by one point, without a solve.
+The radius is recovered from the induced distances by a one-dimensional
+piecewise-linear minimization (`recover_radius`), which is total (it needs no
+free support vector) and returns the smallest minimizer on ties; the errors
+follow from it.  `grow_certified` applies the same certificate to a solved
+sphere grown by one point, without a solve.
 """
 
 from __future__ import annotations
@@ -65,32 +65,34 @@ DEFAULT_TOLS = SolverTolerances()
 
 @dataclass(frozen=True)
 class SvddSolution:
-    """One solved sphere.
+    """One solved sphere: its weights ``alpha`` and radius ``radius_sq``.
 
-    ``alpha``, ``errors`` and ``distances_sq`` are indexed like ``members``
-    (ascending global point indices).  ``objective`` is the primal value
-    radius_sq + C * sum(errors); ``gap`` is the certified distance to the dual
-    optimum at termination.  ``support`` holds the global indices of the
-    members with nonzero weight (ascending, so aligned with
-    ``alpha[alpha > 0]``) and ``alpha_quad`` the value alpha' K alpha at the
-    certified point; together they give distances to the center without the
-    members' Gram block.
+    ``alpha`` and ``distances_sq`` are indexed like ``members`` (ascending
+    global point indices), and the errors follow from them (`errors`).
+    ``objective`` is the primal value radius_sq + C * sum(errors); ``gap`` is
+    the certified distance to the dual optimum at termination.  ``support``
+    holds the global indices of the members with nonzero weight (ascending,
+    so aligned with ``alpha[alpha > 0]``) and ``alpha_quad`` the value
+    alpha' K alpha at the certified point; together they give distances to
+    the center without the members' Gram block.
     """
 
     members: tuple[int, ...]
     alpha: np.ndarray
     radius_sq: float
-    errors: np.ndarray
     distances_sq: np.ndarray
     objective: float
     C: float
-    support_free: tuple[int, ...]
-    support_bound: tuple[int, ...]
     dual_objective: float
     gap: float
     iterations: int
     support: np.ndarray
     alpha_quad: float
+
+    @property
+    def errors(self) -> np.ndarray:
+        """Per-member errors max(0, d2 - R), as `recover_radius` gives them."""
+        return np.maximum(0.0, self.distances_sq - self.radius_sq)
 
 
 def project_capped_simplex(v, cap: float) -> np.ndarray:
@@ -193,7 +195,7 @@ def solve_svdd(
     block of a warm start holds one.  ``iterations`` counts pair steps plus
     accepted face steps, and ``max_iters`` caps that sum.
     Raises InfeasibleSubproblemError when C * |S| < 1 and ConvergenceError
-    (carrying the best iterate and its gap) if the iteration cap is hit or no
+    (carrying the smallest gap reached) if the iteration cap is hit or no
     pair step can close the gap.
     """
     idx = _as_member_tuple(members, gram_matrix.n)
@@ -216,7 +218,6 @@ def solve_svdd(
     # floor for the pair curvature, which is 0 on duplicate points
     eta_floor = _ETA_FLOOR * max(float(q.max()), np.finfo(float).tiny)
     best_gap = np.inf
-    best_alpha = None
     it = 0
     # a face step needs an SMO block with steps since the start or the last one
     face_ready = False
@@ -229,10 +230,9 @@ def solve_svdd(
         d2 = np.maximum(q - 2.0 * Ka + quad, 0.0)
         R, xi = recover_radius(d2, C)
         gap = max(float(R + C * xi.sum()) - dual, 0.0)
-        if gap < best_gap:
-            best_gap, best_alpha = gap, a.copy()
+        best_gap = min(best_gap, gap)
         if gap <= DEFAULT_TOLS.duality_gap:
-            return _assemble(ia, a, d2, R, xi, C, dual, quad, gap, it, DEFAULT_TOLS.feasibility)
+            return _assemble(ia, a, d2, R, xi, C, dual, quad, gap, it)
 
         # SMO pair steps on min a'Ka - q'a; G is its gradient
         G = 2.0 * Ka - q
@@ -271,10 +271,7 @@ def solve_svdd(
 
     reason = "iteration cap hit" if it >= max_iters else "stalled"
     raise ConvergenceError(
-        f"no convergence after {it} iterations, {reason} (gap {best_gap:.3e})",
-        alpha=best_alpha,
-        gap=best_gap,
-        iterations=it,
+        f"no convergence after {it} iterations, {reason} (gap {best_gap:.3e})", best_gap
     )
 
 
@@ -360,20 +357,15 @@ def _face_step(K, a, G, C):
     return F, delta
 
 
-def _assemble(ia, a, d2, R, xi, C, dual, quad, gap, iters, feas_tol):
+def _assemble(ia, a, d2, R, xi, C, dual, quad, gap, iters):
     a = np.clip(a, 0.0, C)
-    bound = a >= C - feas_tol
-    objective = float(R + C * xi.sum())
     return SvddSolution(
         members=tuple(ia.tolist()),
         alpha=a,
         radius_sq=float(R),
-        errors=xi,
         distances_sq=d2,
-        objective=objective,
+        objective=float(R + C * xi.sum()),
         C=float(C),
-        support_free=tuple(ia[(a > feas_tol) & ~bound].tolist()),
-        support_bound=tuple(ia[bound].tolist()),
         dual_objective=dual,
         gap=float(gap),
         iterations=iters,
@@ -404,7 +396,7 @@ def grow_certified(parent: SvddSolution, point: int, distance_sq: float) -> Svdd
     ia = np.asarray(parent.members[:pos] + (point,) + parent.members[pos:])
     a = np.concatenate((parent.alpha[:pos], [0.0], parent.alpha[pos:]))
     dual, quad = parent.dual_objective, parent.alpha_quad
-    return _assemble(ia, a, d2, R, xi, C, dual, quad, gap, 0, DEFAULT_TOLS.feasibility)
+    return _assemble(ia, a, d2, R, xi, C, dual, quad, gap, 0)
 
 
 def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSolution:
@@ -428,12 +420,9 @@ def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSoluti
         members=idx,
         alpha=a,
         radius_sq=0.0,
-        errors=d2.copy(),
         distances_sq=d2,
         objective=objective,
         C=float(C),
-        support_free=(),
-        support_bound=(),
         dual_objective=objective,
         gap=0.0,
         iterations=0,

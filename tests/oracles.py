@@ -6,7 +6,8 @@ the radius, the multisphere oracle enumerates every canonical assignment, and
 the coordinate-space Gram reconstructs inner products from pairwise squared
 Euclidean distances only.  The last few helpers are reference versions of
 package code that tests compare against (a rank loop, a sort-based radius
-recovery, input-space scores) and a monotonicity check on the sphere solver.
+recovery, input-space scores, the ROC curve whose area `auc_roc` gives) and a
+monotonicity check on the sphere solver.
 
 Two oracles certify whole multisphere solutions.  The big-M check tests a
 solution against every (point, sphere) constraint of the paper's
@@ -29,7 +30,6 @@ from msvdd.detection import DetectionModel, linear_centers
 from msvdd.errors import InputError
 from msvdd.kernels import GramMatrix, KernelKind, KernelSpec
 from msvdd.solution import (
-    Assignment,
     MsvddSolution,
     SolveStatus,
     canonical_objective,
@@ -155,6 +155,21 @@ def average_ranks_loop(values):
     return ranks
 
 
+def roc_curve(scores, labels):
+    """(thresholds, fpr, tpr) of the ROC curve, outliers (truthy labels) the
+    positive class: thresholds descend from inf, with one curve point per
+    distinct score, so tied scores take one step together."""
+    s = np.asarray(scores, dtype=float).ravel()
+    y = np.asarray(labels).astype(bool).ravel()
+    desc = np.argsort(-s, kind="mergesort")
+    ss, yy = s[desc], y[desc]
+    last_of_group = np.flatnonzero(np.r_[ss[1:] != ss[:-1], True])
+    tp = np.cumsum(yy)[last_of_group]
+    fp = np.cumsum(~yy)[last_of_group]
+    thresholds = np.r_[np.inf, ss[last_of_group]]
+    return thresholds, np.r_[0.0, fp / fp[-1]], np.r_[0.0, tp / tp[-1]]
+
+
 def trapezoid_auc(fpr, tpr) -> float:
     # written out, since numpy before 2.0 names the rule np.trapz
     fpr, tpr = np.asarray(fpr, dtype=float), np.asarray(tpr, dtype=float)
@@ -231,7 +246,7 @@ def compute_delta_dual(gram_matrix: GramMatrix, C: float, i: int) -> float:
 
 def xi_full(solution: MsvddSolution) -> np.ndarray:
     """Per-point errors, each taken from the point's assigned sphere."""
-    xi = np.zeros(solution.assignment.n)
+    xi = np.zeros(solution.sphere_of.size)
     for s in solution.spheres:
         xi[list(s.members)] = s.errors
     return xi
@@ -250,31 +265,32 @@ def verify_bigM_feasibility(
     d2 = sphere_distances_sq(gram_matrix, solution.spheres)
     radii = np.array([s.radius_sq for s in solution.spheres])
     z = np.zeros_like(d2)
-    z[np.arange(solution.assignment.n), solution.assignment.sphere_of] = 1.0
+    z[np.arange(solution.sphere_of.size), solution.sphere_of] = 1.0
     rhs = radii[None, :] + xi_full(solution)[:, None] + deltas[:, None] * (1.0 - z)
     return bool(np.all(d2 <= rhs + tol))
 
 
 def evaluate_assignment(
     gram_matrix: GramMatrix,
-    assignment: Assignment,
+    sphere_of,
     p: int,
     C: float,
     enforce_cardinality: bool = True,
 ) -> MsvddSolution | None:
-    """Re-solve every sphere of a complete assignment cold under a single
-    global C.
+    """Re-solve every sphere of a complete point-to-sphere map cold under a
+    single global C.
 
     Returns None when the assignment is infeasible for the requested model
     (an empty sphere, or a sphere below the ceil(1/C) cardinality floor).
     """
-    if np.any(assignment.sphere_of < 0):
+    sphere_of = np.array(sphere_of, dtype=np.int16)
+    if np.any(sphere_of < 0):
         raise InputError("evaluate_assignment needs a complete assignment")
-    if np.any(assignment.counts(p) < min_members(C, enforce_cardinality)):
+    if np.any(np.bincount(sphere_of, minlength=p)[:p] < min_members(C, enforce_cardinality)):
         return None
-    spheres = tuple(solve_sphere(gram_matrix, assignment.members(j), C) for j in range(p))
+    spheres = tuple(solve_sphere(gram_matrix, np.flatnonzero(sphere_of == j), C) for j in range(p))
     return MsvddSolution(
-        assignment=Assignment(assignment.sphere_of.copy()),
+        sphere_of=sphere_of,
         spheres=spheres,
         objective=canonical_objective([s.objective for s in spheres]),
         status=SolveStatus.TIME_LIMIT_INCUMBENT,

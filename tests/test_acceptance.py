@@ -170,7 +170,7 @@ def test_criterion_05_structural_properties(exact_battery):
         if sol.status is not SolveStatus.OPTIMAL:
             continue
         checked += 1
-        counts = sol.assignment.counts(inst.p)
+        counts = np.bincount(sol.sphere_of, minlength=inst.p)
         assert np.all(counts >= 1)  # every sphere nonempty
         assert all(s.radius_sq >= 0.0 for s in sol.spheres)  # nonneg radii
         objs = [s.objective for s in sol.spheres]
@@ -276,7 +276,7 @@ def test_criterion_09_heuristic_contract(exact_battery):
         assert 1 <= len(hist) <= 200
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
         under_c = evaluate_assignment(
-            inst.gram, heur.assignment, inst.p, inst.C, enforce_cardinality=True
+            inst.gram, heur.sphere_of, inst.p, inst.C, enforce_cardinality=True
         )
         # assignments below the cardinality floor are infeasible for the
         # exact model: treated as an infinite upper bound

@@ -141,6 +141,20 @@ class TestSolve:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["solve", "cv", "gap"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--kernel", "linear", "--sigma2", 0.5], "--sigma2 needs --kernel rbf"),
+        (["--sigma2", 0.5], "--sigma2 needs --kernel rbf"),
+        (["--kernel", "rbf"], "--kernel rbf needs --sigma2"),
+    ], ids=["linear", "no-kernel", "rbf-alone"])
+    def test_one_kernel_flag_rule(self, dataset_dir, tmp_path, capsys, command, flags, message):
+        # solve once ran --kernel linear --sigma2 0.5 as linear and exited 0
+        out = tmp_path / command
+        data = ["--data", dataset_dir / "dataset.csv"] if command == "solve" else []
+        assert run_cli([command, *data, *flags, "--out", out]) == 1
+        assert f"input error: {message}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_rbf_solve(self, dataset_dir, tmp_path):
         out = tmp_path / "rbf"
         code = run_cli(

@@ -26,6 +26,8 @@ MALFORMED_CSV = {
     "non_finite_coordinate": (VALID_PREFIX + "1.0,nan,0,train\n", 3),
     "non_integer_label": (VALID_PREFIX + "1.0,2.0,zero,train\n", 3),
     "empty_file": ("", 1),
+    "header_only": ("x1,x2,label,split\n", 1),
+    "no_coordinate_columns": ("label,split\n0,train\n1,test\n", 1),
 }
 
 
@@ -271,3 +273,15 @@ class TestDatasetCsv:
         with pytest.raises(ParseError) as err:
             read_dataset_csv(path)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("case, message", [
+        ("header_only", "line 1: no data rows"),
+        ("no_coordinate_columns", "line 1: no coordinate columns"),
+    ])
+    def test_empty_dataset_is_named(self, tmp_path, case, message):
+        # np.atleast_2d once read these as one point of shape (1, 0) and as
+        # two points of shape (2, 0)
+        path = tmp_path / "empty.csv"
+        path.write_text(MALFORMED_CSV[case][0])
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            read_dataset_csv(path)

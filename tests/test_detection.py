@@ -17,7 +17,7 @@ from msvdd.detection import (
 from msvdd.errors import InputError, UndefinedMetricError
 from msvdd.exact import MsvddProblem, solve_exact
 from msvdd.kernels import LINEAR, KernelKind, KernelSpec, cross_kernel, gram, rbf
-from oracles import average_ranks_loop, geometric_scores, trapezoid_auc, xi_full
+from oracles import average_ranks_loop, geometric_scores, roc_curve, trapezoid_auc, xi_full
 
 
 def manual_model(centers, radii):
@@ -148,15 +148,15 @@ class TestAucRoc:
         labels = r.integers(0, 2, size=n)
         if labels.sum() in (0, n):
             labels[0] = 1 - labels[0]
-        roc = auc_roc(scores, labels)
-        assert np.all(np.diff(roc.fpr) >= 0)
-        assert np.all(np.diff(roc.tpr) >= 0)
-        assert roc.fpr[0] == 0.0 and roc.tpr[0] == 0.0
-        assert roc.fpr[-1] == 1.0 and roc.tpr[-1] == 1.0
-        # one curve point per threshold, the first above every score
-        assert roc.thresholds[0] == np.inf
-        assert len(roc.thresholds) == len(roc.fpr) == len(roc.tpr)
-        assert abs(roc.auc - trapezoid_auc(roc.fpr, roc.tpr)) <= 1e-12
+        thresholds, fpr, tpr = roc_curve(scores, labels)
+        assert np.all(np.diff(fpr) >= 0)
+        assert np.all(np.diff(tpr) >= 0)
+        assert fpr[0] == 0.0 and tpr[0] == 0.0
+        assert fpr[-1] == 1.0 and tpr[-1] == 1.0
+        # one curve point per distinct score, after a first threshold above them all
+        assert thresholds[0] == np.inf
+        assert len(thresholds) == len(fpr) == len(tpr) == np.unique(scores).size + 1
+        assert abs(auc_roc(scores, labels).auc - trapezoid_auc(fpr, tpr)) <= 1e-12
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_invariance_under_increasing_transform(self, seed):

@@ -21,7 +21,6 @@ from msvdd.exact import (
 )
 from msvdd.kernels import LINEAR, gram, rbf
 from msvdd.solution import (
-    Assignment,
     SolveStatus,
     canonical_objective,
     min_members,
@@ -93,10 +92,10 @@ class TestDeltaDual:
             assert np.all(d2 <= delta + 1e-9), (i, d2.max(), delta)
 
 
-def branch(assignment, g, C, p, enforce_cardinality=True):
+def branch(sphere_of, g, C, p, enforce_cardinality=True):
     """Children of a partial assignment, as the search makes them, under the
     floor ``enforce_cardinality`` gives."""
-    node = _node_of(assignment, g, C, p)
+    node = _node_of(sphere_of, g, C, p)
     return _expand(node, g, C, p, min_members(C, enforce_cardinality))
 
 
@@ -104,7 +103,7 @@ class TestBranch:
     def test_root_single_child(self, rng):
         pts = rng.normal(size=(5, 2))
         g = gram(LINEAR, pts)
-        children = branch(Assignment.empty(5), g, 1.0, p=3)
+        children = branch(np.full(5, -1), g, 1.0, p=3)
         assert len(children) == 1
         assert children[0].sphere_of[0] == 0
         assert (children[0].sphere_of >= 0).sum() == 1
@@ -112,7 +111,7 @@ class TestBranch:
     def test_two_used_one_fresh(self, rng):
         pts = rng.normal(size=(5, 2))
         g = gram(LINEAR, pts)
-        a = Assignment(np.array([0, 1, -1, -1, -1]))
+        a = np.array([0, 1, -1, -1, -1])
         children = branch(a, g, 1.0, p=3)
         assert len(children) == 3
         spheres = sorted(int(c.sphere_of[c.sphere_of >= 0].size) for c in children)
@@ -122,20 +121,20 @@ class TestBranch:
         # spheres at 0 and 10: a best-vs-second-best gap rule would take the
         # point at 1 (costs 1 vs 81); the point at 5 is 25 from both centers
         g = gram(LINEAR, [[0.0], [10.0], [1.0], [5.0]])
-        children = branch(Assignment(np.array([0, 1, -1, -1])), g, 1.0, p=2)
+        children = branch(np.array([0, 1, -1, -1]), g, 1.0, p=2)
         assert len(children) == 2
         assert all(c.sphere_of[3] >= 0 and c.sphere_of[2] == -1 for c in children)
 
     def test_all_spheres_nonempty(self, rng):
         pts = rng.normal(size=(5, 2))
         g = gram(LINEAR, pts)
-        a = Assignment(np.array([0, 1, 2, -1, -1]))
+        a = np.array([0, 1, 2, -1, -1])
         assert len(branch(a, g, 1.0, p=3)) == 3
 
     def test_drops_children_that_cannot_fill_every_sphere(self, rng):
         # joining sphere 0 leaves one point for the two empty spheres
         g = gram(LINEAR, rng.normal(size=(3, 2)))
-        children = branch(Assignment(np.array([0, -1, -1])), g, 1.0, p=3)
+        children = branch(np.array([0, -1, -1]), g, 1.0, p=3)
         assert len(children) == 1
         assert int(children[0].sphere_of.max()) == 1
 
@@ -143,7 +142,7 @@ class TestBranch:
         # C = 0.3 asks for 4 members per sphere, which 5 points cannot give
         # two spheres; without the floor each sphere needs only one member
         g = gram(LINEAR, rng.normal(size=(5, 2)))
-        a = Assignment(np.array([0, -1, -1, -1, -1]))
+        a = np.array([0, -1, -1, -1, -1])
         assert branch(a, g, 0.3, p=2) == []
         children = branch(a, g, 0.3, p=2, enforce_cardinality=False)
         assert sorted(int(c.sphere_of.max()) for c in children) == [0, 1]
@@ -166,7 +165,7 @@ class TestExpand:
         # max-min point 0.1 lies inside it, so the parent's weights plus a 0
         # certify the grown sphere
         g = gram(LINEAR, [[-2.0], [2.0], [0.1], [-0.1]])
-        node = _node_of(Assignment(np.array([0, 0, -1, -1])), g, 1.0, 1)
+        node = _node_of(np.array([0, 0, -1, -1]), g, 1.0, 1)
         calls = count_sphere_solves(monkeypatch)
         (child,) = _expand(node, g, 1.0, 1, 1)
         assert calls == []
@@ -183,7 +182,7 @@ class TestExpand:
 
     def test_far_point_is_solved(self, monkeypatch):
         g = gram(LINEAR, [[-2.0], [2.0], [9.0]])
-        node = _node_of(Assignment(np.array([0, 0, -1])), g, 1.0, 1)
+        node = _node_of(np.array([0, 0, -1]), g, 1.0, 1)
         calls = count_sphere_solves(monkeypatch)
         (child,) = _expand(node, g, 1.0, 1, 1)
         assert calls == [(0, 1, 2)]
@@ -206,7 +205,7 @@ class TestExpand:
 
     def test_failed_warm_solve_retries_cold(self, monkeypatch):
         g = gram(LINEAR, [[-2.0], [2.0], [9.0]])
-        node = _node_of(Assignment(np.array([0, 0, -1])), g, 1.0, 1)
+        node = _node_of(np.array([0, 0, -1]), g, 1.0, 1)
         calls = self.failing_solves(monkeypatch, fail_cold=False)
         (child,) = _expand(node, g, 1.0, 1, 1)
         assert calls == [True, False]
@@ -215,7 +214,7 @@ class TestExpand:
 
     def test_child_solve_fails_after_cold_retry(self, monkeypatch):
         g = gram(LINEAR, [[-2.0], [2.0], [9.0]])
-        node = _node_of(Assignment(np.array([0, 0, -1])), g, 1.0, 1)
+        node = _node_of(np.array([0, 0, -1]), g, 1.0, 1)
         calls = self.failing_solves(monkeypatch, fail_cold=True)
         with pytest.raises(SolverFailure, match="on 3 members failed to converge twice") as err:
             _expand(node, g, 1.0, 1, 1)
@@ -236,13 +235,13 @@ class TestExpand:
         pts = r.normal(scale=1.5, size=(n, 2))
         spec = rbf(float(r.uniform(0.2, 2.0))) if r.random() < 0.5 else LINEAR
         g = gram(spec, pts)
-        node = _node_of(Assignment.empty(n), g, C, p)
+        node = _node_of(np.full(n, -1), g, C, p)
         while node.depth < n:
             children = _expand(node, g, C, p, floor)
             if not children:
                 break
             for child in children:
-                cold = _node_of(Assignment(child.sphere_of), g, C, p).lb
+                cold = _node_of(child.sphere_of, g, C, p).lb
                 slack = p * DEFAULT_TOLS.duality_gap + 1e-12 * max(1.0, abs(cold))
                 assert abs(child.lb - cold) <= slack
             node = children[int(r.integers(len(children)))]
@@ -256,11 +255,11 @@ class TestCompletionLift:
         g = gram(LINEAR, [[0.0], [1.0], [3.0]])
         C = 1.0 / 3.0
         assert _centroid_size(C, True) == 3
-        node = _node_of(Assignment(np.array([0, -1, -1])), g, C, 1)
+        node = _node_of(np.array([0, -1, -1]), g, C, 1)
         point, _, lift = _pick(node, g, _centroid_size(C, True))
         assert point == 2
         assert lift == pytest.approx(10.0 / 9.0, abs=1e-12)
-        best = evaluate_assignment(g, Assignment(np.array([0, 0, 0])), 1, C)
+        best = evaluate_assignment(g, np.array([0, 0, 0]), 1, C)
         assert best.objective == pytest.approx(42.0 / 27.0, abs=1e-9)
 
     @pytest.mark.parametrize("C,size", [(0.2, 5), (0.3, 3), (0.5, 2), (0.45, 2), (1.0, 1)])
@@ -284,7 +283,7 @@ class TestCompletionLift:
         base = r.integers(0, p, size=n)
         free = r.choice(n, size=int(r.integers(n // 2, min(n - 1, 7) + 1)), replace=False)
         base[free] = -1
-        node = _node_of(Assignment(base), g, C, p)
+        node = _node_of(base, g, C, p)
         lift = _pick(node, g, _centroid_size(C, True))[2]
         assert lift >= 0.0
         assert _pick(node, g, _centroid_size(C, False))[2] == 0.0
@@ -292,7 +291,7 @@ class TestCompletionLift:
         for combo in itertools.product(range(p), repeat=free.size):
             full = base.copy()
             full[free] = combo
-            sol = evaluate_assignment(g, Assignment(full), p, C)
+            sol = evaluate_assignment(g, full, p, C)
             if sol is not None:
                 best = min(best, sol.objective)
         assert node.lb + lift <= best + 1e-9
@@ -315,11 +314,11 @@ class TestRepairCardinality:
 class TestLowerBound:
     def test_all_unassigned(self, rng):
         g = gram(LINEAR, rng.normal(size=(6, 2)))
-        assert _node_of(Assignment.empty(6), g, 1.0, 2).lb == 0.0
+        assert _node_of(np.full(6, -1), g, 1.0, 2).lb == 0.0
 
     def test_tight_at_leaves(self, two_cluster_solution):
         g, sol = two_cluster_solution
-        lb = _node_of(sol.assignment, g, 1.0, 2).lb
+        lb = _node_of(sol.sphere_of, g, 1.0, 2).lb
         assert lb == pytest.approx(sol.objective, abs=1e-8)
 
     def test_sums_certified_dual_values(self, rng):
@@ -327,8 +326,8 @@ class TestLowerBound:
 
         g = gram(rbf(0.5), rng.normal(size=(12, 2)))
         C = 0.3
-        a = Assignment(np.array([0, 1, 0, -1, 1, 0, 1, 0, 2, 1, 0, 1]))
-        sols = [solve_sphere(g, a.members(j), C) for j in range(3)]
+        a = np.array([0, 1, 0, -1, 1, 0, 1, 0, 2, 1, 0, 1])
+        sols = [solve_sphere(g, np.flatnonzero(a == j), C) for j in range(3)]
         # the primal values sit above the dual ones by up to the gap tolerance
         assert sum(s.objective for s in sols) > sum(s.dual_objective for s in sols)
         assert _node_of(a, g, C, 3).lb == sum(s.dual_objective for s in sols)
@@ -337,7 +336,7 @@ class TestLowerBound:
         from msvdd.svdd import solve_svdd
 
         g = gram(LINEAR, TWO_CLUSTERS_1D)
-        a = Assignment(np.array([0, 0, 0, -1, -1, -1]))
+        a = np.array([0, 0, 0, -1, -1, -1])
         expected = solve_svdd(g, [0, 1, 2], 1.0).objective
         assert _node_of(a, g, 1.0, 2).lb == pytest.approx(expected, abs=1e-9)
 
@@ -345,16 +344,16 @@ class TestLowerBound:
         pts = rng.normal(size=(7, 2))
         g = gram(LINEAR, pts)
         C = 0.5
-        partial = Assignment(np.array([0, 1, -1, -1, 0, -1, -1]))
+        partial = np.array([0, 1, -1, -1, 0, -1, -1])
         lb = _node_of(partial, g, C, 2).lb
-        base = partial.sphere_of.copy()
+        base = partial.copy()
         free = np.flatnonzero(base < 0)
         from itertools import product
 
         for combo in product(range(2), repeat=free.size):
             full = base.copy()
             full[free] = combo
-            sol = evaluate_assignment(g, Assignment(full), 2, C)
+            sol = evaluate_assignment(g, full, 2, C)
             if sol is not None:
                 assert sol.objective >= lb - 1e-7
 
@@ -374,8 +373,8 @@ class TestSolveExact:
     def test_two_cluster_natural_split(self, two_cluster_solution):
         g, sol = two_cluster_solution
         assert sol.status is SolveStatus.OPTIMAL
-        left = set(sol.assignment.sphere_of[:3])
-        right = set(sol.assignment.sphere_of[3:])
+        left = set(sol.sphere_of[:3])
+        right = set(sol.sphere_of[3:])
         assert len(left) == 1 and len(right) == 1 and left != right
         oracle, _ = enumerate_msvdd(g, 2, 1.0)
         assert sol.objective == pytest.approx(oracle, abs=1e-6)
@@ -484,7 +483,7 @@ class TestSolveExact:
         assert sol.lower_bound <= sol.objective
         # weak duality at the leaf, up to the rounding of the two sums
         slack = 1e-12 * max(1.0, sol.objective)
-        assert _node_of(sol.assignment, g, C, p).lb <= sol.objective + slack
+        assert _node_of(sol.sphere_of, g, C, p).lb <= sol.objective + slack
 
     def test_infeasible_cardinality(self, rng):
         g = gram(LINEAR, rng.normal(size=(6, 2)))
@@ -504,7 +503,7 @@ class TestSolveExact:
         assert sol.objective == math.inf and sol.lower_bound == math.inf
         assert sol.node_count == 0
         assert sol.spheres == () and sol.incumbent_log == ()
-        assert list(sol.assignment.sphere_of) == [-1] * 6
+        assert list(sol.sphere_of) == [-1] * 6
 
     def test_time_limit_before_any_incumbent(self, rng):
         # with p = n there is no root heuristic, and a zero limit stops the
@@ -514,7 +513,7 @@ class TestSolveExact:
         assert sol.status is SolveStatus.TIME_LIMIT_INCUMBENT
         assert sol.objective == math.inf
         assert sol.spheres == () and sol.incumbent_log == ()
-        assert list(sol.assignment.sphere_of) == [-1] * 3
+        assert list(sol.sphere_of) == [-1] * 3
         assert sol.node_count == 0
         assert sol.lower_bound == 0.0
 
@@ -574,7 +573,7 @@ class TestSolveExact:
         sol = solve_exact(MsvddProblem(gram=g, p=3, C=0.3, seed=0))
         assert len(sol.incumbent_log) >= 1
         for rec in sol.incumbent_log:
-            cold = evaluate_assignment(g, Assignment(rec.sphere_of), 3, 0.3)
+            cold = evaluate_assignment(g, rec.sphere_of, 3, 0.3)
             assert [s.members for s in rec.spheres] == [s.members for s in cold.spheres]
             assert canonical_objective([s.objective for s in rec.spheres]) == rec.objective
             assert rec.objective == pytest.approx(cold.objective, abs=1e-7)
@@ -664,13 +663,19 @@ class TestVerifyBigM:
 
         g, sol = two_cluster_solution
         deltas = [compute_delta_primal(TWO_CLUSTERS_1D, i) for i in range(6)]
+        # the errors follow the radius and the stored distances, so shifting
+        # both by 1 shrinks the radius and keeps the errors
+        s = sol.spheres[0]
         shrunk = dataclasses.replace(
             sol,
             spheres=(
-                dataclasses.replace(sol.spheres[0], radius_sq=sol.spheres[0].radius_sq - 1.0),
+                dataclasses.replace(
+                    s, radius_sq=s.radius_sq - 1.0, distances_sq=s.distances_sq - 1.0
+                ),
                 sol.spheres[1],
             ),
         )
+        assert np.allclose(shrunk.spheres[0].errors, s.errors)
         assert not verify_bigM_feasibility(shrunk, deltas, g)
 
     def test_zeroed_delta_fails(self, two_cluster_solution):
@@ -684,7 +689,7 @@ class TestVerifyBigM:
         broken = deltas.copy()
         found = False
         for i in range(6):
-            j = 1 - int(sol.assignment.sphere_of[i])
+            j = 1 - int(sol.sphere_of[i])
             if d2[i, j] > radii[j] + xi[i] + 1e-6:
                 broken[i] = 0.0
                 found = True

@@ -395,6 +395,51 @@ class TestRunGapStudy:
             assert repr(row["test_auc"]) == cells[run_id]["test_auc"]
 
 
+class TestSolutionToDict:
+    def test_errors_and_support_as_stored_before(self, rng):
+        # two clusters and a far point: with p = 3 and no floor the far point
+        # gets a one-member sphere, which C * 1 < 1 collapses to radius zero
+        from msvdd.exact import MsvddProblem, solve_exact
+        from msvdd.experiments import solution_to_dict
+        from msvdd.kernels import LINEAR, gram
+        from msvdd.svdd import DEFAULT_TOLS, recover_radius
+
+        pts = np.vstack([rng.normal(size=(7, 2)) - 3, rng.normal(size=(7, 2)) + 3, [[12, 0]]])
+        g = gram(LINEAR, pts)
+        sol = solve_exact(MsvddProblem(gram=g, p=3, C=0.3, enforce_cardinality=False))
+        payload = solution_to_dict(sol)
+        assert sorted(len(s.members) for s in sol.spheres) == [1, 7, 7]
+        tol = DEFAULT_TOLS.feasibility
+        for s, entry in zip(sol.spheres, payload["spheres"]):
+            ia = np.asarray(s.members)
+            if ia.size == 1:
+                # the errors of a zero-radius sphere are its distances, and
+                # its weight 1 above the cap C = 0.3 lists it nowhere
+                assert s.radius_sq == 0.0
+                assert entry["errors"] == s.distances_sq.tolist()
+                assert entry["support_free"] == entry["support_bound"] == []
+                continue
+            # errors from the radius recovery, support from the weights
+            assert entry["errors"] == recover_radius(s.distances_sq, s.C)[1].tolist()
+            bound = s.alpha >= s.C - tol
+            assert entry["support_free"] == ia[(s.alpha > tol) & ~bound].tolist() != []
+            assert entry["support_bound"] == ia[bound].tolist() != []
+
+    def test_every_weight_at_the_cap_is_bound(self, rng):
+        # C * |S| == 1: the radius collapses to zero, but unlike a C * |S| < 1
+        # sphere every weight sits at the cap, so every member is bound
+        from msvdd.exact import MsvddProblem, solve_exact
+        from msvdd.experiments import solution_to_dict
+        from msvdd.kernels import LINEAR, gram
+
+        sol = solve_exact(MsvddProblem(gram=gram(LINEAR, rng.normal(size=(4, 2))), p=1, C=0.25))
+        (entry,) = solution_to_dict(sol)["spheres"]
+        assert entry["radius_sq"] == 0.0
+        assert entry["alpha"] == [0.25] * 4
+        assert entry["support_bound"] == [0, 1, 2, 3]
+        assert entry["support_free"] == []
+
+
 class TestEmitPlotData:
     def test_bundle_from_cv_results(self, tmp_path):
         config = small_config(tmp_path / "cv", seeds=(0,))

@@ -61,8 +61,8 @@ class TestSolveHeuristic:
         )
         exact = solve_exact(MsvddProblem(gram=g, p=2, C=1.0, seed=0))
         # same partition up to sphere labels
-        h = heur.assignment.sphere_of
-        e = exact.assignment.sphere_of
+        h = heur.sphere_of
+        e = exact.sphere_of
         match = np.all((h == h[0]) == (e == e[0]))
         assert match
 
@@ -103,7 +103,7 @@ class TestSolveHeuristic:
             C = 0.5
             exact = solve_exact(MsvddProblem(gram=g, p=2, C=C, seed=0))
             heur = solve_heuristic(g, HeuristicConfig(p=2, nu=0.25, seed=seed))
-            under_c = evaluate_assignment(g, heur.assignment, 2, C)
+            under_c = evaluate_assignment(g, heur.sphere_of, 2, C)
             if under_c is not None:
                 assert under_c.objective >= exact.objective - 1e-6
 
