@@ -53,15 +53,15 @@ def _kernels_from_args(names, sigma2s) -> list[KernelSpec]:
 
 def _add_solver_flags(sub):
     sub.add_argument("--p", type=int, default=2, help="number of spheres")
-    sub.add_argument("--C", type=float, default=0.2, help="outlier penalty (exact model)")
+    sub.add_argument("--C", type=float, default=None, help="outlier penalty (exact model, default 0.2)")
     sub.add_argument("--nu", type=float, default=None, help="run the heuristic with this outlier fraction instead")
     sub.add_argument("--kernel", choices=["linear", "rbf"], default="linear")
     sub.add_argument("--sigma2", type=float, default=None, help="RBF bandwidth (denominator)")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--time-limit", type=float, default=None)
+    sub.add_argument("--time-limit", type=float, default=None, help="exact model only")
     sub.add_argument(
-        "--cardinality", choices=["on", "off"], default="on",
-        help="enforce the ceil(1/C) member floor per sphere",
+        "--cardinality", choices=["on", "off"], default=None,
+        help="enforce the ceil(1/C) member floor per sphere (exact model, default on)",
     )
     sub.add_argument("--out", default="results")
 
@@ -83,6 +83,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.nu is not None:
+        exact_only = {"--C": args.C, "--time-limit": args.time_limit,
+                      "--cardinality": args.cardinality}
+        given = [flag for flag, value in exact_only.items() if value is not None]
+        if given:
+            raise InputError(f"--nu runs the heuristic, which takes no {', '.join(given)}")
     dataset = read_dataset_csv(args.data)
     if dataset.split is not None and "train" in set(dataset.split):
         train = dataset.subset("train")
@@ -97,8 +103,8 @@ def cmd_solve(args) -> int:
         problem = MsvddProblem(
             gram=gram_train,
             p=args.p,
-            C=args.C,
-            enforce_cardinality=args.cardinality == "on",
+            C=0.2 if args.C is None else args.C,
+            enforce_cardinality=args.cardinality != "off",
             time_limit=args.time_limit,
             seed=args.seed,
         )

@@ -49,7 +49,12 @@ def rbf(sigma_squared: float) -> KernelSpec:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Cached pairwise kernel values; immutable and safe to share across workers."""
+    """Cached pairwise kernel values; immutable and safe to share across workers.
+
+    ``values`` is stored as the symmetric part 0.5 * (v + v') of the given
+    matrix, which leaves a symmetric input unchanged and is all a quadratic
+    form a'Ka sees, so the solvers may read a Gram row in place of a column.
+    """
 
     values: np.ndarray
     spec: KernelSpec
@@ -58,9 +63,10 @@ class GramMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InputError("Gram matrix must be square")
+        v = v + v.T
+        v *= 0.5
         if not np.all(np.isfinite(v)):
             raise InputError("Gram matrix has NaN or infinite entries")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -88,8 +94,8 @@ def cross_kernel(spec: KernelSpec, X, Y) -> np.ndarray:
 def gram(spec: KernelSpec, points) -> GramMatrix:
     """Build the full Gram matrix once per dataset/kernel pair.
 
-    Symmetry is enforced by construction and the RBF diagonal is pinned to
-    exactly 1.
+    The RBF diagonal is pinned to exactly 1; `GramMatrix` makes the values
+    exactly symmetric.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -102,7 +108,6 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     if not np.all(np.isfinite(pts)):
         raise InputError("points contain NaN or infinite coordinates")
     values = cross_kernel(spec, pts, pts)
-    values = 0.5 * (values + values.T)
     if spec.kind is KernelKind.RBF:
         np.fill_diagonal(values, 1.0)
     return GramMatrix(values, spec)

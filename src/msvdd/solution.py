@@ -80,14 +80,16 @@ def sphere_distances_sq(gram_matrix: GramMatrix, spheres) -> np.ndarray:
     """(n, p) squared feature distances from every training point to every
     sphere center, computed from Gram entries alone.
 
-    Only the Gram columns of each sphere's support vectors are read; the
-    center's own term alpha' K alpha is the one stored with the sphere.
+    Only the Gram rows of each sphere's support vectors are read: they equal
+    its support columns, since `GramMatrix` is exactly symmetric, and are
+    contiguous where columns are strided.  The center's own term
+    alpha' K alpha is the one stored with the sphere.
     """
     K = gram_matrix.values
     diag = np.diag(K)
     cols = []
     for s in spheres:
-        w = K[:, s.support] @ s.alpha[s.alpha > 0.0]
+        w = s.alpha[s.alpha > 0.0] @ K[s.support]
         cols.append(diag - 2.0 * w + s.alpha_quad)
     d2 = np.stack(cols, axis=1)
     np.maximum(d2, 0.0, out=d2)

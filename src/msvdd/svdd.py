@@ -29,6 +29,13 @@ piecewise-linear minimization (`recover_radius`), which is total (it needs no
 free support vector) and returns the smallest minimizer on ties; the errors
 follow from it.  `grow_certified` applies the same certificate to a solved
 sphere grown by one point, without a solve.
+A solve reads the shared Gram matrix through the member indices and never
+copies the members' block: a pair step gathers the Gram rows of its two
+points at the members, a certificate forms K @ a from the rows of the
+nonzero weights, a face step gathers the rows of the free weights, and the
+cold start takes the member sums from one product of the Gram matrix with
+the member indicator.  Rows stand in for columns, which is exact because
+`GramMatrix` stores a symmetric matrix.
 """
 
 from __future__ import annotations
@@ -194,6 +201,10 @@ def solve_svdd(
     only exit.  Blocks hold `_CHECK_EVERY` pair steps, except that the first
     block of a warm start holds one.  ``iterations`` counts pair steps plus
     accepted face steps, and ``max_iters`` caps that sum.
+    Every read of ``gram_matrix`` goes through the member indices and copies
+    no m x m member block: the largest temporaries are the Gram rows of the
+    nonzero weights (at a certificate) or of the free weights (at a face
+    step), each of length n, the Gram matrix's point count.
     Raises InfeasibleSubproblemError when C * |S| < 1 and ConvergenceError
     (carrying the smallest gap reached) if the iteration cap is hit or no
     pair step can close the gap.
@@ -207,10 +218,10 @@ def solve_svdd(
             f"sphere with {m} members infeasible for C={C}: C*|S| < 1"
         )
     ia = np.asarray(idx)
-    K = gram_matrix.values[ia[:, None], ia]
-    q = np.ascontiguousarray(np.diag(K))
+    V = gram_matrix.values
+    q = V.diagonal()[ia]
 
-    a, warm = _start(K, q, C, warm_alpha)
+    a, warm = _start(V, ia, q, C, warm_alpha)
     # a warm start runs one pair step before its first face step, which
     # brings a new zero-weight point onto the face when it is needed
     block = 1 if warm else _CHECK_EVERY
@@ -221,7 +232,7 @@ def solve_svdd(
     it = 0
     # a face step needs an SMO block with steps since the start or the last one
     face_ready = False
-    Ka = K @ a
+    Ka = _member_gram_dot(V, ia, a)
     while True:
         # certificate from a fresh K @ a, so drift in the incremental
         # gradient can slow the loop but never certify a wrong point
@@ -238,27 +249,28 @@ def solve_svdd(
         G = 2.0 * Ka - q
         faced = False
         if face_ready and it < max_iters:
-            step = _face_step(K, a, G, C)
+            step = _face_step(V, ia, a, G, C)
             if step is not None:
-                F, delta = step
-                Ka += K[:, F] @ delta
+                rows_F, delta = step
+                Ka += delta @ rows_F
                 G = 2.0 * Ka - q
                 it += 1
                 faced = True
         steps = 0
         while steps < block and it < max_iters:
             G_up = np.where(a < C, G, np.inf)
-            i = int(np.argmin(G_up))
+            i = G_up.argmin()
             b = G - G_up[i]
             # the gap is at most the largest violation b_j over a_j > 0
-            if np.max(b, where=a > 0.0, initial=-np.inf) <= DEFAULT_TOLS.duality_gap:
+            if np.maximum.reduce(b, where=a > 0.0, initial=-np.inf) <= DEFAULT_TOLS.duality_gap:
                 break
-            eta = np.maximum(q[i] + q - 2.0 * K[i], eta_floor)
-            j = int(np.argmax(np.where((a > 0.0) & (b > 0.0), b * b / eta, -1.0)))
+            K_i = V[ia[i]][ia]
+            eta = np.maximum(q[i] + q - 2.0 * K_i, eta_floor)
+            j = np.where((a > 0.0) & (b > 0.0), b * b / eta, -1.0).argmax()
             t = min(b[j] / (2.0 * eta[j]), C - a[i], a[j])
             a[i] = C if t == C - a[i] else a[i] + t
             a[j] = 0.0 if t == a[j] else a[j] - t
-            G += 2.0 * t * (K[i] - K[j])
+            G += 2.0 * t * (K_i - V[ia[j]][ia])
             steps += 1
             it += 1
         # after a face step the block ran on an incrementally updated
@@ -267,7 +279,7 @@ def solve_svdd(
             break
         face_ready = steps > 0
         block = _CHECK_EVERY
-        Ka = K @ a
+        Ka = _member_gram_dot(V, ia, a)
 
     reason = "iteration cap hit" if it >= max_iters else "stalled"
     raise ConvergenceError(
@@ -275,7 +287,14 @@ def solve_svdd(
     )
 
 
-def _start(K, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
+def _member_gram_dot(V, ia, a) -> np.ndarray:
+    """K @ a for the member block K = V[ia][:, ia] of the symmetric Gram
+    matrix V, from the Gram rows of the members with nonzero weight."""
+    s = np.flatnonzero(a)
+    return (a[s] @ V[ia[s]])[ia]
+
+
+def _start(V, ia, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
     """Starting weights on {a : sum a = 1, 0 <= a_i <= C}, as a fresh array,
     and whether they come from the warm start.
 
@@ -284,7 +303,8 @@ def _start(K, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
     cold start is the vertex with weight C on the k = floor(1/C) members
     farthest from the member centroid, ranked by K_ii - 2 (K 1/m)_i with ties
     broken stably, and the remainder 1 - kC on the next one; it is all C
-    when C * m = 1.
+    when C * m = 1.  The member sums K 1/m come from one product of the Gram
+    matrix V with the member indicator, so no member block is built.
     """
     m = q.size
     if warm_alpha is not None:
@@ -295,7 +315,9 @@ def _start(K, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
             return project_capped_simplex(w, C), True
     if C * m <= 1.0 + 1e-12:
         return np.full(m, C), False
-    far = q - 2.0 * (K @ np.full(m, 1.0 / m))
+    w = np.zeros(V.shape[0])
+    w[ia] = 1.0 / m
+    far = q - 2.0 * (V @ w)[ia]
     order = np.argsort(-far, kind="stable")
     # C * m > 1 leaves k < m, so the remainder has a member to go on
     k = int(1.0 / C)
@@ -305,7 +327,7 @@ def _start(K, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
     return a, False
 
 
-def _face_step(K, a, G, C):
+def _face_step(V, ia, a, G, C):
     """One exact step on the face of the free weights, or None if refused.
 
     With F = {0 < a < C} and B = {a = C}, the minimizer x of a'Ka - q'a on
@@ -318,13 +340,15 @@ def _face_step(K, a, G, C):
     bounds.  The step is refused when the solve fails, is not finite, or does
     not lower the objective, as on the singular faces of duplicated points or
     of more than d + 1 free points under a d-dimensional linear kernel.
-    Updates ``a`` in place and returns (F, a_F change) for the caller's K @ a.
+    Updates ``a`` in place and returns the Gram rows of F at the members and
+    the a_F change, for the caller's K @ a.
     """
     F = np.flatnonzero((a > 0.0) & (a < C))
     f = F.size
     if f < 2:
         return None
-    K_FF = K[np.ix_(F, F)]
+    rows_F = V[ia[F]][:, ia]
+    K_FF = rows_F[:, F]
     kkt = np.ones((f + 1, f + 1))
     kkt[:f, :f] = 2.0 * K_FF
     kkt[f, f] = 0.0
@@ -354,7 +378,7 @@ def _face_step(K, a, G, C):
         s = F[inside[np.argmax(np.minimum(new[inside], C - new[inside]))]]
         a[s] = min(max(a[s] + (1.0 - a.sum()), 0.0), C)
         delta = a[F] - a_F
-    return F, delta
+    return rows_F, delta
 
 
 def _assemble(ia, a, d2, R, xi, C, dual, quad, gap, iters):

@@ -6,8 +6,9 @@ the radius, the multisphere oracle enumerates every canonical assignment, and
 the coordinate-space Gram reconstructs inner products from pairwise squared
 Euclidean distances only.  The last few helpers are reference versions of
 package code that tests compare against (a rank loop, a sort-based radius
-recovery, input-space scores, the ROC curve whose area `auc_roc` gives) and a
-monotonicity check on the sphere solver.
+recovery, center distances from Gram columns, input-space scores, the ROC
+curve whose area `auc_roc` gives) and a monotonicity check on the sphere
+solver.
 
 Two oracles certify whole multisphere solutions.  The big-M check tests a
 solution against every (point, sphere) constraint of the paper's
@@ -188,6 +189,16 @@ def recover_radius_sorted(distances_sq, C):
     k = int(np.argmax(slopes >= -1e-12))
     R = 0.0 if k == 0 else float(d_sorted[k - 1])
     return R, np.maximum(0.0, d2 - R)
+
+
+def sphere_distances_sq_columns(gram_matrix: GramMatrix, spheres) -> np.ndarray:
+    """`sphere_distances_sq` through the Gram columns of each sphere's
+    support, the reference for its reads of the support rows."""
+    K = gram_matrix.values
+    diag = np.diag(K)
+    cols = [diag - 2.0 * K[:, s.support] @ s.alpha[s.alpha > 0.0] + s.alpha_quad
+            for s in spheres]
+    return np.maximum(np.stack(cols, axis=1), 0.0)
 
 
 def svdd_objective_monotone_check(gram_matrix, members, extra, C, tol=1e-7):

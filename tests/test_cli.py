@@ -155,6 +155,35 @@ class TestSolve:
         assert f"input error: {message}" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("flags", [
+        ["--C", 0.2], ["--time-limit", 5], ["--cardinality", "on"], ["--cardinality", "off"],
+    ], ids=["C", "time-limit", "cardinality-on", "cardinality-off"])
+    def test_exact_flags_with_nu_are_input_errors(self, dataset_dir, tmp_path, capsys, flags):
+        # the heuristic once ran with these flags ignored and exited 0
+        out = tmp_path / "heur"
+        code = run_cli(
+            ["solve", "--data", dataset_dir / "dataset.csv", "--nu", 0.1, *flags, "--out", out]
+        )
+        assert code == 1
+        assert f"input error: --nu runs the heuristic, which takes no {flags[0]}" in (
+            capsys.readouterr().err
+        )
+        assert not os.path.exists(out)
+
+    def test_nu_alone_runs_the_heuristic(self, dataset_dir, tmp_path):
+        out = tmp_path / "heur"
+        assert run_cli(["solve", "--data", dataset_dir / "dataset.csv", "--nu", 0.1,
+                        "--out", out]) == 0
+        assert os.path.exists(out / "solution.json")
+
+    def test_exact_defaults(self, dataset_dir, tmp_path):
+        out = tmp_path / "exact"
+        assert run_cli(["solve", "--data", dataset_dir / "dataset.csv", "--out", out]) == 0
+        with open(out / "solution.json") as fh:
+            payload = json.load(fh)
+        assert payload["C"] == 0.2
+        assert payload["enforce_cardinality"] is True
+
     def test_rbf_solve(self, dataset_dir, tmp_path):
         out = tmp_path / "rbf"
         code = run_cli(

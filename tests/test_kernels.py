@@ -78,6 +78,26 @@ class TestGram:
         g = gram(rbf(0.3), pts)
         assert np.all(np.diag(g.values) == 1.0)
 
+    def test_asymmetric_input_stored_as_symmetric_part(self, rng):
+        v = rng.normal(size=(6, 6))
+        g = GramMatrix(v, LINEAR)
+        assert np.array_equal(g.values, 0.5 * (v + v.T))
+        assert np.array_equal(g.values, g.values.T)
+        symmetric = v + v.T
+        assert np.array_equal(GramMatrix(symmetric, LINEAR).values, symmetric)
+
+    @pytest.mark.parametrize("spec", [LINEAR, rbf(0.3)], ids=["linear", "rbf"])
+    @pytest.mark.parametrize("k", [-3, 0, 3])
+    def test_values_bit_identical_to_symmetrize_then_pin(self, spec, k, rng):
+        # symmetrizing before pinning the RBF diagonal, as gram() did, and
+        # after, as GramMatrix does, gives the same bits
+        pts = rng.normal(size=(17, 3)) * 10.0**k + 5.0
+        ref = cross_kernel(spec, pts, pts)
+        ref = 0.5 * (ref + ref.T)
+        if spec.kind is KernelKind.RBF:
+            np.fill_diagonal(ref, 1.0)
+        assert np.array_equal(gram(spec, pts).values, ref)
+
     def test_positive_semidefinite_small(self, rng):
         pts = rng.normal(size=(12, 2))
         for spec in (LINEAR, rbf(0.5)):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import msvdd.svdd
 from msvdd.errors import ConvergenceError, InfeasibleSubproblemError, InputError
-from msvdd.kernels import LINEAR, gram, rbf
+from msvdd.kernels import LINEAR, GramMatrix, gram, rbf
 from msvdd.solution import sphere_distances_sq
 from msvdd.svdd import (
     DEFAULT_TOLS,
@@ -17,7 +17,12 @@ from msvdd.svdd import (
     solve_svdd,
     zero_radius_sphere,
 )
-from oracles import recover_radius_sorted, svdd_1d_brute_force, svdd_objective_monotone_check
+from oracles import (
+    recover_radius_sorted,
+    sphere_distances_sq_columns,
+    svdd_1d_brute_force,
+    svdd_objective_monotone_check,
+)
 
 
 def linear_gram(points):
@@ -235,6 +240,33 @@ class TestSolveSvdd:
         assert int(outside.sum()) <= math.floor(1.0 / C)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_member_subset_matches_its_own_gram(self, seed):
+        # a solve reads the shared Gram matrix through the member indices;
+        # the members' own Gram block, solved over range(m), is the reference
+        r = np.random.default_rng(seed)
+        n = int(r.integers(2, 40))
+        pts = r.normal(scale=2.0, size=(n, 2))
+        spec = rbf(float(r.uniform(0.1, 2.0))) if r.random() < 0.5 else LINEAR
+        g = gram(spec, pts)
+        m = int(r.integers(1, n + 1))
+        members = np.sort(r.choice(n, size=m, replace=False))
+        C = float(r.uniform(1.0 / m, 1.5))
+        own = GramMatrix(g.values[np.ix_(members, members)], spec)
+        pairs = [(solve_svdd(g, members, C), solve_svdd(own, range(m), C))]
+        if C * (m - 1) >= 1.0:
+            # branch-style warm start: the parent's weights plus a 0
+            parent = solve_svdd(g, members[:-1], C)
+            own_parent = solve_svdd(own, range(m - 1), C)
+            pairs.append((
+                solve_svdd(g, members, C, warm_alpha=np.append(parent.alpha, 0.0)),
+                solve_svdd(own, range(m), C, warm_alpha=np.append(own_parent.alpha, 0.0)),
+            ))
+        for sub, ref in pairs:
+            assert sub.members == tuple(members.tolist())
+            assert sub.gap <= DEFAULT_TOLS.duality_gap
+            assert sub.objective == pytest.approx(ref.objective, abs=DEFAULT_TOLS.objective)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_scale_equivariance(self, seed):
         r = np.random.default_rng(seed)
         n = int(r.integers(2, 10))
@@ -300,7 +332,7 @@ class TestSmoCases:
 def cold_start(g, n, C):
     """The weights a cold solve of all ``n`` points starts from."""
     K = g.values
-    a, warm = _start(K, np.diag(K).copy(), C, None)
+    a, warm = _start(K, np.arange(n), np.diag(K).copy(), C, None)
     assert not warm
     return a
 
@@ -336,6 +368,16 @@ class TestStart:
         assert np.count_nonzero(a) <= k + 1
         if k < n:
             assert a[farthest[k]] == pytest.approx(1.0 - k * C, abs=1e-15)
+
+    @pytest.mark.parametrize("spec", [LINEAR, rbf(0.5)], ids=["linear", "rbf"])
+    def test_cold_start_of_a_member_subset(self, spec, rng):
+        # the member sums come from the shared Gram matrix at the members
+        g = gram(spec, rng.normal(size=(30, 2)))
+        ia = np.sort(rng.choice(30, size=12, replace=False))
+        own = GramMatrix(g.values[np.ix_(ia, ia)], spec)
+        a, warm = _start(g.values, ia, np.diag(g.values)[ia], 0.2, None)
+        assert not warm
+        assert np.array_equal(a, cold_start(own, 12, 0.2))
 
     def test_optimal_feasible_warm_start_takes_no_step(self, rng, monkeypatch):
         g = gram(rbf(1.0), rng.normal(size=(20, 2)))
@@ -506,6 +548,27 @@ class TestSupportGeometry:
             centers = np.stack([s.alpha @ pts[list(s.members)] for s in spheres])
             direct = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             assert np.allclose(sphere_distances_sq(g, spheres), direct, rtol=0.0, atol=1e-9)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_rows_match_columns(self, seed):
+        # support rows stand in for support columns of the symmetric Gram
+        r = np.random.default_rng(seed)
+        n = int(r.integers(4, 40))
+        pts = r.normal(size=(n, 2)) * 10.0 ** int(r.integers(-2, 3)) + r.normal(size=2)
+        spec = rbf(float(r.uniform(0.1, 2.0))) if r.random() < 0.5 else LINEAR
+        g = gram(spec, pts)
+        half = n // 2
+        spheres = [
+            solve_svdd(g, range(half), float(r.uniform(1.0 / half, 1.0))),
+            solve_svdd(g, range(half, n), float(r.uniform(1.0 / (n - half), 1.0))),
+            zero_radius_sphere(g, range(1, n, 2), 1.0 / n),
+        ]
+        # relative to the largest kernel value, the scale of every term
+        scale = np.abs(g.values).max()
+        assert np.allclose(
+            sphere_distances_sq(g, spheres), sphere_distances_sq_columns(g, spheres),
+            rtol=1e-12, atol=1e-12 * scale,
+        )
 
 
 class TestMonotoneCheck:
