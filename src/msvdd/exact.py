@@ -1,7 +1,8 @@
 """Exact multisphere solver: branch-and-bound over the point-to-sphere assignment.
 
-Nodes are explored best-first (ties: deeper first) from a root incumbent
-found by seeded restarts of the alternating heuristic, and `_expand` is the
+Nodes are explored best-first (ties: deeper first) from a root incumbent:
+the best, under the model's global C, of the final partitions of seeded
+restarts of the alternating heuristic (`_root_incumbent`).  `_expand` is the
 one way the search makes children.  It branches on one unassigned point,
 chosen max-min: the point whose squared feature distance to its nearest
 nonempty sphere center is largest, so every child pays for a far point and the
@@ -224,12 +225,14 @@ def _node_of(sphere_of, gram_matrix, C, p) -> _Node:
 
 
 def _repair_cardinality(sphere_of, gram_matrix, C, p, floor):
-    """Move cheapest points into deficient spheres until all meet the floor.
+    """Move cheapest points into deficient spheres until all meet the floor,
+    or None when no donor can move.
 
     A sphere below the floor sits at the centroid of its members (C * |S| < 1,
     `zero_radius_sphere`), so a move into it is priced by the point's squared
-    distance to that centroid, re-taken after every move.  Donors keep the
-    floor.
+    distance to that centroid, re-taken after every move.  An empty sphere
+    has no centroid; it is seeded first with the point farthest from the
+    centroid of its own sphere (lowest index on ties).  Donors keep the floor.
     """
     sphere_of = sphere_of.copy()
     for _ in range(sphere_of.size * p):
@@ -242,15 +245,30 @@ def _repair_cardinality(sphere_of, gram_matrix, C, p, floor):
         donors = donors[sphere_of[donors] != j]
         if donors.size == 0:
             return None
-        centroid = zero_radius_sphere(gram_matrix, np.flatnonzero(sphere_of == j), C)
-        cost = sphere_distances_sq(gram_matrix, [centroid])[donors, 0]
+        if counts[j]:
+            centroid = zero_radius_sphere(gram_matrix, np.flatnonzero(sphere_of == j), C)
+            cost = sphere_distances_sq(gram_matrix, [centroid])[donors, 0]
+        else:
+            labels = np.flatnonzero(counts)
+            centroids = [
+                zero_radius_sphere(gram_matrix, np.flatnonzero(sphere_of == k), C) for k in labels
+            ]
+            d2 = sphere_distances_sq(gram_matrix, centroids)
+            cost = -d2[donors, np.searchsorted(labels, sphere_of[donors])]
         sphere_of[int(donors[np.argmin(cost)])] = j
     return None
 
 
 def _root_incumbent(problem):
-    """Heuristic warm start re-evaluated under the exact model's global C, as a
-    complete node, or None when the heuristic or the floor repair fails."""
+    """The best heuristic restart under the exact model's global C, as a
+    complete node, or None when no restart gives one.
+
+    The heuristic values its clusters with per-cluster penalties, so its own
+    best restart need not be the best one under the global C.  Each distinct
+    restart partition is repaired to the cardinality floor and solved cold
+    under the global C; the lowest objective wins, the first on ties.  A
+    partition the repair or a sphere solve fails on is skipped.
+    """
     gram_mat, p, C = problem.gram, problem.p, problem.C
     n = gram_mat.n
     nu = min(1.0, max(p / (C * n), 1.0 / n))
@@ -262,10 +280,21 @@ def _root_incumbent(problem):
     except SolverFailure:
         return None
     floor = min_members(C, problem.enforce_cardinality)
-    repaired = _repair_cardinality(heur.sphere_of, gram_mat, C, p, floor)
-    if repaired is None:
-        return None
-    return _node_of(repaired, gram_mat, C, p)
+    nodes, seen = [], set()
+    for sphere_of in heur.restart_partitions:
+        repaired = _repair_cardinality(sphere_of, gram_mat, C, p, floor)
+        if repaired is None:
+            continue
+        # the same clusters under other labels give the same objective
+        clusters = frozenset(tuple(np.flatnonzero(repaired == j)) for j in range(p))
+        if clusters in seen:
+            continue
+        seen.add(clusters)
+        try:
+            nodes.append(_node_of(repaired, gram_mat, C, p))
+        except SolverFailure:
+            pass
+    return min(nodes, key=_objective, default=None)  # the first of equal minima
 
 
 def _objective(node) -> float:

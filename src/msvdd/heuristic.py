@@ -137,13 +137,15 @@ def solve_heuristic(gram_matrix: GramMatrix, config: HeuristicConfig) -> MsvddSo
     """Best solution over seeded restarts of the alternating procedure.
 
     Every sphere in the result was solved with its own C_k = 1/(nu * N_k);
-    the status is never OPTIMAL.
+    the status is never OPTIMAL.  ``restart_partitions`` holds every
+    restart's final partition, in restart order.
     """
     n = gram_matrix.n
     if n < config.p:
         raise InputError(f"need at least p={config.p} points, got {n}")
     t0 = time.perf_counter()
     best = None
+    partitions = []
     # restarts that reach the same cluster solve it once
     solved: dict = {}
     for r in range(config.restarts):
@@ -151,6 +153,7 @@ def solve_heuristic(gram_matrix: GramMatrix, config: HeuristicConfig) -> MsvddSo
         state, history, log = _single_run(
             gram_matrix, config.p, config.nu, config.max_iters, rng, t0, solved
         )
+        partitions.append(state[0])
         if best is None or state[2] < best[0][2] - 1e-12:
             best = (state, history, log)
     (sphere_of, spheres, obj), history, log = best
@@ -164,4 +167,5 @@ def solve_heuristic(gram_matrix: GramMatrix, config: HeuristicConfig) -> MsvddSo
         enforce_cardinality=False,
         incumbent_log=tuple(log),
         iterate_objectives=tuple(history),
+        restart_partitions=tuple(partitions),
     )

@@ -41,8 +41,11 @@ class MsvddSolution:
     ``objective`` is sum(R_j) + C * sum(xi_i) under the global C; for
     heuristic solves each sphere carries its own per-cluster C and
     ``objective`` sums the per-sphere values accordingly.
-    ``iterate_objectives`` is only populated by the heuristic (one entry per
-    alternation step).
+    ``iterate_objectives`` and ``restart_partitions`` are only populated by
+    the heuristic: one objective per alternation step of the kept restart,
+    and one final ``sphere_of`` per restart, in restart order, which the
+    exact solver's root re-evaluates under its global C.  `solution_to_dict`
+    leaves both out.
     """
 
     sphere_of: np.ndarray
@@ -56,6 +59,7 @@ class MsvddSolution:
     incumbent_log: tuple[IncumbentRecord, ...] = ()
     lower_bound: float = math.nan
     iterate_objectives: tuple[float, ...] = ()
+    restart_partitions: tuple[np.ndarray, ...] = ()
 
     @property
     def relative_gap(self) -> float:

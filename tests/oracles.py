@@ -18,6 +18,8 @@ computed in input space (`compute_delta_primal`) or from the kernel alone
 evaluation (`evaluate_assignment`) re-solves every sphere of a complete
 assignment from scratch, with no warm start or certificate carried from a
 parent, which is what the search's incumbents and bounds are compared against.
+`heuristic_best_root` values the heuristic's own best restart that way: the
+exact solver's root incumbent must be at least as good.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from msvdd.detection import DetectionModel, linear_centers
 from msvdd.errors import InputError
+from msvdd.exact import _repair_cardinality
 from msvdd.kernels import GramMatrix, KernelKind, KernelSpec
 from msvdd.solution import (
     MsvddSolution,
@@ -309,3 +312,15 @@ def evaluate_assignment(
         C=C,
         enforce_cardinality=enforce_cardinality,
     )
+
+
+def heuristic_best_root(gram_matrix: GramMatrix, heuristic, C: float, p: int
+                        ) -> MsvddSolution | None:
+    """The root incumbent picked by the heuristic's own objective: the
+    partition of its best restart (``heuristic.sphere_of``, valued with the
+    per-cluster C_k), repaired to the cardinality floor and solved cold under
+    the global C, or None when the repair fails.  The exact solver's root
+    compares every restart under the global C instead, so it is never worse.
+    """
+    repaired = _repair_cardinality(heuristic.sphere_of, gram_matrix, C, p, min_members(C, True))
+    return None if repaired is None else evaluate_assignment(gram_matrix, repaired, p, C)

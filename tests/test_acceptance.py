@@ -291,8 +291,9 @@ def test_criterion_09_heuristic_contract(exact_battery):
 
 
 def test_criterion_10_gap_study(tmp_path):
-    # p=3 on a noisy draw: the root heuristic incumbent is suboptimal here,
-    # so the log records genuine improvements during the search
+    # p=3 on a noisy draw: the root incumbent (5.562) is suboptimal here
+    # (optimum 4.642), so the log records genuine improvements during the
+    # search
     config = ExperimentConfig(
         mode="exact",
         p_grid=(3,),
@@ -305,7 +306,7 @@ def test_criterion_10_gap_study(tmp_path):
             "n_test": 30,
             "noise_levels": [0.2],
         },
-        seeds=(0,),
+        seeds=(2,),
         out_dir=str(tmp_path),
     )
     rows = run_gap_study(config)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import msvdd.exact
 from msvdd.data import SyntheticSpec, generate_synthetic
 from msvdd.errors import ConvergenceError, InputError, SolverFailure
+from msvdd.heuristic import solve_heuristic
 from msvdd.exact import (
     MsvddProblem,
     _centroid_size,
@@ -36,6 +37,7 @@ from oracles import (
     distance_space_gram,
     enumerate_msvdd,
     evaluate_assignment,
+    heuristic_best_root,
     verify_bigM_feasibility,
     xi_full,
 )
@@ -309,6 +311,102 @@ class TestRepairCardinality:
         # the only donor sphere sits at the floor, so nothing can move
         g = gram(LINEAR, [[0.0], [1.0], [10.0]])
         assert _repair_cardinality(np.array([0, 0, 1]), g, 0.5, 2, 2) is None
+
+    def test_empty_sphere_is_seeded_with_the_farthest_point(self):
+        # sphere 1 is empty: the point at 10 lies farthest from the centroid
+        # 4 of sphere 0 and seeds it, then the point at 5, nearest 10, joins
+        g = gram(LINEAR, [[0.0], [1.0], [5.0], [10.0]])
+        repaired = _repair_cardinality(np.array([0, 0, 0, 0]), g, 0.5, 2, 2)
+        assert list(repaired) == [0, 0, 1, 1]
+
+    def test_empty_sphere_seed_ties_go_to_the_lowest_index(self):
+        g = gram(LINEAR, [[-1.0], [1.0], [0.0], [0.0]])
+        repaired = _repair_cardinality(np.array([0, 0, 0, 0]), g, 0.5, 2, 2)
+        assert list(repaired) == [1, 0, 1, 0]
+
+    def test_empty_sphere_without_a_donor(self):
+        # a floor of 3 leaves sphere 0 one point to give, and sphere 1 needs 3
+        g = gram(LINEAR, [[0.0], [1.0], [5.0], [10.0]])
+        assert _repair_cardinality(np.array([0, 0, 0, 0]), g, 0.4, 2, 3) is None
+
+
+def lin60p2():
+    """Linear p=2, C=0.2 on the first 60 training points of the fixed draw
+    (generator seed 0, noise 0.1).  The heuristic's own best restart is
+    worth 6.9325 under C=0.2, its first restart the optimum 6.762043."""
+    ds = generate_synthetic(SyntheticSpec(60, 1, 1, 0.1, seed=0)).subset("train")
+    return MsvddProblem(gram=gram(LINEAR, ds.points), p=2, C=0.2, seed=0)
+
+
+class TestRootIncumbent:
+    def test_best_restart_under_the_global_C(self):
+        sol = solve_exact(lin60p2())
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.incumbent_log[0].objective == pytest.approx(6.762043, abs=1e-6)
+        assert sol.objective == pytest.approx(6.762043, abs=1e-6)
+        assert sol.node_count <= 40
+
+    def test_one_heuristic_call(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_heuristic(*args, **kwargs)
+
+        monkeypatch.setattr(msvdd.exact, "solve_heuristic", counting)
+        sol = solve_exact(lin60p2())
+        assert sol.status is SolveStatus.OPTIMAL
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("failing", [1, math.inf])
+    def test_failed_candidate_is_skipped(self, monkeypatch, failing):
+        # the first re-solve (or every one) fails: the root falls back to the
+        # other candidates (or to none), and the search still ends optimal
+        calls = []
+
+        def flaky(*args):
+            calls.append(args[0])
+            if len(calls) <= failing:
+                raise SolverFailure("injected")
+            return _node_of(*args)
+
+        problem = lin60p2()
+        monkeypatch.setattr(msvdd.exact, "_node_of", flaky)
+        root = msvdd.exact._root_incumbent(problem)
+        assert len(calls) >= 2
+        if failing == 1:
+            assert root is not None and not np.array_equal(root.sphere_of, calls[0])
+        else:
+            assert root is None
+        sol = solve_exact(problem)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(6.762043, abs=1e-6)
+
+    @settings(max_examples=30)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_never_worse_than_the_heuristic_best_restart(self, seed):
+        r = np.random.default_rng(seed)
+        n, p = int(r.integers(8, 25)), int(r.integers(2, 4))
+        C = float(r.choice([0.2, 0.3, 0.5, 1.0]))
+        spec = rbf(float(r.uniform(0.2, 2.0))) if r.random() < 0.5 else LINEAR
+        g = gram(spec, r.normal(scale=1.5, size=(n, 2)))
+        problem = MsvddProblem(gram=g, p=p, C=C, seed=int(r.integers(0, 100)))
+        heuristic = []
+
+        def recording(*args, **kwargs):
+            heuristic.append(solve_heuristic(*args, **kwargs))
+            return heuristic[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(msvdd.exact, "solve_heuristic", recording)
+            root = msvdd.exact._root_incumbent(problem)
+        (heur,) = heuristic
+        reference = heuristic_best_root(g, heur, C, p)
+        if reference is None:
+            return
+        assert root is not None
+        value = canonical_objective([s.objective for s in root.spheres])
+        assert value <= reference.objective + 1e-12 * max(1.0, abs(reference.objective))
 
 
 class TestLowerBound:

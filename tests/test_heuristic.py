@@ -8,7 +8,7 @@ import msvdd.heuristic
 from msvdd.errors import InputError
 from msvdd.exact import MsvddProblem, solve_exact
 from msvdd.heuristic import HeuristicConfig, _nearest_sphere, solve_heuristic
-from msvdd.kernels import LINEAR, gram
+from msvdd.kernels import LINEAR, gram, rbf
 from msvdd.solution import SolveStatus, sphere_distances_sq
 from msvdd.svdd import solve_svdd
 from oracles import evaluate_assignment
@@ -131,6 +131,42 @@ class TestSolveHeuristic:
         g = gram(LINEAR, rng.normal(size=(2, 2)))
         with pytest.raises(InputError):
             solve_heuristic(g, HeuristicConfig(p=3, nu=0.5))
+
+
+# (draw, kernel, p, nu, objective, sphere_of, iterate objectives) of a
+# five-restart heuristic on 20 normal points, the draw also seeding the
+# restarts; handing back the restart partitions must not move any of them
+RECORDED_RUNS = [
+    (0, LINEAR, 2, 0.2, 4.2809564902, "11010000011010001101",
+     (12.1836454819, 9.2402325762, 8.1239632417, 6.3519170353, 4.7854946115, 4.2809564902)),
+    (1, LINEAR, 3, 0.3, 9.3872846824, "21121202101101112201",
+     (18.5107430799, 15.2164354989, 12.741492483, 12.2830173377, 12.0959936122,
+      9.7262958197, 9.3872846824)),
+    (2, rbf(1.0), 2, 0.25, 1.6165034115, "01000001101000111000",
+     (1.6612724343, 1.6600301654, 1.6165034115)),
+    (3, rbf(1.0), 3, 0.2, 2.2242972128, "00001200221211100021", (2.2582758467, 2.2242972128)),
+]
+
+
+class TestRestartPartitions:
+    @pytest.mark.parametrize("draw,spec,p,nu,objective,sphere_of,iterates", RECORDED_RUNS)
+    def test_result_matches_the_recorded_run(self, draw, spec, p, nu, objective, sphere_of,
+                                             iterates):
+        g = gram(spec, np.random.default_rng(draw).normal(scale=1.5, size=(20, 2)))
+        heur = solve_heuristic(g, HeuristicConfig(p=p, nu=nu, restarts=5, seed=draw))
+        assert heur.objective == pytest.approx(objective, abs=1e-9)
+        assert "".join(map(str, heur.sphere_of)) == sphere_of
+        assert heur.iterate_objectives == pytest.approx(iterates, abs=1e-9)
+
+    @pytest.mark.parametrize("draw,spec,p,nu", [run[:4] for run in RECORDED_RUNS])
+    def test_one_final_partition_per_restart(self, draw, spec, p, nu):
+        g = gram(spec, np.random.default_rng(draw).normal(scale=1.5, size=(20, 2)))
+        heur = solve_heuristic(g, HeuristicConfig(p=p, nu=nu, restarts=5, seed=draw))
+        assert len(heur.restart_partitions) == 5
+        # the kept restart is one of them, and restart 0 is a lone run's
+        assert any(np.array_equal(heur.sphere_of, s) for s in heur.restart_partitions)
+        first = solve_heuristic(g, HeuristicConfig(p=p, nu=nu, restarts=1, seed=draw))
+        assert np.array_equal(heur.restart_partitions[0], first.sphere_of)
 
 
 class TestReassign:
