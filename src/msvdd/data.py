@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import (
+    COUNT, NOISE_LEVEL, POSITIVE, SPLIT_FRACTIONS, InputError, ParseError, checked, each,
+)
 
 CLUSTER_CENTERS = np.array([[-2.0, -2.0], [2.0, 2.0]])
 CLUSTER_SIGMAS = (0.5, 0.6)
@@ -68,12 +70,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_train, self.n_val, self.n_test) <= 0:
-            raise InputError("split counts must be positive")
-        if not 0.0 < self.noise_level < 0.5:
-            raise InputError("noise_level must lie in (0, 0.5)")
-        if min(self.cluster_sigmas) <= 0:
-            raise InputError("cluster sigmas must be positive")
+        for name, rule in (("n_train", COUNT), ("n_val", COUNT), ("n_test", COUNT),
+                           ("noise_level", NOISE_LEVEL),
+                           ("cluster_sigmas", each(POSITIVE, len(CLUSTER_SIGMAS)))):
+            checked(name, getattr(self, name), *rule)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -192,8 +192,7 @@ def split_real(
     """
     if dataset.labels is None:
         raise InputError("split_real needs raw class labels")
-    if abs(sum(fractions) - 1.0) > 1e-9 or len(fractions) != 3:
-        raise InputError("fractions must be three values summing to 1")
+    checked("fractions", fractions, *SPLIT_FRACTIONS)
     anomaly_classes = set(int(c) for c in anomaly_classes)
     rng = np.random.default_rng(seed)
     is_anom = np.isin(dataset.labels, sorted(anomaly_classes))

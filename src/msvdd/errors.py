@@ -16,15 +16,40 @@ class InputError(MsvddError, ValueError):
 # (kind, ok, what) rules for `checked`, shared by every config taking such a value
 COUNT = (Integral, lambda v: v >= 1, "an integer >= 1")
 INTEGER = (Integral, lambda v: True, "an integer")
-PENALTY = (Real, lambda v: 0 < v < math.inf, "a finite number > 0")
+POSITIVE = (Real, lambda v: 0 < v < math.inf, "a finite number > 0")
 FRACTION = (Real, lambda v: 0 < v <= 1, "a number in (0, 1]")
+NOISE_LEVEL = (Real, lambda v: 0 < v < 0.5, "a number in (0, 0.5)")
 TIME_LIMIT = ((Real, type(None)), lambda v: v is None or v >= 0, "None or a number >= 0")
+FLAG = (bool, lambda v: True, "true or false")
+PATH = (str, lambda v: v != "", "a nonempty string")
+
+
+def _fits(value, kind, ok) -> bool:
+    """Whether ``value`` is a ``kind`` that is ``ok``; a bool fits only a
+    ``kind`` that names bool, though Python counts it an integer."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return (bool in kinds or not isinstance(value, bool)) and isinstance(value, kind) and ok(value)
+
+
+def each(rule, size=None):
+    """The rule for a list of values that each follow ``rule``: ``size`` of
+    them, or any number when ``size`` is None."""
+    kind, ok, what = rule
+    count = "" if size is None else f"{size} "
+    return ((list, tuple),
+            lambda vs: size in (None, len(vs)) and all(_fits(v, kind, ok) for v in vs),
+            f"a list of {count}entries, each {what}")
+
+
+# the train, val and test shares of a labelled dataset
+SPLIT_FRACTIONS = ((list, tuple), lambda vs: each(FRACTION, 3)[1](vs) and abs(sum(vs) - 1) <= 1e-9,
+                   "three numbers in (0, 1] summing to 1")
 
 
 def checked(name, value, kind, ok=lambda v: True, what="a value"):
     """``value`` if it is a ``kind`` that is ``ok``; otherwise an `InputError`
     that names ``name``, so a wrongly typed value is refused, not coerced."""
-    if not (isinstance(value, kind) and ok(value)):
+    if not _fits(value, kind, ok):
         raise InputError(f"{name} must be {what}, got {value!r}")
     return value
 

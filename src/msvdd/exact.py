@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    COUNT, INTEGER, PENALTY, TIME_LIMIT, ConvergenceError, InputError, SolverFailure,
+    COUNT, INTEGER, POSITIVE, TIME_LIMIT, ConvergenceError, InputError, SolverFailure,
     checked,
 )
 from .heuristic import HeuristicConfig, solve_heuristic
@@ -60,8 +60,6 @@ from .solution import (
     sphere_distances_sq,
 )
 from .svdd import grow_certified, zero_radius_sphere
-
-_ROOT_RESTARTS = 5
 
 
 @dataclass
@@ -81,7 +79,7 @@ class MsvddProblem:
     seed: int = 0
 
     def __post_init__(self):
-        for name, rule in (("p", COUNT), ("C", PENALTY), ("time_limit", TIME_LIMIT),
+        for name, rule in (("p", COUNT), ("C", POSITIVE), ("time_limit", TIME_LIMIT),
                            ("seed", INTEGER)):
             checked(name, getattr(self, name), *rule)
         if self.p > self.gram.n:
@@ -260,8 +258,8 @@ def _repair_cardinality(sphere_of, gram_matrix, C, p, floor):
 
 
 def _root_incumbent(problem):
-    """The best heuristic restart under the exact model's global C, as a
-    complete node, or None when no restart gives one.
+    """The best of the heuristic's `RESTARTS` restarts under the exact model's
+    global C, as a complete node, or None when no restart gives one.
 
     The heuristic values its clusters with per-cluster penalties, so its own
     best restart need not be the best one under the global C.  Each distinct
@@ -272,11 +270,8 @@ def _root_incumbent(problem):
     gram_mat, p, C = problem.gram, problem.p, problem.C
     n = gram_mat.n
     nu = min(1.0, max(p / (C * n), 1.0 / n))
-    config = HeuristicConfig(
-        p=p, nu=nu, max_iters=100, restarts=_ROOT_RESTARTS, seed=problem.seed
-    )
     try:
-        heur = solve_heuristic(gram_mat, config)
+        heur = solve_heuristic(gram_mat, HeuristicConfig(p=p, nu=nu, seed=problem.seed))
     except SolverFailure:
         return None
     floor = min_members(C, problem.enforce_cardinality)

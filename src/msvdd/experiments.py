@@ -35,8 +35,8 @@ from .data import (
 )
 from .detection import DetectionModel, auc_roc, linear_centers, score_points
 from .errors import (
-    COUNT, FRACTION, INTEGER, PENALTY, TIME_LIMIT, InputError, MsvddError, SolverFailure,
-    checked,
+    COUNT, FLAG, FRACTION, INTEGER, NOISE_LEVEL, PATH, POSITIVE, SPLIT_FRACTIONS, TIME_LIMIT,
+    InputError, MsvddError, SolverFailure, checked, each,
 )
 from .exact import MsvddProblem, incumbent_gap_rows, solve_exact
 from .heuristic import HeuristicConfig, solve_heuristic
@@ -48,80 +48,65 @@ MODEL_EXACT = "msvdd-exact"
 MODEL_HEURISTIC = "cluster-svdd"
 
 
-# the fixed synthetic draw a config uses by default
-_DEFAULT_DRAW = {"n_train": 60, "n_val": 40, "n_test": 100, "noise_levels": (0.1,)}
-# the keys each data source accepts besides "type", with their defaults;
-# None marks a required key
+# each data source's keys besides "type", as key: (default, rule for
+# `checked`); a required key's default is None, which its rule refuses
 DATA_SOURCES = {
-    "synthetic": {**_DEFAULT_DRAW, "cluster_sigmas": CLUSTER_SIGMAS},
-    "libsvm": {
-        "path": None, "fractions": (0.3, 0.2, 0.5), "anomaly_classes": (),
-        "anomaly_fractions": (0.1,), "scale": True,
+    "synthetic": {
+        "n_train": (60, COUNT), "n_val": (40, COUNT), "n_test": (100, COUNT),
+        "noise_levels": ((0.1,), each(NOISE_LEVEL)),
+        "cluster_sigmas": (CLUSTER_SIGMAS, each(POSITIVE, len(CLUSTER_SIGMAS))),
     },
-    "csv": {"path": None},
+    "libsvm": {
+        "path": (None, PATH), "fractions": ((0.3, 0.2, 0.5), SPLIT_FRACTIONS),
+        "anomaly_classes": ((), each(INTEGER)), "anomaly_fractions": ((0.1,), each(FRACTION)),
+        "scale": (True, FLAG),
+    },
+    "csv": {"path": (None, PATH)},
 }
 
 
-def _grid(name: str, values, kind=object, ok=lambda v: True, what="a value") -> tuple:
-    """``values`` as a tuple, if it is a list of ``kind`` entries that are all ``ok``."""
-    return tuple(checked(
-        name, values, (list, tuple), lambda vs: all(isinstance(v, kind) and ok(v) for v in vs),
-        f"a list, each entry {what}",
-    ))
-
-
 def _checked_data(data) -> dict:
-    """The data block with list values as tuples, once its keys fit its source."""
+    """The complete data block: its source's defaults filled in, every value
+    checked against its key's rule, and lists as tuples."""
     if not isinstance(data, dict) or data.get("type") not in DATA_SOURCES:
         raise InputError(f"data needs a 'type' among {', '.join(DATA_SOURCES)}, got {data!r}")
     kind = data["type"]
-    defaults = DATA_SOURCES[kind]
-    unknown = sorted(set(data) - set(defaults) - {"type"})
+    unknown = sorted(set(data) - set(DATA_SOURCES[kind]) - {"type"})
     if unknown:
         raise InputError(f"unknown key(s) for {kind} data: {', '.join(unknown)}")
-    for key, default in defaults.items():
-        if key not in data:
-            if default is None:
-                raise InputError(f"{kind} data needs a {key!r} key")
-            continue
-        value = data[key]
-        if isinstance(default, tuple):
-            _grid(f"data {key}", value)
-        elif isinstance(default, bool):
-            checked(f"data {key}", value, bool, what="true or false")
-        elif isinstance(default, int):
-            checked(f"data {key}", value, *COUNT)
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
+    block = {"type": kind}
+    for key, (default, rule) in DATA_SOURCES[kind].items():
+        value = checked(f"data {key}", data.get(key, default), *rule)
+        block[key] = tuple(value) if isinstance(value, list) else value
+    return block
 
 
 @dataclass
 class ExperimentConfig:
-    """One grid study.  The JSON config file holds these fields by name."""
+    """One grid study.  The JSON config file holds these fields by name; once
+    built, ``data`` holds its source's complete block (`DATA_SOURCES`)."""
 
     mode: str = "both"  # exact | heuristic | both
     p_grid: tuple[int, ...] = (1, 2)
     C_grid: tuple[float, ...] = (0.1, 0.15, 0.2, 0.25, 0.4, 0.8)
     nu_grid: tuple[float, ...] = (0.025, 0.05, 0.075, 0.1, 0.15, 0.2)
     kernels: tuple[KernelSpec, ...] = (KernelSpec(KernelKind.LINEAR),)
-    data: dict = field(default_factory=lambda: {"type": "synthetic", **_DEFAULT_DRAW})
+    data: dict = field(default_factory=lambda: {"type": "synthetic"})
     seeds: tuple[int, ...] = (0,)
     time_limit: float | None = None
     workers: int = 1
     enforce_cardinality: bool = True
-    heuristic_restarts: int = 5
-    heuristic_max_iters: int = 100
     out_dir: str = "results"
 
     def __post_init__(self):
         if self.mode not in ("exact", "heuristic", "both"):
             raise InputError(f"unknown mode {self.mode!r}")
-        self.p_grid = _grid("p_grid", self.p_grid, *COUNT)
-        self.C_grid = _grid("C_grid", self.C_grid, *PENALTY)
-        self.nu_grid = _grid("nu_grid", self.nu_grid, *FRACTION)
-        self.seeds = _grid("seeds", self.seeds, *INTEGER)
+        for name, rule in (("p_grid", COUNT), ("C_grid", POSITIVE), ("nu_grid", FRACTION),
+                           ("seeds", INTEGER)):
+            setattr(self, name, tuple(checked(name, getattr(self, name), *each(rule))))
         self.kernels = tuple(
             k if isinstance(k, KernelSpec) else from_dict(KernelSpec, k)
-            for k in _grid("kernels", self.kernels)
+            for k in checked("kernels", self.kernels, (list, tuple), what="a list")
         )
         self.data = _checked_data(self.data)
         if not self.p_grid or not self.seeds or not self.kernels:
@@ -131,9 +116,8 @@ class ExperimentConfig:
         if self.mode in ("heuristic", "both") and not self.nu_grid:
             raise InputError("nu grid must be nonempty for heuristic runs")
         checked("time_limit", self.time_limit, *TIME_LIMIT)
-        for name in ("workers", "heuristic_restarts", "heuristic_max_iters"):
-            checked(name, getattr(self, name), *COUNT)
-        checked("enforce_cardinality", self.enforce_cardinality, bool, what="true or false")
+        checked("workers", self.workers, *COUNT)
+        checked("enforce_cardinality", self.enforce_cardinality, *FLAG)
 
     @property
     def models(self) -> tuple[str, ...]:
@@ -146,20 +130,19 @@ class ExperimentConfig:
 
 def noise_levels(config: ExperimentConfig) -> tuple:
     """Synthetic noise levels, libSVM anomaly fractions, or "na" for a CSV file."""
-    data = {**DATA_SOURCES[config.data["type"]], **config.data}
-    return tuple(data.get("noise_levels", data.get("anomaly_fractions", ("na",))))
+    return config.data.get("noise_levels", config.data.get("anomaly_fractions", ("na",)))
 
 
 def load_dataset(config: ExperimentConfig, noise, seed: int) -> Dataset:
     """Materialize one dataset draw for a (noise level, seed) pair."""
-    data = {**DATA_SOURCES[config.data["type"]], **config.data}
+    data = config.data
     if data["type"] == "synthetic":
         spec = SyntheticSpec(
             n_train=data["n_train"],
             n_val=data["n_val"],
             n_test=data["n_test"],
             noise_level=float(noise),
-            cluster_sigmas=tuple(data["cluster_sigmas"]),
+            cluster_sigmas=data["cluster_sigmas"],
             seed=seed,
         )
         return generate_synthetic(spec)
@@ -168,7 +151,7 @@ def load_dataset(config: ExperimentConfig, noise, seed: int) -> Dataset:
             raw = parse_libsvm(fh.read())
         ds = split_real(
             raw,
-            fractions=tuple(data["fractions"]),
+            fractions=data["fractions"],
             anomaly_classes=data["anomaly_classes"],
             anomaly_fraction=float(noise),
             seed=seed,
@@ -187,9 +170,6 @@ def _run_id(model, noise, seed, p, kspec, param) -> str:
     return f"{model}_a{noise}_s{seed}_p{p}_{_kernel_name(kspec)}_{param:g}"
 
 
-_INFEASIBLE = "infeasible cardinality for this (p, C)"
-
-
 def _solve_cell(model, gram_train, p, param, config, seed):
     if model == MODEL_EXACT:
         problem = MsvddProblem(
@@ -201,14 +181,7 @@ def _solve_cell(model, gram_train, p, param, config, seed):
             seed=seed,
         )
         return solve_exact(problem)
-    hconfig = HeuristicConfig(
-        p=p,
-        nu=param,
-        max_iters=config.heuristic_max_iters,
-        restarts=config.heuristic_restarts,
-        seed=seed,
-    )
-    return solve_heuristic(gram_train, hconfig)
+    return solve_heuristic(gram_train, HeuristicConfig(p=p, nu=param, seed=seed))
 
 
 def _aucs(solved, gram_train, train, *splits) -> list[float]:
@@ -247,29 +220,26 @@ def run_dataset_block(
                     t0 = time.perf_counter()
                     try:
                         sol = _solve_cell(model, gram_train, p, param, config, seed)
+                        cell["status"] = sol.status.value
                         if sol.status is SolveStatus.INFEASIBLE:
-                            raise InputError(_INFEASIBLE)
-                        if not sol.spheres:
+                            cell["error"] = "infeasible cardinality for this (p, C)"
+                        elif not sol.spheres:
                             raise SolverFailure("time limit hit before any incumbent")
-                        val_auc, test_auc = _aucs(sol, gram_train, train, val, test)
-                        cell.update(
-                            status=sol.status.value,
-                            objective=sol.objective,
-                            node_count=sol.node_count,
-                            val_auc=val_auc,
-                            test_auc=test_auc,
-                        )
-                        if model == MODEL_EXACT and incumbents:
-                            rows = incumbent_gap_rows(sol)
-                            for rec, row in zip(sol.incumbent_log, rows):
-                                # the last incumbent's spheres are the solution's
-                                row.update(run_id=cell["run_id"], test_auc=(
-                                    test_auc if rec.spheres is sol.spheres
-                                    else _aucs(rec, gram_train, train, test)[0]
-                                ))
-                            cell.update(lower_bound=sol.lower_bound, incumbents=rows)
+                        else:
+                            val_auc, test_auc = _aucs(sol, gram_train, train, val, test)
+                            cell.update(objective=sol.objective, node_count=sol.node_count,
+                                        val_auc=val_auc, test_auc=test_auc)
+                            if model == MODEL_EXACT and incumbents:
+                                rows = incumbent_gap_rows(sol)
+                                for rec, row in zip(sol.incumbent_log, rows):
+                                    # the last incumbent's spheres are the solution's
+                                    row.update(run_id=cell["run_id"], test_auc=(
+                                        test_auc if rec.spheres is sol.spheres
+                                        else _aucs(rec, gram_train, train, test)[0]
+                                    ))
+                                cell.update(lower_bound=sol.lower_bound, incumbents=rows)
                     except MsvddError as exc:
-                        cell["error"] = f"{type(exc).__name__}: {exc}"
+                        cell.update(status="failed", error=f"{type(exc).__name__}: {exc}")
                     cell["seconds"] = time.perf_counter() - t0
                     cells.append(cell)
     return cells
@@ -393,8 +363,7 @@ GAP_COLUMNS = ["run_id", "wall_time_s", "objective", "gap", "test_auc", "referen
 def _gap_summary(cell: dict) -> dict:
     """A cell's gap_summary.json entry: its solve, or how it failed."""
     if cell["error"]:
-        status = "infeasible" if cell["error"] == f"InputError: {_INFEASIBLE}" else "failed"
-        return {"run_id": cell["run_id"], "status": status, "error": cell["error"]}
+        return {k: cell[k] for k in ("run_id", "status", "error")}
     keys = ("run_id", "status", "objective", "lower_bound", "node_count")
     return {**{k: cell[k] for k in keys}, "incumbents": len(cell["incumbents"])}
 

@@ -28,12 +28,16 @@ from .solution import (
 from .svdd import solve_svdd
 
 
+# seeded restarts of every heuristic solve: grid cells, `solve --nu`, the exact root
+RESTARTS = 5
+
+
 @dataclass(frozen=True)
 class HeuristicConfig:
     p: int
     nu: float
     max_iters: int = 100
-    restarts: int = 1
+    restarts: int = RESTARTS
     seed: int = 0
 
     def __post_init__(self):

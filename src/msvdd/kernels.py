@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import InputError
+from .errors import POSITIVE, InputError, checked
 
 
 class KernelKind(enum.Enum):
@@ -24,7 +23,7 @@ class KernelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel choice; ``sigma_squared`` is required (and must be > 0) for RBF."""
+    """Kernel choice; ``sigma_squared`` is required (a finite number > 0) for RBF."""
 
     kind: KernelKind
     sigma_squared: float | None = None
@@ -35,9 +34,7 @@ class KernelSpec:
             kind = KernelKind(str(kind).lower())
             object.__setattr__(self, "kind", kind)
         if kind is KernelKind.RBF:
-            s2 = self.sigma_squared
-            if not (isinstance(s2, Real) and s2 > 0):
-                raise InputError(f"RBF kernel requires sigma_squared > 0, got {s2!r}")
+            checked("sigma_squared", self.sigma_squared, *POSITIVE)
 
 
 LINEAR = KernelSpec(KernelKind.LINEAR)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import GramMatrix
-from .svdd import SvddSolution, solve_svdd, zero_radius_sphere
+from .svdd import SvddSolution, collapses, solve_svdd, zero_radius_sphere
 
 UNASSIGNED = -1
 
@@ -101,13 +101,13 @@ def sphere_distances_sq(gram_matrix: GramMatrix, spheres) -> np.ndarray:
 
 
 def min_members(C: float, enforce_cardinality: bool) -> int:
-    """Minimum member count per sphere: ceil(1/C) under the cardinality rule.
-
-    The small slack absorbs floating error in 1/C so e.g. C = 1/3 yields 3.
-    """
+    """Minimum member count per sphere: 1 without the cardinality rule, else
+    the fewest members that C does not `collapses`, which is ceil(1/C) up to
+    that test's slack (C = 1/3 yields 3)."""
     if not enforce_cardinality:
         return 1
-    return max(1, int(math.ceil(1.0 / C - 1e-9)))
+    m = max(1, math.floor(1.0 / C))
+    return m + 1 if collapses(C, m) else m
 
 
 def solve_sphere(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) -> SvddSolution:
@@ -117,6 +117,6 @@ def solve_sphere(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) ->
     to the zero-radius centroid solution.
     """
     members = tuple(members)
-    if C * len(members) < 1.0 - 1e-12:
+    if collapses(C, len(members)):
         return zero_radius_sphere(gram_matrix, members, C)
     return solve_svdd(gram_matrix, members, C, warm_alpha=warm_alpha)

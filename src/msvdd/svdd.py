@@ -70,6 +70,12 @@ class SolverTolerances:
 DEFAULT_TOLS = SolverTolerances()
 
 
+def collapses(C: float, m: int) -> bool:
+    """Whether m weights capped at C cannot sum to 1 (C * m < 1 beyond a 1e-12
+    slack), so a sphere of m members collapses to radius zero."""
+    return C * m < 1.0 - 1e-12
+
+
 @dataclass(frozen=True)
 class SvddSolution:
     """One solved sphere: its weights ``alpha`` and radius ``radius_sq``.
@@ -113,7 +119,7 @@ def project_capped_simplex(v, cap: float) -> np.ndarray:
     m = v.size
     if m == 0:
         raise InputError("cannot project an empty vector")
-    if cap * m < 1.0 - 1e-12:
+    if collapses(cap, m):
         raise InfeasibleSubproblemError(
             f"capped simplex is empty: cap {cap} * size {m} < 1"
         )
@@ -157,7 +163,7 @@ def recover_radius(distances_sq, C: float) -> tuple[float, np.ndarray]:
         raise InputError("squared distances must be nonnegative")
     if not math.isfinite(C):
         raise InputError(f"C must be finite, got {C}")
-    if C * n < 1.0 - 1e-12:
+    if collapses(C, n):
         raise InputError(f"C * n = {C * n} < 1: penalty slope never turns nonnegative")
     # the slope test is monotone in k and holds at k = n, so k stays in [0, n]
     k = min(max(math.ceil(n - 1.0 / C), 0), n)
@@ -213,7 +219,7 @@ def solve_svdd(
     m = len(idx)
     if not C > 0:
         raise InputError("C must be positive")
-    if C * m < 1.0 - 1e-12:
+    if collapses(C, m):
         raise InfeasibleSubproblemError(
             f"sphere with {m} members infeasible for C={C}: C*|S| < 1"
         )
@@ -409,7 +415,7 @@ def grow_certified(parent: SvddSolution, point: int, distance_sq: float) -> Svdd
     (C * |S| < 1), whose weights exceed the cap.
     """
     C = parent.C
-    if C * len(parent.members) < 1.0 - 1e-12:
+    if collapses(C, len(parent.members)):
         return None
     pos = bisect_left(parent.members, point)
     d2 = np.concatenate((parent.distances_sq[:pos], [distance_sq], parent.distances_sq[pos:]))

@@ -218,7 +218,6 @@ def test_criterion_07_table_trend_desk_scale():
             "noise_levels": [0.1],
         },
         seeds=(0, 1, 2, 3, 4),
-        heuristic_restarts=5,
         out_dir="unused",
     )
     selected = {}

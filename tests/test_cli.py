@@ -8,6 +8,7 @@ import pytest
 from msvdd.cli import main
 from msvdd.data import read_dataset_csv
 from test_data import MALFORMED_CSV
+from test_experiments import REFUSED_AT_ENTRY
 
 
 def run_cli(args):
@@ -87,6 +88,29 @@ class TestSolve:
         rows = read_rows(out / "incumbents.csv")
         assert rows and list(rows[0]) == ["wall_time_s", "objective", "gap", "reference"]
         assert all(r["gap"] == "" and r["reference"] == "none" for r in rows)
+
+    def test_heuristic_solve_fits_the_cv_cell(self, tmp_path):
+        # solve --nu and a cv cell run the same restarts on the same training
+        # points, so each (p, nu, seed) fits the same spheres
+        data = tmp_path / "data"
+        assert run_cli(["generate", "--seed", 0, "--out", data]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "mode": "heuristic", "p_grid": [2, 3], "nu_grid": [0.05, 0.2], "seeds": [0, 1],
+            "data": {"type": "csv", "path": str(data / "dataset.csv")},
+        }))
+        assert run_cli(["cv", "--config", config, "--out", tmp_path / "cv"]) == 0
+        cells = read_rows(tmp_path / "cv" / "cells.csv")
+        assert len(cells) == 8
+        for cell in cells:
+            out = tmp_path / cell["run_id"]
+            code = run_cli(
+                ["solve", "--data", data / "dataset.csv", "--p", cell["p"],
+                 "--nu", cell["param_value"], "--seed", cell["seed"], "--out", out]
+            )
+            assert code == 0
+            with open(out / "solution.json") as fh:
+                assert json.load(fh)["objective"] == float(cell["objective"]), cell["run_id"]
 
     def test_infeasible_cardinality_is_input_error(self, dataset_dir, tmp_path):
         code = run_cli(
@@ -264,7 +288,7 @@ class TestCvAndGap:
                         "n_test": 12,
                         "noise_levels": [0.1],
                     },
-                    "heuristic_restarts": 2,
+                    "workers": 2,
                 }
             )
         )
@@ -278,7 +302,7 @@ class TestCvAndGap:
         assert resolved["mode"] == "heuristic"
         assert resolved["p_grid"] == [1]
         assert resolved["kernels"] == [{"kind": "rbf", "sigma_squared": 0.5}]
-        assert resolved["heuristic_restarts"] == 2
+        assert resolved["workers"] == 2
         assert resolved["nu_grid"] == [0.25]
 
     @pytest.mark.parametrize("payload", [
@@ -288,7 +312,9 @@ class TestCvAndGap:
         {"kernels": [{"sigma_squared": 1.0}]},
         {"p_grid": 2},
         [{"p_grid": [2]}],
-    ], ids=["top_key", "data_key", "data_type", "kernel_kind", "scalar_p", "not_object"])
+        *(bad for bad, _ in REFUSED_AT_ENTRY),
+    ], ids=["top_key", "data_key", "data_type", "kernel_kind", "scalar_p", "not_object",
+            *(f"{name}-{k}" for k, (_, name) in enumerate(REFUSED_AT_ENTRY))])
     def test_malformed_config_is_input_error(self, tmp_path, capsys, payload):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(payload))

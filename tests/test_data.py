@@ -48,6 +48,21 @@ class TestSyntheticSpec:
             text = json.dumps(to_dict(spec))
             assert from_dict(SyntheticSpec, json.loads(text)) == spec
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_train", 0), ("n_val", True), ("n_test", 2.5), ("noise_level", 0.5),
+        ("noise_level", True), ("cluster_sigmas", (0.5,)), ("cluster_sigmas", (0.5, -1.0)),
+    ])
+    def test_refuses_what_a_synthetic_data_block_refuses(self, field, value):
+        # msvdd generate and a config's synthetic block share one rule per key
+        from msvdd.experiments import ExperimentConfig
+
+        with pytest.raises(InputError, match=field):
+            SyntheticSpec(**{"n_train": 10, "n_val": 10, "n_test": 10, "noise_level": 0.1,
+                             field: value})
+        key, entry = ("noise_levels", [value]) if field == "noise_level" else (field, value)
+        with pytest.raises(InputError, match=key):
+            ExperimentConfig(data={"type": "synthetic", key: entry})
+
     def test_json_needs_the_split_counts(self):
         with pytest.raises(InputError, match="n_test"):
             from_dict(SyntheticSpec, {"n_train": 3, "n_val": 3, "noise_level": 0.1})
@@ -202,8 +217,10 @@ class TestSplitReal:
 
     def test_bad_fractions(self, rng):
         ds = self._raw(rng)
-        with pytest.raises(InputError):
-            split_real(ds, fractions=(0.5, 0.5, 0.5), anomaly_classes={9})
+        for fractions in ((0.5, 0.5, 0.5), (0.5, 0.5), (1.2, -0.1, -0.1), (0.0, 0.5, 0.5),
+                          ("0.3", 0.2, 0.5)):
+            with pytest.raises(InputError, match="fractions"):
+                split_real(ds, fractions=fractions, anomaly_classes={9})
 
     def test_anomalies_come_from_pool_classes(self, rng):
         ds = self._raw(rng)

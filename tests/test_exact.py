@@ -28,7 +28,7 @@ from msvdd.solution import (
     solve_sphere,
     sphere_distances_sq,
 )
-from msvdd.svdd import DEFAULT_TOLS
+from msvdd.svdd import DEFAULT_TOLS, collapses
 from oracles import (
     capped_simplex_samples,
     canonical_assignments,
@@ -148,6 +148,30 @@ class TestBranch:
         assert branch(a, g, 0.3, p=2) == []
         children = branch(a, g, 0.3, p=2, enforce_cardinality=False)
         assert sorted(int(c.sphere_of.max()) for c in children) == [0, 1]
+
+
+class TestCapacityRule:
+    # the member floor and the collapse test of a sphere solve are one rule
+    @pytest.mark.parametrize("C,floor", [
+        (0.05, 20), (0.1, 10), (0.15, 7), (0.2, 5), (0.25, 4), (0.3, 4), (1 / 3, 3),
+        (0.4, 3), (0.5, 2), (0.8, 2), (1.0, 1), (2.0, 1), (1 / (3 + 5e-10), 4),
+    ])
+    def test_floor_is_the_fewest_members_that_do_not_collapse(self, C, floor):
+        assert min_members(C, True) == floor
+        assert not collapses(C, floor)
+        assert floor == 1 or collapses(C, floor - 1)
+        assert min_members(C, False) == 1
+
+    def test_no_optimal_sphere_below_the_floor_collapses(self, rng):
+        # 1/C is 3 + 5e-10: three members hold C * 3 = 1 - 1.7e-10 < 1, so
+        # they collapse, and the floor is 4
+        C = 1 / (3 + 5e-10)
+        g = gram(LINEAR, rng.normal(size=(8, 2)))
+        assert solve_sphere(g, range(3), C).radius_sq == 0.0
+        sol = solve_exact(MsvddProblem(gram=g, p=2, C=C))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert [len(s.members) for s in sol.spheres] == [4, 4]
+        assert not any(collapses(C, len(s.members)) for s in sol.spheres)
 
 
 def count_sphere_solves(monkeypatch):

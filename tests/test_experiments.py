@@ -10,6 +10,7 @@ import msvdd.experiments
 from msvdd.codec import from_dict, to_dict
 from msvdd.errors import InputError, SolverFailure
 from msvdd.experiments import (
+    DATA_SOURCES,
     MODEL_EXACT,
     MODEL_HEURISTIC,
     ExperimentConfig,
@@ -18,7 +19,9 @@ from msvdd.experiments import (
     run_cross_validation,
     run_gap_study,
 )
-from msvdd.kernels import KernelKind, KernelSpec
+from msvdd.exact import MsvddProblem
+from msvdd.heuristic import HeuristicConfig
+from msvdd.kernels import LINEAR, KernelKind, KernelSpec, gram
 
 
 # values of the wrong type, each with the field its message must name
@@ -30,6 +33,24 @@ WRONGLY_TYPED = (
     {"kernels": ({"kind": "rbf", "sigma_squared": "x"},)},
 )
 WRONGLY_TYPED_NAMES = ("n_train", "n_val", "scale", "time_limit", "sigma_squared")
+
+# values a config refuses when it is built, before any cell runs, each with
+# the key its message names
+REFUSED_AT_ENTRY = (
+    ({"data": {"type": "synthetic", "noise_levels": ["a"]}}, "noise_levels"),
+    ({"data": {"type": "synthetic", "cluster_sigmas": [0.5]}}, "cluster_sigmas"),
+    ({"p_grid": [True]}, "p_grid"),
+    ({"data": {"type": "synthetic", "n_train": True}}, "n_train"),
+    ({"data": {"type": "synthetic", "noise_levels": [0.1, 0.7]}}, "noise_levels"),
+    ({"data": {"type": "synthetic", "cluster_sigmas": [0.5, 0.0]}}, "cluster_sigmas"),
+    ({"data": {"type": "libsvm", "path": "x", "fractions": [0.5, 0.5, 0.5]}}, "fractions"),
+    ({"data": {"type": "libsvm", "path": "x", "anomaly_classes": [1.5]}}, "anomaly_classes"),
+    ({"data": {"type": "libsvm", "path": "x", "anomaly_fractions": [0.0]}}, "anomaly_fractions"),
+    ({"data": {"type": "csv", "path": ""}}, "path"),
+    ({"data": {"type": "csv"}}, "path"),
+    ({"kernels": [{"kind": "rbf", "sigma_squared": True}]}, "sigma_squared"),
+    ({"kernels": [{"kind": "rbf", "sigma_squared": math.inf}]}, "sigma_squared"),
+)
 
 
 def small_config(out_dir, **overrides):
@@ -48,7 +69,6 @@ def small_config(out_dir, **overrides):
         },
         seeds=(0, 1),
         out_dir=str(out_dir),
-        heuristic_restarts=2,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -62,6 +82,10 @@ RESOLVED_SMALL_CONFIG = """\
     1.0
   ],
   "data": {
+    "cluster_sigmas": [
+      0.5,
+      0.6
+    ],
     "n_test": 20,
     "n_train": 14,
     "n_val": 12,
@@ -71,8 +95,6 @@ RESOLVED_SMALL_CONFIG = """\
     "type": "synthetic"
   },
   "enforce_cardinality": true,
-  "heuristic_max_iters": 100,
-  "heuristic_restarts": 2,
   "kernels": [
     {
       "kind": "linear",
@@ -142,7 +164,7 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         {"C_grid": (0.2, math.inf)}, {"C_grid": (math.nan,)}, {"C_grid": (-0.1,)},
         {"time_limit": math.nan}, {"time_limit": -1.0},
-        {"heuristic_restarts": 0}, {"heuristic_max_iters": 0}, {"p_grid": (2, 0)},
+        {"workers": 0}, {"seeds": (0.5,)}, {"p_grid": (2, 0)},
         {"p_grid": 2}, {"p_grid": (1.5,)}, {"seeds": "01"}, {"workers": 2.0},
         {"enforce_cardinality": "no"}, {"kernels": ({"sigma_squared": 1.0},)},
         {"data": {"type": "synthetic", "noise_level": [0.2]}},
@@ -160,6 +182,19 @@ class TestConfig:
         # names the field rather than repeating Python's comparison error
         with pytest.raises(InputError, match=name):
             small_config(tmp_path, **bad)
+
+    @pytest.mark.parametrize("bad,name", REFUSED_AT_ENTRY)
+    def test_bad_value_is_refused_where_it_enters(self, tmp_path, bad, name):
+        with pytest.raises(InputError, match=name):
+            from_dict(ExperimentConfig, {**bad, "out_dir": str(tmp_path)})
+
+    @pytest.mark.parametrize("source", sorted(DATA_SOURCES))
+    def test_data_block_is_complete(self, tmp_path, source):
+        data = {"type": source} if source == "synthetic" else {"type": source, "path": "x"}
+        config = small_config(tmp_path, data=data)
+        assert set(config.data) == {"type", *DATA_SOURCES[source]}
+        assert all(not isinstance(v, list) for v in config.data.values())
+        assert from_dict(ExperimentConfig, json.loads(json.dumps(to_dict(config)))) == config
 
     @pytest.mark.parametrize("limit", [None, 0.0, math.inf])
     def test_time_limit_accepted(self, tmp_path, limit):
@@ -196,6 +231,13 @@ class TestRunCrossValidation:
         with open(os.path.join(config.out_dir, "resolved_config.json")) as fh:
             text = fh.read().replace(json.dumps(config.out_dir), '"OUT"')
         assert text == RESOLVED_SMALL_CONFIG
+
+    def test_resolved_config_loads_to_the_same_config(self, run):
+        config, _ = run
+        with open(os.path.join(config.out_dir, "resolved_config.json")) as fh:
+            resolved = json.load(fh)
+        assert set(resolved["data"]) == {"type", *DATA_SOURCES["synthetic"]}
+        assert from_dict(ExperimentConfig, resolved) == config
 
     def test_artifacts_written(self, run):
         config, _ = run
@@ -244,8 +286,8 @@ class TestRunCrossValidation:
         cells = read_csv(os.path.join(config.out_dir, "cells.csv"))
         bad = [c for c in cells if c["param_value"] == "0.05"]
         good = [c for c in cells if c["param_value"] == "1.0"]
-        assert bad and all(c["error"] != "" for c in bad)
-        assert good and all(c["error"] == "" for c in good)
+        assert bad and all(c["error"] != "" and c["status"] == "infeasible" for c in bad)
+        assert good and all(c["error"] == "" and c["status"] == "optimal" for c in good)
 
 
 class TestScoring:
@@ -352,8 +394,8 @@ class TestRunGapStudy:
         solved = set()
         for run_id, entry in summary.items():
             if run_id.endswith("_0.05"):
-                assert entry["status"] == "infeasible"
-                assert entry["error"] == "InputError: infeasible cardinality for this (p, C)"
+                assert entry == {"run_id": run_id, "status": "infeasible",
+                                 "error": "infeasible cardinality for this (p, C)"}
             elif run_id.endswith("_s1_p2_linear_1"):
                 assert entry == {"run_id": run_id, "status": "failed",
                                  "error": "SolverFailure: no convergence"}
@@ -524,3 +566,21 @@ class TestLoadDataset:
         # scaled into the unit box on the train split
         assert train.points.min() >= -1.0 - 1e-9
         assert train.points.max() <= 1.0 + 1e-9
+
+
+class TestBoolIsNotANumber:
+    # Python counts True as the integer 1; a rule refuses it unless it asks for bool
+    @pytest.mark.parametrize("name,build", [
+        ("p_grid", lambda out: small_config(out, p_grid=(True,))),
+        ("seeds", lambda out: small_config(out, seeds=(0, False))),
+        ("workers", lambda out: small_config(out, workers=True)),
+        ("time_limit", lambda out: small_config(out, time_limit=True)),
+        ("p", lambda out: MsvddProblem(gram=gram(LINEAR, np.eye(3)), p=True, C=0.5)),
+        ("restarts", lambda out: HeuristicConfig(p=2, nu=0.5, restarts=True)),
+    ])
+    def test_bool_is_refused(self, tmp_path, name, build):
+        with pytest.raises(InputError, match=f"^{name} must be"):
+            build(tmp_path)
+
+    def test_flag_takes_a_bool(self, tmp_path):
+        assert small_config(tmp_path, enforce_cardinality=False).enforce_cardinality is False
