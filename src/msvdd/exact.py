@@ -22,15 +22,19 @@ centroid, and must still take points up to the floor of ceil(1/C) members.
 By the scatter identity and Jensen's inequality, the unassigned points
 nearest its centroid bound what they add (`_pick` gives the derivation).  Each
 term bounds one sphere's own completion, so their sum is valid, and the
-distances are the ones the max-min pick computes anyway.  A lifted node goes
+distances are the ones the max-min pick reads anyway.  A lifted node goes
 back on the queue under its raised key and is expanded, and counted, when it
 comes out again; children are keyed by their plain dual sums.
 
-A grown sphere is first certified from its parent: the parent's weights plus
-a 0 keep their dual value, the max-min pick already gave the point's distance
-to the parent's center, and when the gap stays within tolerance the child
-needs no solve (`msvdd.svdd.grow_certified`).  Otherwise it is warm-started
-from the parent.
+Every solved sphere carries its ``column``, the squared feature distance from
+every point to its center, formed once by the certificate that certified it
+(`msvdd.svdd.SvddSolution`).  The max-min pick, the lift and the root's
+cardinality repair read these columns and multiply no Gram rows.  A grown
+sphere is first certified from its parent: the parent's weights plus a 0 keep
+their dual value and center, so the parent's column gives the child's
+distances, and when the gap stays within tolerance the child needs no solve
+and shares that column (`msvdd.svdd.grow_certified`).  Otherwise it is
+warm-started from the parent.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from .solution import (
     canonical_objective,
     min_members,
     solve_sphere,
-    sphere_distances_sq,
 )
 from .svdd import grow_certified, zero_radius_sphere
 
@@ -86,18 +89,17 @@ class MsvddProblem:
             raise InputError(f"p={self.p} exceeds the number of points {self.gram.n}")
 
 
-def _sphere(gram_matrix, C, members, parent=None, point=None, distance_sq=None):
+def _sphere(gram_matrix, C, members, parent=None, point=None):
     """The sphere on ``members``, in the search's order of trials.
 
-    A sphere grown from ``parent`` by ``point``, at squared distance
-    ``distance_sq`` from the parent's center, is certified from the parent
+    A sphere grown from ``parent`` by ``point`` is certified from the parent
     when its weights still certify it (`grow_certified`) and warm-started
     from them, with a 0 for the point, otherwise.  Spheres below the 1/C
     floor take the radius-floored value; with cardinality enforcement such
     spheres only appear at inner nodes (the counting prune bars them from
     leaves), where that value is a valid lower bound on any completion.
     """
-    sol = None if parent is None else grow_certified(parent, point, distance_sq)
+    sol = None if parent is None else grow_certified(parent, point)
     if sol is not None:
         return sol
     warm = None
@@ -139,8 +141,8 @@ def _centroid_size(C: float, enforce_cardinality: bool) -> int:
     return q if C * q <= 1.0 + 1e-12 else q - 1
 
 
-def _pick(node, gram_matrix, size):
-    """Branch point, its distances to the nonempty spheres, and the node's lift.
+def _pick(node, size):
+    """Branch point and the node's lift, from the columns of its spheres.
 
     The branch point is the max-min point: the unassigned point whose squared
     feature distance to its nearest nonempty sphere center is largest, ties
@@ -164,8 +166,8 @@ def _pick(node, gram_matrix, size):
     unassigned = np.flatnonzero(sphere_of == UNASSIGNED)
     placed = [j for j, s in enumerate(spheres) if s is not None]
     if not placed:
-        return int(unassigned[0]), {}, 0.0
-    d2 = sphere_distances_sq(gram_matrix, [spheres[j] for j in placed])[unassigned]
+        return int(unassigned[0]), 0.0
+    d2 = np.stack([spheres[j].column[unassigned] for j in placed], axis=1)
     row = int(np.argmax(d2.min(axis=1)))  # first maximum: lowest index
     lift = 0.0
     for col, j in enumerate(placed):
@@ -174,7 +176,7 @@ def _pick(node, gram_matrix, size):
         if k > 0:
             nearest = float(np.partition(d2[:, col], k - 1)[:k].sum())
             lift += spheres[j].C * m / (m + k) * nearest
-    return int(unassigned[row]), dict(zip(placed, d2[row].tolist())), lift
+    return int(unassigned[row]), lift
 
 
 def _expand(node, gram_matrix, C, p, floor):
@@ -188,7 +190,7 @@ def _expand(node, gram_matrix, C, p, floor):
     bounds are plain dual sums; the search adds a child's lift when it pops it.
     """
     sphere_of, spheres = node.sphere_of, node.spheres
-    point, dist, _ = node.pick or _pick(node, gram_matrix, 0)
+    point, _ = node.pick or _pick(node, 0)
     counts = np.bincount(sphere_of[sphere_of >= 0], minlength=p)[:p]
     deficit = int(np.maximum(floor - counts, 0).sum())
     left = sphere_of.size - node.depth - 1
@@ -198,7 +200,7 @@ def _expand(node, gram_matrix, C, p, floor):
             continue
         old = spheres[j]
         members = (point,) if old is None else tuple(sorted(old.members + (point,)))
-        sol = _sphere(gram_matrix, C, members, old, point, dist.get(j))
+        sol = _sphere(gram_matrix, C, members, old, point)
         child_spheres = spheres[:j] + (sol,) + spheres[j + 1 :]
         lb = sum(s.dual_objective for s in child_spheres if s is not None)
         child_of = sphere_of.copy()
@@ -245,13 +247,13 @@ def _repair_cardinality(sphere_of, gram_matrix, C, p, floor):
             return None
         if counts[j]:
             centroid = zero_radius_sphere(gram_matrix, np.flatnonzero(sphere_of == j), C)
-            cost = sphere_distances_sq(gram_matrix, [centroid])[donors, 0]
+            cost = centroid.column[donors]
         else:
             labels = np.flatnonzero(counts)
-            centroids = [
-                zero_radius_sphere(gram_matrix, np.flatnonzero(sphere_of == k), C) for k in labels
-            ]
-            d2 = sphere_distances_sq(gram_matrix, centroids)
+            d2 = np.stack([
+                zero_radius_sphere(gram_matrix, np.flatnonzero(sphere_of == k), C).column
+                for k in labels
+            ], axis=1)
             cost = -d2[donors, np.searchsorted(labels, sphere_of[donors])]
         sphere_of[int(donors[np.argmin(cost)])] = j
     return None
@@ -299,6 +301,8 @@ def _objective(node) -> float:
 def solve_exact(problem: MsvddProblem) -> MsvddSolution:
     """Globally optimal multisphere solution (or the best incumbent on timeout).
 
+    A timed-out solve reports as ``lower_bound`` the largest node key it
+    popped, capped at the incumbent; it never drops as the search goes on.
     When p spheres cannot all reach the cardinality floor the solve skips
     the root heuristic and the search and reports `SolveStatus.INFEASIBLE`.
     """
@@ -326,6 +330,9 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
     heap = [(root.lb, 0, next(counter), root)] if feasible else []
     node_count = 0
     timed_out = False
+    # the largest key popped so far: a popped key is the smallest open one,
+    # and a subtree's bound only rises, so no completion lies below it
+    proven = -math.inf
 
     def prune_tol(ub):
         return 1e-9 * max(1.0, abs(ub)) if math.isfinite(ub) else 0.0
@@ -334,9 +341,9 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
         lb, _, _, node = heapq.heappop(heap)
         if lb >= incumbent - prune_tol(incumbent):
             break
+        proven = max(proven, lb)
         if problem.time_limit is not None and time.perf_counter() - t0 > problem.time_limit:
             timed_out = True
-            final_lb = min([lb] + [entry[0] for entry in heap] + [incumbent])
             break
 
         if node.depth == n:
@@ -351,8 +358,8 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
 
         if node.pick is None:
             # first pop: lift the key and requeue; expand when it comes out again
-            node.pick = _pick(node, gram_mat, size)
-            lifted = lb + node.pick[2]
+            node.pick = _pick(node, size)
+            lifted = lb + node.pick[1]
             if lifted > lb:
                 if lifted < incumbent - prune_tol(incumbent):
                     heapq.heappush(heap, (lifted, -node.depth, next(counter), node))
@@ -364,6 +371,7 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
                 heapq.heappush(heap, (child.lb, -child.depth, next(counter), child))
 
     if timed_out:
+        final_lb = min(proven, incumbent)
         status = SolveStatus.TIME_LIMIT_INCUMBENT
     else:
         final_lb = incumbent  # every node left is pruned: the incumbent is optimal

@@ -157,7 +157,30 @@ def load_dataset(config: ExperimentConfig, noise, seed: int) -> Dataset:
             seed=seed,
         )
         return scale_to_unit_box(ds.subset("train"), (ds,))[1] if data["scale"] else ds
-    return read_dataset_csv(data["path"])
+    return _csv_source(config)
+
+
+def _csv_source(config: ExperimentConfig) -> Dataset | None:
+    """A CSV source's one dataset, checked; None for a source that each block
+    draws.  The studies read it once per run, before any output is written,
+    and pass it to every block; `load_dataset` reads it through here too.
+
+    A grid study scores AUC against the labels on the train, val and test
+    splits, so a file without labels, split tags or one of those splits is
+    refused here rather than failing every cell.
+    """
+    if config.data["type"] != "csv":
+        return None
+    path = config.data["path"]
+    ds = read_dataset_csv(path)
+    if ds.labels is None:
+        raise InputError(f"{path}: the dataset has no labels, which a grid study scores against")
+    if ds.split is None:
+        raise InputError(f"{path}: the dataset has no split tags")
+    missing = [name for name in ("train", "val", "test") if not (ds.split == name).any()]
+    if missing:
+        raise InputError(f"{path}: the dataset has no {', '.join(missing)} split")
+    return ds
 
 
 def _kernel_name(spec: KernelSpec) -> str:
@@ -192,16 +215,19 @@ def _aucs(solved, gram_train, train, *splits) -> list[float]:
 
 
 def run_dataset_block(
-    config: ExperimentConfig, noise, seed: int, incumbents: bool = False
+    config: ExperimentConfig, noise, seed: int, incumbents: bool = False,
+    dataset: Dataset | None = None,
 ) -> list[dict]:
     """All grid cells for one dataset draw; failures are recorded, not raised.
 
-    With ``incumbents``, which only the gap study asks for, a solved exact
-    cell also carries its ``lower_bound`` and its ``incumbents``: the
-    `incumbent_gap_rows`, each with its run id and the test AUC of the rule
-    that incumbent's spheres induce.
+    The draw is ``dataset`` when given (a run's CSV source, `_csv_source`)
+    and `load_dataset`'s otherwise.  With ``incumbents``, which only the gap
+    study asks for, a solved exact cell also carries its ``lower_bound`` and
+    its ``incumbents``: the `incumbent_gap_rows`, each with its run id and the
+    test AUC of the rule that incumbent's spheres induce.
     """
-    dataset = load_dataset(config, noise, seed)
+    if dataset is None:
+        dataset = load_dataset(config, noise, seed)
     train, val, test = (dataset.subset(name) for name in ("train", "val", "test"))
     cells = []
     for kspec in config.kernels:
@@ -245,12 +271,15 @@ def run_dataset_block(
     return cells
 
 
-def _collect_cells(config: ExperimentConfig, incumbents: bool = False) -> list[dict]:
+def _collect_cells(config: ExperimentConfig, incumbents: bool = False,
+                   dataset: Dataset | None = None) -> list[dict]:
     """Every cell of the grid in run-id order, its (noise, seed) blocks run
-    by ``config.workers`` processes; ``incumbents`` as `run_dataset_block`."""
+    by ``config.workers`` processes; ``incumbents`` and ``dataset`` as
+    `run_dataset_block`."""
     blocks = [(noise, seed) for noise in noise_levels(config) for seed in config.seeds]
-    args = ([config] * len(blocks), *zip(*blocks), [incumbents] * len(blocks))
-    if config.workers > 1 and len(blocks) > 1:
+    n = len(blocks)
+    args = ([config] * n, *zip(*blocks), [incumbents] * n, [dataset] * n)
+    if config.workers > 1 and n > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(run_dataset_block, *args))
     else:
@@ -341,9 +370,10 @@ REPORT_COLUMNS = [
 
 def run_cross_validation(config: ExperimentConfig) -> list[dict]:
     """Full grid study; writes report/cells/timings and returns report rows."""
+    dataset = _csv_source(config)
     os.makedirs(config.out_dir, exist_ok=True)
     write_json(to_dict(config), os.path.join(config.out_dir, "resolved_config.json"))
-    cells = _collect_cells(config)
+    cells = _collect_cells(config, dataset=dataset)
     rows = select_and_summarize(cells)
     write_csv(os.path.join(config.out_dir, "cells.csv"), cells, CELL_COLUMNS)
     write_csv(
@@ -373,9 +403,10 @@ def run_gap_study(config: ExperimentConfig) -> list[dict]:
     in run-id order; writes incumbents.csv and gap_summary.json."""
     if config.mode != "exact":
         raise InputError("gap study requires mode='exact'")
+    dataset = _csv_source(config)
     os.makedirs(config.out_dir, exist_ok=True)
     write_json(to_dict(config), os.path.join(config.out_dir, "resolved_config.json"))
-    cells = _collect_cells(config, incumbents=True)
+    cells = _collect_cells(config, incumbents=True, dataset=dataset)
     rows = [row for cell in cells for row in cell.get("incumbents", ())]
     write_csv(os.path.join(config.out_dir, "incumbents.csv"), rows, GAP_COLUMNS)
     write_json([_gap_summary(c) for c in cells], os.path.join(config.out_dir, "gap_summary.json"))

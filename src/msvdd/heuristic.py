@@ -23,7 +23,6 @@ from .solution import (
     MsvddSolution,
     SolveStatus,
     canonical_objective,
-    sphere_distances_sq,
 )
 from .svdd import solve_svdd
 
@@ -128,7 +127,7 @@ def _single_run(gram_matrix, p, nu, max_iters, rng, t0, solved):
             log.append(
                 IncumbentRecord(obj, time.perf_counter() - t0, sphere_of.copy(), tuple(spheres))
             )
-        d2 = sphere_distances_sq(gram_matrix, spheres)
+        d2 = np.stack([s.column for s in spheres], axis=1)
         radii = np.array([s.radius_sq for s in spheres])
         new_assign = _repair_empty(_nearest_sphere(d2, radii), d2, radii, p)
         if np.array_equal(new_assign, sphere_of):

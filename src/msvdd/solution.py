@@ -80,26 +80,6 @@ def canonical_objective(values) -> float:
     return float(np.sort(np.asarray(values, dtype=float)).sum())
 
 
-def sphere_distances_sq(gram_matrix: GramMatrix, spheres) -> np.ndarray:
-    """(n, p) squared feature distances from every training point to every
-    sphere center, computed from Gram entries alone.
-
-    Only the Gram rows of each sphere's support vectors are read: they equal
-    its support columns, since `GramMatrix` is exactly symmetric, and are
-    contiguous where columns are strided.  The center's own term
-    alpha' K alpha is the one stored with the sphere.
-    """
-    K = gram_matrix.values
-    diag = np.diag(K)
-    cols = []
-    for s in spheres:
-        w = s.alpha[s.alpha > 0.0] @ K[s.support]
-        cols.append(diag - 2.0 * w + s.alpha_quad)
-    d2 = np.stack(cols, axis=1)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def min_members(C: float, enforce_cardinality: bool) -> int:
     """Minimum member count per sphere: 1 without the cardinality rule, else
     the fewest members that C does not `collapses`, which is ceil(1/C) up to

@@ -31,11 +31,16 @@ follow from it.  `grow_certified` applies the same certificate to a solved
 sphere grown by one point, without a solve.
 A solve reads the shared Gram matrix through the member indices and never
 copies the members' block: a pair step gathers the Gram rows of its two
-points at the members, a certificate forms K @ a from the rows of the
-nonzero weights, a face step gathers the rows of the free weights, and the
-cold start takes the member sums from one product of the Gram matrix with
-the member indicator.  Rows stand in for columns, which is exact because
-`GramMatrix` stores a symmetric matrix.
+points at the members, a certificate forms the full-length product of the
+Gram rows of the nonzero weights with those weights, a face step gathers the
+rows of the free weights, and the cold start takes the member sums from one
+product of the Gram matrix with the member indicator.  Rows stand in for
+columns, which is exact because `GramMatrix` stores a symmetric matrix.
+The certificate that certifies keeps its product as the sphere's ``column``:
+the squared feature distance from every point of the Gram matrix to the
+center.  It is the one place a solved sphere's distances are computed; a
+child that `grow_certified` certifies shares its parent's column, and
+`zero_radius_sphere` builds its own from the mean of its members' Gram rows.
 """
 
 from __future__ import annotations
@@ -80,27 +85,32 @@ def collapses(C: float, m: int) -> bool:
 class SvddSolution:
     """One solved sphere: its weights ``alpha`` and radius ``radius_sq``.
 
-    ``alpha`` and ``distances_sq`` are indexed like ``members`` (ascending
-    global point indices), and the errors follow from them (`errors`).
-    ``objective`` is the primal value radius_sq + C * sum(errors); ``gap`` is
-    the certified distance to the dual optimum at termination.  ``support``
-    holds the global indices of the members with nonzero weight (ascending,
-    so aligned with ``alpha[alpha > 0]``) and ``alpha_quad`` the value
-    alpha' K alpha at the certified point; together they give distances to
-    the center without the members' Gram block.
+    ``alpha`` is indexed like ``members`` (ascending global point indices).
+    ``column`` holds the squared feature distance, clamped at 0, from every
+    point of the Gram matrix to the center, K_ii - 2 (K a)_i + alpha_quad;
+    ``alpha_quad`` is alpha' K alpha at the certified point.  Solved spheres
+    may share one column object (`grow_certified`), so it is never written
+    to.  The members' distances (`distances_sq`) are the column at the
+    members, and the errors follow from them (`errors`).  ``objective`` is the
+    primal value radius_sq + C * sum(errors); ``gap`` is the certified
+    distance to the dual optimum at termination.
     """
 
     members: tuple[int, ...]
     alpha: np.ndarray
     radius_sq: float
-    distances_sq: np.ndarray
+    column: np.ndarray
     objective: float
     C: float
     dual_objective: float
     gap: float
     iterations: int
-    support: np.ndarray
     alpha_quad: float
+
+    @property
+    def distances_sq(self) -> np.ndarray:
+        """Squared feature distances of the members to the center, in member order."""
+        return self.column[list(self.members)]
 
     @property
     def errors(self) -> np.ndarray:
@@ -210,7 +220,8 @@ def solve_svdd(
     Every read of ``gram_matrix`` goes through the member indices and copies
     no m x m member block: the largest temporaries are the Gram rows of the
     nonzero weights (at a certificate) or of the free weights (at a face
-    step), each of length n, the Gram matrix's point count.
+    step), each of length n, the Gram matrix's point count.  The certificate
+    that certifies keeps its length-n product as the solution's ``column``.
     Raises InfeasibleSubproblemError when C * |S| < 1 and ConvergenceError
     (carrying the smallest gap reached) if the iteration cap is hit or no
     pair step can close the gap.
@@ -238,10 +249,11 @@ def solve_svdd(
     it = 0
     # a face step needs an SMO block with steps since the start or the last one
     face_ready = False
-    Ka = _member_gram_dot(V, ia, a)
+    Kw = _gram_dot(V, ia, a)
     while True:
         # certificate from a fresh K @ a, so drift in the incremental
         # gradient can slow the loop but never certify a wrong point
+        Ka = Kw[ia]
         quad = float(a @ Ka)
         dual = float(q @ a) - quad
         d2 = np.maximum(q - 2.0 * Ka + quad, 0.0)
@@ -249,7 +261,9 @@ def solve_svdd(
         gap = max(float(R + C * xi.sum()) - dual, 0.0)
         best_gap = min(best_gap, gap)
         if gap <= DEFAULT_TOLS.duality_gap:
-            return _assemble(ia, a, d2, R, xi, C, dual, quad, gap, it)
+            # the same arithmetic as d2, so the column at the members is d2
+            column = np.maximum(V.diagonal() - 2.0 * Kw + quad, 0.0)
+            return _assemble(idx, np.clip(a, 0.0, C), column, R, xi, C, dual, quad, gap, it)
 
         # SMO pair steps on min a'Ka - q'a; G is its gradient
         G = 2.0 * Ka - q
@@ -285,7 +299,7 @@ def solve_svdd(
             break
         face_ready = steps > 0
         block = _CHECK_EVERY
-        Ka = _member_gram_dot(V, ia, a)
+        Kw = _gram_dot(V, ia, a)
 
     reason = "iteration cap hit" if it >= max_iters else "stalled"
     raise ConvergenceError(
@@ -293,11 +307,11 @@ def solve_svdd(
     )
 
 
-def _member_gram_dot(V, ia, a) -> np.ndarray:
-    """K @ a for the member block K = V[ia][:, ia] of the symmetric Gram
-    matrix V, from the Gram rows of the members with nonzero weight."""
+def _gram_dot(V, ia, a) -> np.ndarray:
+    """V @ w for the length-n weights w that put ``a`` on the points ``ia``,
+    from the rows of the symmetric Gram matrix V at the nonzero weights."""
     s = np.flatnonzero(a)
-    return (a[s] @ V[ia[s]])[ia]
+    return a[s] @ V[ia[s]]
 
 
 def _start(V, ia, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
@@ -367,7 +381,8 @@ def _face_step(V, ia, a, G, C):
     if not np.all(np.isfinite(d)):
         return None
     a_F = a[F]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a tiny step component overflows the ratio to inf: no bound from that weight
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         room = np.where(d > 0.0, (C - a_F) / d, np.where(d < 0.0, -a_F / d, np.inf))
     k = int(np.argmin(room))
     new = a_F + min(room[k], 1.0) * d
@@ -387,46 +402,45 @@ def _face_step(V, ia, a, G, C):
     return rows_F, delta
 
 
-def _assemble(ia, a, d2, R, xi, C, dual, quad, gap, iters):
-    a = np.clip(a, 0.0, C)
+def _assemble(members, a, column, R, xi, C, dual, quad, gap, iters):
+    column.setflags(write=False)
     return SvddSolution(
-        members=tuple(ia.tolist()),
+        members=members,
         alpha=a,
         radius_sq=float(R),
-        distances_sq=d2,
+        column=column,
         objective=float(R + C * xi.sum()),
         C=float(C),
         dual_objective=dual,
         gap=float(gap),
         iterations=iters,
-        support=ia[a > 0.0],
         alpha_quad=quad,
     )
 
 
-def grow_certified(parent: SvddSolution, point: int, distance_sq: float) -> SvddSolution | None:
+def grow_certified(parent: SvddSolution, point: int) -> SvddSolution | None:
     """The sphere of ``parent.members`` plus ``point`` if the parent certifies it.
 
-    The parent's weights plus a 0 for the point keep the parent's dual value,
-    and its center gives the point ``distance_sq``; the radius follows as in
-    a solve's certificate.  Returns the grown sphere, with 0 iterations, when
-    the gap is within the default tolerance (the one every sphere solve of
-    the search uses); None otherwise, and for a zero-radius parent
+    The parent's weights plus a 0 for the point keep the parent's dual value
+    and center, so the grown sphere's distances are the parent's column at
+    its members; the radius follows as in a solve's certificate.  Returns the
+    grown sphere, with 0 iterations and the parent's column object, when the
+    gap is within the default tolerance (the one every sphere solve of the
+    search uses); None otherwise, and for a zero-radius parent
     (C * |S| < 1), whose weights exceed the cap.
     """
     C = parent.C
     if collapses(C, len(parent.members)):
         return None
     pos = bisect_left(parent.members, point)
-    d2 = np.concatenate((parent.distances_sq[:pos], [distance_sq], parent.distances_sq[pos:]))
-    R, xi = recover_radius(d2, C)
+    members = parent.members[:pos] + (int(point),) + parent.members[pos:]
+    R, xi = recover_radius(parent.column[list(members)], C)
     gap = max(float(R + C * xi.sum()) - parent.dual_objective, 0.0)
     if gap > DEFAULT_TOLS.duality_gap:
         return None
-    ia = np.asarray(parent.members[:pos] + (point,) + parent.members[pos:])
     a = np.concatenate((parent.alpha[:pos], [0.0], parent.alpha[pos:]))
     dual, quad = parent.dual_objective, parent.alpha_quad
-    return _assemble(ia, a, d2, R, xi, C, dual, quad, gap, 0)
+    return _assemble(members, a, parent.column, R, xi, C, dual, quad, gap, 0)
 
 
 def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSolution:
@@ -435,28 +449,18 @@ def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSoluti
     This is the optimum of the radius-floored subproblem min R + C*sum(xi),
     R >= 0 when C * |S| < 1 (the penalty slope is then positive everywhere, so
     the radius collapses and the best center is the centroid).  The capped
-    simplex bound on alpha does not apply in this regime; alpha is uniform.
+    simplex bound on alpha does not apply in this regime; alpha is uniform,
+    and the column comes from the mean of the members' Gram rows.
     """
     idx = _as_member_tuple(members, gram_matrix.n)
     m = len(idx)
     ia = np.asarray(idx)
-    K = gram_matrix.values[ia[:, None], ia]
+    V = gram_matrix.values
     a = np.full(m, 1.0 / m)
-    Ka = K @ a
-    quad = float(a @ Ka)
-    d2 = np.maximum(np.diag(K) - 2.0 * Ka + quad, 0.0)
+    Kw = a @ V[ia]
+    quad = float(a @ Kw[ia])
+    column = np.maximum(V.diagonal() - 2.0 * Kw + quad, 0.0)
+    # radius zero: every distance is an error, and the value is its own dual
+    d2 = column[ia]
     objective = float(C * d2.sum())
-    return SvddSolution(
-        members=idx,
-        alpha=a,
-        radius_sq=0.0,
-        distances_sq=d2,
-        objective=objective,
-        C=float(C),
-        dual_objective=objective,
-        gap=0.0,
-        iterations=0,
-        support=ia,
-        alpha_quad=quad,
-    )
-
+    return _assemble(idx, a, column, 0.0, d2, C, objective, quad, 0.0, 0)

@@ -39,7 +39,6 @@ from msvdd.solution import (
     canonical_objective,
     min_members,
     solve_sphere,
-    sphere_distances_sq,
 )
 from msvdd.svdd import solve_svdd
 
@@ -195,12 +194,16 @@ def recover_radius_sorted(distances_sq, C):
 
 
 def sphere_distances_sq_columns(gram_matrix: GramMatrix, spheres) -> np.ndarray:
-    """`sphere_distances_sq` through the Gram columns of each sphere's
-    support, the reference for its reads of the support rows."""
+    """(n, p) squared feature distances from every point to every sphere
+    center, through the Gram columns of each sphere's support (the members
+    with nonzero weight): the reference for the stored ``column``, which the
+    solver forms from Gram rows."""
     K = gram_matrix.values
     diag = np.diag(K)
-    cols = [diag - 2.0 * K[:, s.support] @ s.alpha[s.alpha > 0.0] + s.alpha_quad
-            for s in spheres]
+    cols = []
+    for s in spheres:
+        support = np.asarray(s.members)[s.alpha > 0.0]
+        cols.append(diag - 2.0 * K[:, support] @ s.alpha[s.alpha > 0.0] + s.alpha_quad)
     return np.maximum(np.stack(cols, axis=1), 0.0)
 
 
@@ -276,7 +279,7 @@ def verify_bigM_feasibility(
     model exactly as written.
     """
     deltas = np.asarray(deltas, dtype=float)
-    d2 = sphere_distances_sq(gram_matrix, solution.spheres)
+    d2 = sphere_distances_sq_columns(gram_matrix, solution.spheres)
     radii = np.array([s.radius_sq for s in solution.spheres])
     z = np.zeros_like(d2)
     z[np.arange(solution.sphere_of.size), solution.sphere_of] = 1.0

@@ -151,6 +151,31 @@ class TestSolve:
         assert err.startswith(f"input error: line {line}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["cv", "gap"])
+    @pytest.mark.parametrize("blank, message", [
+        ("label", "has no labels"),
+        ("split", "has no split tags"),
+    ], ids=["no-labels", "no-split-tags"])
+    def test_unusable_csv_source_is_input_error(self, dataset_dir, tmp_path, capsys,
+                                                command, blank, message):
+        # a grid study needs the labels and split tags that a CSV may leave
+        # empty; the file is refused before the output directory is made
+        rows = read_rows(dataset_dir / "dataset.csv")
+        path = tmp_path / "blank.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows({**row, blank: ""} for row in rows)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"mode": "exact", "p_grid": [1], "C_grid": [0.5],
+                                           "data": {"type": "csv", "path": str(path)}}))
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and message in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
     def test_workers_flag_removed(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit):
             run_cli(

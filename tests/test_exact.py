@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 
@@ -26,7 +27,6 @@ from msvdd.solution import (
     canonical_objective,
     min_members,
     solve_sphere,
-    sphere_distances_sq,
 )
 from msvdd.svdd import DEFAULT_TOLS, collapses
 from oracles import (
@@ -282,7 +282,7 @@ class TestCompletionLift:
         C = 1.0 / 3.0
         assert _centroid_size(C, True) == 3
         node = _node_of(np.array([0, -1, -1]), g, C, 1)
-        point, _, lift = _pick(node, g, _centroid_size(C, True))
+        point, lift = _pick(node, _centroid_size(C, True))
         assert point == 2
         assert lift == pytest.approx(10.0 / 9.0, abs=1e-12)
         best = evaluate_assignment(g, np.array([0, 0, 0]), 1, C)
@@ -310,9 +310,9 @@ class TestCompletionLift:
         free = r.choice(n, size=int(r.integers(n // 2, min(n - 1, 7) + 1)), replace=False)
         base[free] = -1
         node = _node_of(base, g, C, p)
-        lift = _pick(node, g, _centroid_size(C, True))[2]
+        lift = _pick(node, _centroid_size(C, True))[1]
         assert lift >= 0.0
-        assert _pick(node, g, _centroid_size(C, False))[2] == 0.0
+        assert _pick(node, _centroid_size(C, False))[1] == 0.0
         best = math.inf
         for combo in itertools.product(range(p), repeat=free.size):
             full = base.copy()
@@ -785,15 +785,13 @@ class TestVerifyBigM:
 
         g, sol = two_cluster_solution
         deltas = [compute_delta_primal(TWO_CLUSTERS_1D, i) for i in range(6)]
-        # the errors follow the radius and the stored distances, so shifting
+        # the errors follow the radius and the stored column, so shifting
         # both by 1 shrinks the radius and keeps the errors
         s = sol.spheres[0]
         shrunk = dataclasses.replace(
             sol,
             spheres=(
-                dataclasses.replace(
-                    s, radius_sq=s.radius_sq - 1.0, distances_sq=s.distances_sq - 1.0
-                ),
+                dataclasses.replace(s, radius_sq=s.radius_sq - 1.0, column=s.column - 1.0),
                 sol.spheres[1],
             ),
         )
@@ -803,7 +801,7 @@ class TestVerifyBigM:
     def test_zeroed_delta_fails(self, two_cluster_solution):
         g, sol = two_cluster_solution
         deltas = np.array([compute_delta_primal(TWO_CLUSTERS_1D, i) for i in range(6)])
-        d2 = sphere_distances_sq(g, sol.spheres)
+        d2 = np.stack([s.column for s in sol.spheres], axis=1)
         xi = xi_full(sol)
         radii = [s.radius_sq for s in sol.spheres]
         # pick a point whose distance to the sphere it is NOT assigned to
@@ -818,6 +816,56 @@ class TestVerifyBigM:
                 break
         assert found
         assert not verify_bigM_feasibility(sol, broken, g)
+
+
+class PopClock:
+    """Stands in for `msvdd.exact`'s ``time`` and ``heapq``: the clock reads
+    the number of heap pops so far, so a solve with time_limit = k + 0.5
+    times out at its (k + 1)-th pop.  ``keys`` records every popped key."""
+
+    def __init__(self):
+        self.keys = []
+
+    def perf_counter(self):
+        return float(len(self.keys))
+
+    def heappop(self, heap):
+        item = heapq.heappop(heap)
+        self.keys.append(item[0])
+        return item
+
+    heappush = staticmethod(heapq.heappush)
+
+
+class TestDeadlineBound:
+    def test_bound_never_drops_as_the_deadline_grows(self, monkeypatch):
+        g = gram(LINEAR, np.random.default_rng(0).normal(scale=1.5, size=(14, 2)))
+        problem = dict(gram=g, p=2, C=0.2, seed=0)
+
+        def solve(time_limit=None):
+            clock = PopClock()
+            monkeypatch.setattr(msvdd.exact, "time", clock)
+            monkeypatch.setattr(msvdd.exact, "heapq", clock)
+            return solve_exact(MsvddProblem(**problem, time_limit=time_limit)), clock.keys
+
+        optimum, keys = solve()
+        assert optimum.status is SolveStatus.OPTIMAL
+        assert optimum.lower_bound == optimum.objective
+        # lifted nodes make a popped key fall below an earlier one, which the
+        # smallest open key alone would report as a falling bound
+        assert any(k < max(keys[:i]) for i, k in enumerate(keys) if i)
+        bounds = []
+        for pops in range(len(keys)):
+            sol, _ = solve(pops + 0.5)
+            if sol.status is SolveStatus.OPTIMAL:
+                assert sol.lower_bound == sol.objective == optimum.objective
+                break
+            assert sol.status is SolveStatus.TIME_LIMIT_INCUMBENT
+            bounds.append(sol.lower_bound)
+        assert len(bounds) >= len(keys) // 2
+        assert bounds == sorted(bounds)
+        assert bounds[-1] > bounds[0]
+        assert max(bounds) <= optimum.objective
 
 
 class TestIncumbentGapRows:

@@ -567,6 +567,36 @@ class TestLoadDataset:
         assert train.points.min() >= -1.0 - 1e-9
         assert train.points.max() <= 1.0 + 1e-9
 
+    def test_csv_source_is_checked(self, tmp_path):
+        # the one CSV reader refuses a file without labels, whichever study
+        # or caller reads it
+        from msvdd.data import Dataset, write_dataset_csv
+
+        path = tmp_path / "unlabelled.csv"
+        write_dataset_csv(Dataset(np.zeros((6, 2)), split=["train", "val", "test"] * 2), path)
+        config = ExperimentConfig(mode="heuristic", data={"type": "csv", "path": str(path)},
+                                  out_dir=str(tmp_path))
+        with pytest.raises(InputError, match="has no labels"):
+            load_dataset(config, "na", seed=0)
+
+
+def test_csv_source_is_read_once_per_run(tmp_path, monkeypatch):
+    from msvdd.data import SyntheticSpec, generate_synthetic, write_dataset_csv
+
+    path = tmp_path / "dataset.csv"
+    write_dataset_csv(generate_synthetic(SyntheticSpec(14, 12, 20, 0.1, seed=0)), path)
+    reads = []
+    read = msvdd.experiments.read_dataset_csv
+    monkeypatch.setattr(msvdd.experiments, "read_dataset_csv",
+                        lambda p: reads.append(p) or read(p))
+    # two seeds make two dataset blocks, which share the one read
+    config = ExperimentConfig(mode="heuristic", p_grid=(1,), nu_grid=(0.2,), seeds=(0, 1),
+                              data={"type": "csv", "path": str(path)},
+                              out_dir=str(tmp_path / "cv"))
+    rows = run_cross_validation(config)
+    assert reads == [str(path)]
+    assert rows and rows[0]["n_seeds"] == 2
+
 
 class TestBoolIsNotANumber:
     # Python counts True as the integer 1; a rule refuses it unless it asks for bool

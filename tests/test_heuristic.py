@@ -9,7 +9,7 @@ from msvdd.errors import InputError
 from msvdd.exact import MsvddProblem, solve_exact
 from msvdd.heuristic import HeuristicConfig, _nearest_sphere, solve_heuristic
 from msvdd.kernels import LINEAR, gram, rbf
-from msvdd.solution import SolveStatus, sphere_distances_sq
+from msvdd.solution import SolveStatus
 from msvdd.svdd import solve_svdd
 from oracles import evaluate_assignment
 
@@ -175,7 +175,7 @@ class TestReassign:
         # each point's sphere under the alternation's reassignment rule
         spheres = [solve_svdd(g, m, C) for m in memberships]
         radii = np.array([s.radius_sq for s in spheres])
-        return _nearest_sphere(sphere_distances_sq(g, spheres), radii)
+        return _nearest_sphere(np.stack([s.column for s in spheres], axis=1), radii)
 
     def test_point_inside_one_sphere(self):
         pts = np.array([[0.0], [1.0], [10.0], [11.0], [0.4]])

@@ -13,7 +13,6 @@ from msvdd.kernels import (
     gram,
     rbf,
 )
-from msvdd.solution import sphere_distances_sq
 from msvdd.svdd import solve_svdd, zero_radius_sphere
 
 
@@ -123,12 +122,12 @@ class TestGram:
 
 class TestFeatureDistanceSq:
     """Squared feature distances to a sphere's center from Gram entries alone,
-    through `sphere_distances_sq`; a zero-radius sphere is centred at the
+    as a solved sphere's ``column`` holds them; a zero-radius sphere is centred at the
     uniform mean of its members."""
 
     @staticmethod
     def distance_sq(g, i, members):
-        return float(sphere_distances_sq(g, [zero_radius_sphere(g, members, 1.0)])[i, 0])
+        return float(zero_radius_sphere(g, members, 1.0).column[i])
 
     def test_unit_weight_on_self(self, rng):
         g = gram(LINEAR, rng.normal(size=(5, 2)))
@@ -151,7 +150,7 @@ class TestFeatureDistanceSq:
         sphere = solve_svdd(g, range(n), float(r.uniform(1.0 / n, 1.0)))
         i = int(r.integers(0, n))
         direct = float(np.sum((pts[i] - sphere.alpha @ pts) ** 2))
-        got = float(sphere_distances_sq(g, [sphere])[i, 0])
+        got = float(sphere.column[i])
         assert got == pytest.approx(direct, abs=1e-9)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))

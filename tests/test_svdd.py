@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 import msvdd.svdd
 from msvdd.errors import ConvergenceError, InfeasibleSubproblemError, InputError
+from msvdd.exact import MsvddProblem, solve_exact
+from msvdd.heuristic import HeuristicConfig, solve_heuristic
 from msvdd.kernels import LINEAR, GramMatrix, gram, rbf
-from msvdd.solution import sphere_distances_sq
 from msvdd.svdd import (
     DEFAULT_TOLS,
     _start,
+    grow_certified,
     project_capped_simplex,
     recover_radius,
     solve_svdd,
@@ -527,10 +529,13 @@ class TestSupportGeometry:
         K = g.values
         for s in spheres:
             idx = list(s.members)
-            assert np.array_equal(s.support, np.asarray(idx)[s.alpha > 0.0])
             quad = s.alpha @ K[np.ix_(idx, idx)] @ s.alpha
             assert s.alpha_quad == pytest.approx(quad, rel=0.0, abs=1e-12)
-        assert len(spheres[0].support) < len(spheres[0].members)
+            # the members' distances are the column at the members
+            assert np.array_equal(s.distances_sq, s.column[idx])
+        # the column is formed from the support rows alone
+        assert np.count_nonzero(spheres[0].alpha) < len(spheres[0].members)
+        columns = np.stack([s.column for s in spheres], axis=1)
         full = np.stack(
             [
                 np.diag(K) - 2.0 * K[:, list(s.members)] @ s.alpha
@@ -539,35 +544,69 @@ class TestSupportGeometry:
             ],
             axis=1,
         )
-        assert np.allclose(
-            sphere_distances_sq(g, spheres), np.maximum(full, 0.0), rtol=0.0, atol=1e-12
-        )
+        assert np.allclose(columns, np.maximum(full, 0.0), rtol=0.0, atol=1e-12)
         if spec is LINEAR:
             # under the linear kernel these are Euclidean distances to the
             # alpha-weighted mean of the members
             centers = np.stack([s.alpha @ pts[list(s.members)] for s in spheres])
             direct = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            assert np.allclose(sphere_distances_sq(g, spheres), direct, rtol=0.0, atol=1e-9)
+            assert np.allclose(columns, direct, rtol=0.0, atol=1e-9)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_rows_match_columns(self, seed):
-        # support rows stand in for support columns of the symmetric Gram
+        # support rows stand in for support columns of the symmetric Gram:
+        # the column a cold, warm or zero-radius sphere stores matches the
+        # oracle, which reads support columns instead
         r = np.random.default_rng(seed)
         n = int(r.integers(4, 40))
         pts = r.normal(size=(n, 2)) * 10.0 ** int(r.integers(-2, 3)) + r.normal(size=2)
         spec = rbf(float(r.uniform(0.1, 2.0))) if r.random() < 0.5 else LINEAR
         g = gram(spec, pts)
         half = n // 2
+        first = solve_svdd(g, range(half), float(r.uniform(1.0 / half, 1.0)))
         spheres = [
-            solve_svdd(g, range(half), float(r.uniform(1.0 / half, 1.0))),
+            first,
             solve_svdd(g, range(half, n), float(r.uniform(1.0 / (n - half), 1.0))),
+            solve_svdd(g, range(half + 1), float(r.uniform(1.0 / half, 1.0)),
+                       warm_alpha=np.append(first.alpha, 0.0)),
             zero_radius_sphere(g, range(1, n, 2), 1.0 / n),
         ]
         # relative to the largest kernel value, the scale of every term
         scale = np.abs(g.values).max()
         assert np.allclose(
-            sphere_distances_sq(g, spheres), sphere_distances_sq_columns(g, spheres),
-            rtol=1e-12, atol=1e-12 * scale,
+            np.stack([s.column for s in spheres], axis=1),
+            sphere_distances_sq_columns(g, spheres), rtol=1e-12, atol=1e-12 * scale,
+        )
+
+    @settings(max_examples=30)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_certified_and_search_columns(self, seed):
+        # the columns of certified children and of the spheres that the exact
+        # and heuristic solvers return match the oracle; n stays small so
+        # that the exact search is cheap
+        r = np.random.default_rng(seed)
+        n = int(r.integers(6, 10))
+        pts = r.normal(size=(n, 2)) * 10.0 ** int(r.integers(-2, 3)) + r.normal(size=2)
+        spec = rbf(float(r.uniform(0.1, 2.0))) if r.random() < 0.5 else LINEAR
+        half = n // 2
+        C = float(r.uniform(1.5 / half, 1.0))
+        # the last point duplicates the member nearest the center of the
+        # first half, so the first half grown by it is certified
+        nearest = int(np.argmin(solve_svdd(gram(spec, pts), range(half), C).distances_sq))
+        g = gram(spec, np.vstack([pts, pts[nearest]]))
+        parent = solve_svdd(g, range(half), C)
+        certified = [c for c in (grow_certified(parent, i) for i in range(half, n + 1)) if c]
+        assert certified
+        assert all(c.column is parent.column for c in certified)
+        spheres = [
+            *certified,
+            *solve_exact(MsvddProblem(gram=g, p=2, C=0.3, seed=0)).spheres,
+            *solve_heuristic(g, HeuristicConfig(p=2, nu=0.3, seed=0)).spheres,
+        ]
+        scale = np.abs(g.values).max()
+        assert np.allclose(
+            np.stack([s.column for s in spheres], axis=1),
+            sphere_distances_sq_columns(g, spheres), rtol=1e-12, atol=1e-12 * scale,
         )
 
 
