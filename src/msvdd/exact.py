@@ -35,6 +35,14 @@ their dual value and center, so the parent's column gives the child's
 distances, and when the gap stays within tolerance the child needs no solve
 and shares that column (`msvdd.svdd.grow_certified`).  Otherwise it is
 warm-started from the parent.
+
+A child whose bound reaches the incumbent is pruned, and by weak duality the
+dual value at any feasible weights already bounds its sphere.  So `_expand`
+stops each solve once its dual value reaches the cutoff (incumbent - prune
+tolerance) - (the child's other dual values), and drops that child.  The SMO
+dual only rises, so a stopped child solved on to its certificate would have
+been pruned on push too: the expanded nodes do not change, and no
+uncertified sphere enters a node.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ from .solution import (
     min_members,
     solve_sphere,
 )
-from .svdd import grow_certified, zero_radius_sphere
+from .svdd import DEFAULT_TOLS, grow_certified, zero_radius_sphere
 
 
 @dataclass
@@ -89,15 +97,17 @@ class MsvddProblem:
             raise InputError(f"p={self.p} exceeds the number of points {self.gram.n}")
 
 
-def _sphere(gram_matrix, C, members, parent=None, point=None):
+def _sphere(gram_matrix, C, members, parent=None, point=None, cutoff=math.inf):
     """The sphere on ``members``, in the search's order of trials.
 
     A sphere grown from ``parent`` by ``point`` is certified from the parent
     when its weights still certify it (`grow_certified`) and warm-started
-    from them, with a 0 for the point, otherwise.  Spheres below the 1/C
-    floor take the radius-floored value; with cardinality enforcement such
-    spheres only appear at inner nodes (the counting prune bars them from
-    leaves), where that value is a valid lower bound on any completion.
+    from them, with a 0 for the point, otherwise; the warm solve and its
+    cold retry stop, uncertified, once the dual value reaches ``cutoff``
+    (`msvdd.svdd.solve_svdd`).  Spheres below the 1/C floor take the
+    radius-floored value; with cardinality enforcement such spheres only
+    appear at inner nodes (the counting prune bars them from leaves), where
+    that value is a valid lower bound on any completion.
     """
     sol = None if parent is None else grow_certified(parent, point)
     if sol is not None:
@@ -107,11 +117,11 @@ def _sphere(gram_matrix, C, members, parent=None, point=None):
         k = members.index(point)
         warm = np.concatenate((parent.alpha[:k], [0.0], parent.alpha[k:]))
     try:
-        return solve_sphere(gram_matrix, members, C, warm_alpha=warm)
+        return solve_sphere(gram_matrix, members, C, warm_alpha=warm, cutoff=cutoff)
     except ConvergenceError:
         # one retry from a cold start, then give up with a diagnostic
         try:
-            return solve_sphere(gram_matrix, members, C)
+            return solve_sphere(gram_matrix, members, C, cutoff=cutoff)
         except ConvergenceError as exc:
             raise SolverFailure(
                 f"sphere subproblem on {len(members)} members failed to "
@@ -163,31 +173,36 @@ def _pick(node, size):
     and the sum over the spheres is the lift.
     """
     sphere_of, spheres = node.sphere_of, node.spheres
-    unassigned = np.flatnonzero(sphere_of == UNASSIGNED)
-    placed = [j for j, s in enumerate(spheres) if s is not None]
-    if not placed:
-        return int(unassigned[0]), 0.0
-    d2 = np.stack([spheres[j].column[unassigned] for j in placed], axis=1)
-    row = int(np.argmax(d2.min(axis=1)))  # first maximum: lowest index
+    unassigned = (sphere_of == UNASSIGNED).nonzero()[0]
+    closest = None
     lift = 0.0
-    for col, j in enumerate(placed):
-        m = len(spheres[j].members)
+    for sphere in spheres:
+        if sphere is None:
+            continue
+        d2 = sphere.column[unassigned]
+        closest = d2 if closest is None else np.minimum(closest, d2)
+        m = len(sphere.members)
         k = min(size - m, unassigned.size)
         if k > 0:
-            nearest = float(np.partition(d2[:, col], k - 1)[:k].sum())
-            lift += spheres[j].C * m / (m + k) * nearest
-    return int(unassigned[row]), lift
+            nearest = float(np.partition(d2, k - 1)[:k].sum())
+            lift += sphere.C * m / (m + k) * nearest
+    if closest is None:
+        return int(unassigned[0]), 0.0
+    return int(unassigned[closest.argmax()]), lift  # first maximum: lowest index
 
 
-def _expand(node, gram_matrix, C, p, floor):
+def _expand(node, gram_matrix, C, p, floor, bound=math.inf):
     """Children of a node: the search's one way of making them.
 
     The branch point is the node's `_pick`.  It joins every nonempty sphere
     and exactly one empty one, which removes the label permutations.  A child
     is dropped when the points left cannot bring every sphere to ``floor``
     members.  A sphere grown by the point is certified from the node's sphere
-    when it can be and solved otherwise (`_sphere`).  Child
-    bounds are plain dual sums; the search adds a child's lift when it pops it.
+    when it can be and solved otherwise (`_sphere`), with the cutoff
+    ``bound`` (the search's prune bound) minus the dual values of the child's
+    other spheres; a child whose solve stopped there is dropped, its bound
+    having reached ``bound``.  Child bounds are plain dual sums; the search
+    adds a child's lift when it pops it.
     """
     sphere_of, spheres = node.sphere_of, node.spheres
     point, _ = node.pick or _pick(node, 0)
@@ -200,7 +215,10 @@ def _expand(node, gram_matrix, C, p, floor):
             continue
         old = spheres[j]
         members = (point,) if old is None else tuple(sorted(old.members + (point,)))
-        sol = _sphere(gram_matrix, C, members, old, point)
+        rest = sum(s.dual_objective for k, s in enumerate(spheres) if k != j and s is not None)
+        sol = _sphere(gram_matrix, C, members, old, point, cutoff=bound - rest)
+        if sol.gap > DEFAULT_TOLS.duality_gap:
+            continue  # stopped at the cutoff: pruned by its dual value
         child_spheres = spheres[:j] + (sol,) + spheres[j + 1 :]
         lb = sum(s.dual_objective for s in child_spheres if s is not None)
         child_of = sphere_of.copy()
@@ -366,8 +384,9 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
                 continue
         node_count += 1
 
-        for child in _expand(node, gram_mat, C, p, floor):
-            if child.lb < incumbent - prune_tol(incumbent):
+        bound = incumbent - prune_tol(incumbent)
+        for child in _expand(node, gram_mat, C, p, floor, bound):
+            if child.lb < bound:
                 heapq.heappush(heap, (child.lb, -child.depth, next(counter), child))
 
     if timed_out:

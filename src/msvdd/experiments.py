@@ -19,7 +19,6 @@ import shutil
 import statistics
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .codec import from_dict, to_dict, write_json
@@ -280,6 +279,9 @@ def _collect_cells(config: ExperimentConfig, incumbents: bool = False,
     n = len(blocks)
     args = ([config] * n, *zip(*blocks), [incumbents] * n, [dataset] * n)
     if config.workers > 1 and n > 1:
+        # imported here: a serial run should not pay for loading multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(run_dataset_block, *args))
     else:

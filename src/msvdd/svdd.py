@@ -15,8 +15,11 @@ Clarkson, SODA 2003).  A pair step zeroes at most one weight, so this start
 saves the m - |SV| steps that a start at the uniform weight spends zeroing
 interior points.  A warm start is used as given when it lies on the capped
 simplex and projected onto it otherwise.  Every few steps a primal-dual gap
-certificate is computed from a fresh K @ a, and the solve returns once that
-gap is within tolerance.
+certificate is computed from a fresh K @ a, and the solve returns there
+only: once that gap is within tolerance, or else once the dual value reaches
+the caller's ``cutoff``.  By weak duality the dual value at any feasible
+weights bounds the sphere's optimum from below, which is all a pruned
+branch-and-bound child needs; a sphere stopped at the cutoff is uncertified.
 At a certificate that does not certify, after a block with pair steps, one
 exact free-face step solves the equality-constrained QP on the face of the
 free weights (the face solve of active-set SVM methods, Scheinberg, JMLR
@@ -88,12 +91,15 @@ class SvddSolution:
     ``alpha`` is indexed like ``members`` (ascending global point indices).
     ``column`` holds the squared feature distance, clamped at 0, from every
     point of the Gram matrix to the center, K_ii - 2 (K a)_i + alpha_quad;
-    ``alpha_quad`` is alpha' K alpha at the certified point.  Solved spheres
+    ``alpha_quad`` is alpha' K alpha at the final certificate.  Solved spheres
     may share one column object (`grow_certified`), so it is never written
     to.  The members' distances (`distances_sq`) are the column at the
     members, and the errors follow from them (`errors`).  ``objective`` is the
     primal value radius_sq + C * sum(errors); ``gap`` is the certified
-    distance to the dual optimum at termination.
+    distance to the dual optimum at termination.  It is within
+    ``DEFAULT_TOLS.duality_gap`` unless the solve stopped at its ``cutoff``
+    (`solve_svdd`); such a sphere is not certified, and only its
+    ``dual_objective`` is a valid bound.
     """
 
     members: tuple[int, ...]
@@ -110,7 +116,7 @@ class SvddSolution:
     @property
     def distances_sq(self) -> np.ndarray:
         """Squared feature distances of the members to the center, in member order."""
-        return self.column[list(self.members)]
+        return self.column[np.array(self.members)]
 
     @property
     def errors(self) -> np.ndarray:
@@ -138,7 +144,7 @@ def project_capped_simplex(v, cap: float) -> np.ndarray:
 
     bps = np.unique(np.concatenate([v, v - cap]))
     # phi is nonincreasing in tau; phi(bps[0]) = m * cap >= 1, phi(bps[-1]) = 0.
-    phi = np.clip(v[None, :] - bps[:, None], 0.0, cap).sum(axis=1)
+    phi = np.minimum(np.maximum(v[None, :] - bps[:, None], 0.0), cap).sum(axis=1)
     k = int(np.searchsorted(-phi, -1.0, side="right")) - 1
     if phi[k] <= 1.0 + 1e-15:
         tau = bps[k]
@@ -146,12 +152,12 @@ def project_capped_simplex(v, cap: float) -> np.ndarray:
         # phi is exactly linear between consecutive breakpoints, and
         # phi[k] > 1 > phi[k + 1] here, so the denominator is positive
         tau = bps[k] + (phi[k] - 1.0) * (bps[k + 1] - bps[k]) / (phi[k] - phi[k + 1])
-    a = np.clip(v - tau, 0.0, cap)
+    a = np.minimum(np.maximum(v - tau, 0.0), cap)
     interior = (a > 0.0) & (a < cap)
     if interior.any():
         # absorb rounding drift so the weights sum to 1 at machine precision
         a[interior] += (1.0 - a.sum()) / interior.sum()
-        np.clip(a, 0.0, cap, out=a)
+        np.minimum(np.maximum(a, 0.0, out=a), cap, out=a)
     return a
 
 
@@ -169,7 +175,7 @@ def recover_radius(distances_sq, C: float) -> tuple[float, np.ndarray]:
     n = d2.size
     if n == 0:
         raise InputError("recover_radius needs at least one distance")
-    if np.any(d2 < 0.0):
+    if (d2 < 0.0).any():
         raise InputError("squared distances must be nonnegative")
     if not math.isfinite(C):
         raise InputError(f"C must be finite, got {C}")
@@ -187,7 +193,7 @@ def recover_radius(distances_sq, C: float) -> tuple[float, np.ndarray]:
 
 
 def _as_member_tuple(members, n: int) -> tuple[int, ...]:
-    idx = tuple(sorted(int(i) for i in members))
+    idx = tuple(sorted(map(int, members)))
     if not idx:
         raise InputError("member set is empty")
     if len(set(idx)) != len(idx):
@@ -203,6 +209,8 @@ def solve_svdd(
     C: float,
     warm_alpha=None,
     max_iters: int = MAX_ITERATIONS,
+    *,
+    cutoff: float = math.inf,
 ) -> SvddSolution:
     """Solve the single-sphere subproblem on the given member set.
 
@@ -214,8 +222,11 @@ def solve_svdd(
     (see `_face_step`), which are tried at a certificate that does not
     certify, never twice in a row; the block after a face step runs on the
     incrementally updated K @ a, and the fresh-gradient certificate stays the
-    only exit.  Blocks hold `_CHECK_EVERY` pair steps, except that the first
-    block of a warm start holds one.  ``iterations`` counts pair steps plus
+    only exit: it returns when the gap is within tolerance, or else when the
+    dual value is at least ``cutoff``, uncertified (its ``gap`` above the
+    tolerance) but with a dual value that bounds the sphere from below.
+    Blocks hold `_CHECK_EVERY` pair steps, except that the first block of a
+    warm start holds one.  ``iterations`` counts pair steps plus
     accepted face steps, and ``max_iters`` caps that sum.
     Every read of ``gram_matrix`` goes through the member indices and copies
     no m x m member block: the largest temporaries are the Gram rows of the
@@ -249,6 +260,9 @@ def solve_svdd(
     it = 0
     # a face step needs an SMO block with steps since the start or the last one
     face_ready = False
+    # which weights can rise and which can fall; a pair step updates its two
+    # entries, and an accepted face step recomputes both masks
+    up, pos = a < C, a > 0.0
     Kw = _gram_dot(V, ia, a)
     while True:
         # certificate from a fresh K @ a, so drift in the incremental
@@ -260,10 +274,11 @@ def solve_svdd(
         R, xi = recover_radius(d2, C)
         gap = max(float(R + C * xi.sum()) - dual, 0.0)
         best_gap = min(best_gap, gap)
-        if gap <= DEFAULT_TOLS.duality_gap:
+        if gap <= DEFAULT_TOLS.duality_gap or dual >= cutoff:
             # the same arithmetic as d2, so the column at the members is d2
             column = np.maximum(V.diagonal() - 2.0 * Kw + quad, 0.0)
-            return _assemble(idx, np.clip(a, 0.0, C), column, R, xi, C, dual, quad, gap, it)
+            a_out = np.minimum(np.maximum(a, 0.0), C)
+            return _assemble(idx, a_out, column, R, xi, C, dual, quad, gap, it)
 
         # SMO pair steps on min a'Ka - q'a; G is its gradient
         G = 2.0 * Ka - q
@@ -274,22 +289,32 @@ def solve_svdd(
                 rows_F, delta = step
                 Ka += delta @ rows_F
                 G = 2.0 * Ka - q
+                up, pos = a < C, a > 0.0
                 it += 1
                 faced = True
         steps = 0
         while steps < block and it < max_iters:
-            G_up = np.where(a < C, G, np.inf)
+            G_up = np.where(up, G, np.inf)
             i = G_up.argmin()
             b = G - G_up[i]
             # the gap is at most the largest violation b_j over a_j > 0
-            if np.maximum.reduce(b, where=a > 0.0, initial=-np.inf) <= DEFAULT_TOLS.duality_gap:
+            if np.maximum.reduce(b, where=pos, initial=-np.inf) <= DEFAULT_TOLS.duality_gap:
                 break
             K_i = V[ia[i]][ia]
-            eta = np.maximum(q[i] + q - 2.0 * K_i, eta_floor)
-            j = np.where((a > 0.0) & (b > 0.0), b * b / eta, -1.0).argmax()
+            eta = q + q[i]
+            eta -= 2.0 * K_i
+            np.maximum(eta, eta_floor, out=eta)
+            # some b_j over a_j > 0 passed the test above, so a positive
+            # gain wins, and the entries at 0 or -1 never do
+            gain = np.maximum(b, 0.0)
+            gain *= gain
+            gain /= eta
+            j = np.where(pos, gain, -1.0).argmax()
             t = min(b[j] / (2.0 * eta[j]), C - a[i], a[j])
             a[i] = C if t == C - a[i] else a[i] + t
             a[j] = 0.0 if t == a[j] else a[j] - t
+            up[i], pos[i] = a[i] < C, a[i] > 0.0
+            up[j], pos[j] = a[j] < C, a[j] > 0.0
             G += 2.0 * t * (K_i - V[ia[j]][ia])
             steps += 1
             it += 1
@@ -310,7 +335,7 @@ def solve_svdd(
 def _gram_dot(V, ia, a) -> np.ndarray:
     """V @ w for the length-n weights w that put ``a`` on the points ``ia``,
     from the rows of the symmetric Gram matrix V at the nonzero weights."""
-    s = np.flatnonzero(a)
+    s = a.nonzero()[0]
     return a[s] @ V[ia[s]]
 
 
@@ -363,7 +388,7 @@ def _face_step(V, ia, a, G, C):
     Updates ``a`` in place and returns the Gram rows of F at the members and
     the a_F change, for the caller's K @ a.
     """
-    F = np.flatnonzero((a > 0.0) & (a < C))
+    F = ((a > 0.0) & (a < C)).nonzero()[0]
     f = F.size
     if f < 2:
         return None
@@ -388,13 +413,13 @@ def _face_step(V, ia, a, G, C):
     new = a_F + min(room[k], 1.0) * d
     if room[k] < 1.0:
         new[k] = C if d[k] > 0.0 else 0.0
-    np.clip(new, 0.0, C, out=new)
+    np.minimum(np.maximum(new, 0.0, out=new), C, out=new)
     delta = new - a_F
     # dual gain of the step, on the face: -(G_F' delta + delta' K_FF delta)
     if not float(G[F] @ delta + delta @ K_FF @ delta) < 0.0:
         return None
     a[F] = new
-    inside = np.flatnonzero((new > 0.0) & (new < C))
+    inside = ((new > 0.0) & (new < C)).nonzero()[0]
     if inside.size:
         s = F[inside[np.argmax(np.minimum(new[inside], C - new[inside]))]]
         a[s] = min(max(a[s] + (1.0 - a.sum()), 0.0), C)
@@ -434,7 +459,7 @@ def grow_certified(parent: SvddSolution, point: int) -> SvddSolution | None:
         return None
     pos = bisect_left(parent.members, point)
     members = parent.members[:pos] + (int(point),) + parent.members[pos:]
-    R, xi = recover_radius(parent.column[list(members)], C)
+    R, xi = recover_radius(parent.column[np.array(members)], C)
     gap = max(float(R + C * xi.sum()) - parent.dual_objective, 0.0)
     if gap > DEFAULT_TOLS.duality_gap:
         return None

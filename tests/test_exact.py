@@ -220,11 +220,11 @@ class TestExpand:
         # every warm solve (and every cold one with ``fail_cold``) raises
         calls = []
 
-        def flaky(gram_matrix, members, C, warm_alpha=None):
+        def flaky(gram_matrix, members, C, warm_alpha=None, *, cutoff=math.inf):
             calls.append(warm_alpha is not None)
             if warm_alpha is not None or fail_cold:
                 raise ConvergenceError("no convergence", gap=0.5)
-            return solve_sphere(gram_matrix, members, C)
+            return solve_sphere(gram_matrix, members, C, cutoff=cutoff)
 
         monkeypatch.setattr(msvdd.exact, "solve_sphere", flaky)
         return calls
@@ -866,6 +866,56 @@ class TestDeadlineBound:
         assert bounds == sorted(bounds)
         assert bounds[-1] > bounds[0]
         assert max(bounds) <= optimum.objective
+
+
+class TestCutoff:
+    # instances on which some child solves stop at their cutoff
+    @pytest.mark.parametrize("kernel,n,seed,p,C,time_limit", [
+        (LINEAR, 18, 0, 2, 0.2, None),
+        (LINEAR, 18, 1, 3, 0.3, None),
+        (rbf(4.0), 16, 0, 2, 0.15, None),
+        (rbf(2.0), 16, 1, 3, 0.3, None),
+        (LINEAR, 18, 1, 3, 0.3, 100.5),
+    ])
+    def test_stopping_children_at_the_cutoff_leaves_the_search_unchanged(
+        self, monkeypatch, kernel, n, seed, p, C, time_limit
+    ):
+        g = gram(kernel, np.random.default_rng(seed).normal(scale=1.5, size=(n, 2)))
+        problem = MsvddProblem(gram=g, p=p, C=C, time_limit=time_limit, seed=0)
+        stopped = []
+
+        def counting(*args, **kwargs):
+            sol = solve_sphere(*args, **kwargs)
+            stopped.append(sol.gap > DEFAULT_TOLS.duality_gap)
+            return sol
+
+        def solve():
+            # a clock that counts heap pops makes the time limit deterministic
+            clock = PopClock()
+            monkeypatch.setattr(msvdd.exact, "time", clock)
+            monkeypatch.setattr(msvdd.exact, "heapq", clock)
+            return solve_exact(problem)
+
+        monkeypatch.setattr(msvdd.exact, "solve_sphere", counting)
+        cut = solve()
+        assert any(stopped)
+        real = msvdd.exact._sphere
+
+        def uncut(gram_matrix, C, members, parent=None, point=None, cutoff=math.inf):
+            return real(gram_matrix, C, members, parent, point)
+
+        monkeypatch.setattr(msvdd.exact, "_sphere", uncut)
+        stopped.clear()
+        full = solve()
+        assert not any(stopped)
+        expected = SolveStatus.OPTIMAL if time_limit is None else SolveStatus.TIME_LIMIT_INCUMBENT
+        assert cut.status is full.status is expected
+        assert cut.node_count == full.node_count
+        assert cut.objective == full.objective
+        assert np.array_equal(cut.sphere_of, full.sphere_of)
+        assert cut.lower_bound == full.lower_bound
+        assert [r.objective for r in cut.incumbent_log] == [r.objective for r in full.incumbent_log]
+        assert all(s.gap <= DEFAULT_TOLS.duality_gap for s in cut.spheres)
 
 
 class TestIncumbentGapRows:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -329,6 +330,59 @@ class TestSmoCases:
         cold = solve_svdd(g, range(n), C)
         assert warm.objective == pytest.approx(cold.objective, abs=DEFAULT_TOLS.objective)
         assert warm.objective >= parent.objective - DEFAULT_TOLS.objective
+
+
+def bits(sol):
+    """Every field of a sphere, with floats and arrays as their exact bits."""
+    out = []
+    for f in dataclasses.fields(sol):
+        v = getattr(sol, f.name)
+        out.append(v.tobytes() if isinstance(v, np.ndarray) else v.hex() if isinstance(v, float) else v)
+    return out
+
+
+class TestCutoff:
+    @settings(max_examples=60)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.booleans(),
+    )
+    def test_stops_at_a_certificate_past_the_cutoff(self, seed, frac, warm):
+        r, g, n, C = random_instance(seed)
+        warm_alpha = r.dirichlet(np.ones(n)) if warm else None
+        full = solve_svdd(g, range(n), C, warm_alpha=warm_alpha)
+        # an unreachable-below cutoff stops the solve at its first certificate
+        start = solve_svdd(g, range(n), C, warm_alpha=warm_alpha, cutoff=-math.inf)
+        assert start.iterations == 0
+        cutoff = start.dual_objective + frac * (full.dual_objective - start.dual_objective)
+        sol = solve_svdd(g, range(n), C, warm_alpha=warm_alpha, cutoff=cutoff)
+        if sol.gap <= DEFAULT_TOLS.duality_gap:
+            # the solve certified before its dual value reached the cutoff
+            assert bits(sol) == bits(full)
+            return
+        assert sol.dual_objective >= cutoff
+        assert sol.dual_objective <= full.objective
+        assert sol.iterations <= full.iterations
+        assert abs(sol.alpha.sum() - 1.0) <= 1e-9
+        assert sol.alpha.min() >= 0.0 and sol.alpha.max() <= C
+
+    def test_stop_between_start_and_optimum(self):
+        g = gram(rbf(1.0), np.random.default_rng(0).normal(scale=2.0, size=(30, 2)))
+        full = solve_svdd(g, range(30), 0.1)
+        start = solve_svdd(g, range(30), 0.1, cutoff=-math.inf)
+        sol = solve_svdd(g, range(30), 0.1, cutoff=(start.dual_objective + full.dual_objective) / 2)
+        assert sol.gap > DEFAULT_TOLS.duality_gap
+        assert start.dual_objective < sol.dual_objective < full.dual_objective
+        assert 0 < sol.iterations < full.iterations
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_infinite_cutoff_changes_nothing(self, seed):
+        r, g, n, C = random_instance(seed)
+        for warm in (None, r.dirichlet(np.ones(n)), r.normal(size=n)):
+            sol = solve_svdd(g, range(n), C, warm_alpha=warm)
+            assert bits(solve_svdd(g, range(n), C, warm_alpha=warm, cutoff=math.inf)) == bits(sol)
+            assert sol.gap <= DEFAULT_TOLS.duality_gap
 
 
 def cold_start(g, n, C):
