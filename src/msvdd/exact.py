@@ -34,7 +34,8 @@ sphere is first certified from its parent: the parent's weights plus a 0 keep
 their dual value and center, so the parent's column gives the child's
 distances, and when the gap stays within tolerance the child needs no solve
 and shares that column (`msvdd.svdd.grow_certified`).  Otherwise it is
-warm-started from the parent.
+warm-started from the parent, and cold if that fails or if the parent has
+collapsed to radius zero, whose weights lie off the child's capped simplex.
 
 A child whose bound reaches the incumbent is pruned, and by weak duality the
 dual value at any feasible weights already bounds its sphere.  So `_expand`
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    COUNT, INTEGER, POSITIVE, TIME_LIMIT, ConvergenceError, InputError, SolverFailure,
+    COUNT, FLAG, INTEGER, POSITIVE, TIME_LIMIT, ConvergenceError, InputError, SolverFailure,
     checked,
 )
 from .heuristic import HeuristicConfig, solve_heuristic
@@ -70,7 +71,7 @@ from .solution import (
     min_members,
     solve_sphere,
 )
-from .svdd import DEFAULT_TOLS, grow_certified, zero_radius_sphere
+from .svdd import DEFAULT_TOLS, collapses, grow_certified, zero_radius_sphere
 
 
 @dataclass
@@ -91,19 +92,20 @@ class MsvddProblem:
 
     def __post_init__(self):
         for name, rule in (("p", COUNT), ("C", POSITIVE), ("time_limit", TIME_LIMIT),
-                           ("seed", INTEGER)):
+                           ("seed", INTEGER), ("enforce_cardinality", FLAG)):
             checked(name, getattr(self, name), *rule)
         if self.p > self.gram.n:
             raise InputError(f"p={self.p} exceeds the number of points {self.gram.n}")
 
 
 def _sphere(gram_matrix, C, members, parent=None, point=None, cutoff=math.inf):
-    """The sphere on ``members``, in the search's order of trials.
+    """The sphere on ``members``, each distinct start tried once.
 
     A sphere grown from ``parent`` by ``point`` is certified from the parent
-    when its weights still certify it (`grow_certified`) and warm-started
-    from them, with a 0 for the point, otherwise; the warm solve and its
-    cold retry stop, uncertified, once the dual value reaches ``cutoff``
+    when its weights still certify it (`grow_certified`), else solved warm
+    from them, with a 0 for the point, then cold; one without a parent, or
+    grown from a collapsed one (weights 1/|S| above the cap), is solved cold
+    once.  Solves stop, uncertified, once the dual value reaches ``cutoff``
     (`msvdd.svdd.solve_svdd`).  Spheres below the 1/C floor take the
     radius-floored value; with cardinality enforcement such spheres only
     appear at inner nodes (the counting prune bars them from leaves), where
@@ -112,21 +114,18 @@ def _sphere(gram_matrix, C, members, parent=None, point=None, cutoff=math.inf):
     sol = None if parent is None else grow_certified(parent, point)
     if sol is not None:
         return sol
-    warm = None
-    if parent is not None:
+    starts = [None]
+    if parent is not None and not collapses(C, len(parent.members)):
         k = members.index(point)
-        warm = np.concatenate((parent.alpha[:k], [0.0], parent.alpha[k:]))
-    try:
-        return solve_sphere(gram_matrix, members, C, warm_alpha=warm, cutoff=cutoff)
-    except ConvergenceError:
-        # one retry from a cold start, then give up with a diagnostic
+        starts.insert(0, np.concatenate((parent.alpha[:k], [0.0], parent.alpha[k:])))
+    for warm in starts:
         try:
-            return solve_sphere(gram_matrix, members, C, cutoff=cutoff)
+            return solve_sphere(gram_matrix, members, C, warm_alpha=warm, cutoff=cutoff)
         except ConvergenceError as exc:
-            raise SolverFailure(
-                f"sphere subproblem on {len(members)} members failed to "
-                f"converge twice (best gap {exc.gap:.3e})"
-            ) from exc
+            failure = exc
+    tried = "warm and cold starts" if len(starts) > 1 else "cold start"
+    raise SolverFailure(f"sphere subproblem on {len(members)} members failed to converge "
+                        f"from its {tried} (best gap {failure.gap:.3e})") from failure
 
 
 @dataclass(eq=False, slots=True)

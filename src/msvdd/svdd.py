@@ -14,7 +14,7 @@ the next one, the core-set start for minimum enclosing balls (Badoiu &
 Clarkson, SODA 2003).  A pair step zeroes at most one weight, so this start
 saves the m - |SV| steps that a start at the uniform weight spends zeroing
 interior points.  A warm start is used as given when it lies on the capped
-simplex and projected onto it otherwise.  Every few steps a primal-dual gap
+simplex; any other solve starts cold.  Every few steps a primal-dual gap
 certificate is computed from a fresh K @ a, and the solve returns there
 only: once that gap is within tolerance, or else once the dual value reaches
 the caller's ``cutoff``.  By weak duality the dual value at any feasible
@@ -62,7 +62,7 @@ MAX_ITERATIONS = 50_000
 _CHECK_EVERY = 16
 # pair-curvature floor, relative to the largest kernel diagonal
 _ETA_FLOOR = 1e-12
-# a warm start whose weights sum to 1 within this is used without projection
+# a warm start is used only if its weights sum to 1 within this
 _SUM_TOL = 1e-12
 
 
@@ -129,7 +129,8 @@ def project_capped_simplex(v, cap: float) -> np.ndarray:
 
     Exact: the shift tau with sum(clip(v - tau, 0, cap)) = 1 is located by
     sorting the breakpoints {v_i} and {v_i - cap} of that piecewise-linear
-    budget function and interpolating on the crossing segment.
+    budget function and interpolating on the crossing segment.  No solve
+    calls it: a warm start off the capped simplex starts the solve cold.
     """
     v = np.asarray(v, dtype=float)
     m = v.size
@@ -215,9 +216,9 @@ def solve_svdd(
     """Solve the single-sphere subproblem on the given member set.
 
     ``warm_alpha`` (length len(members), aligned with the sorted member order)
-    seeds the pair steps: as given when it lies on the capped simplex, else
-    projected onto it.  Without one, or if it has the wrong length or a
-    non-finite entry, the solve starts cold at the far-point vertex (see
+    seeds the pair steps, as given, when it lies on the capped simplex.
+    Without one, or if it lies off the capped simplex, has the wrong length or
+    a non-finite entry, the solve starts cold at the far-point vertex (see
     `_start`).  Blocks of pair steps alternate with single free-face steps
     (see `_face_step`), which are tried at a certificate that does not
     certify, never twice in a row; the block after a face step runs on the
@@ -343,21 +344,20 @@ def _start(V, ia, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
     """Starting weights on {a : sum a = 1, 0 <= a_i <= C}, as a fresh array,
     and whether they come from the warm start.
 
-    A warm start of the right length with finite entries is used as given
-    when it lies on the capped simplex and projected onto it otherwise.  The
-    cold start is the vertex with weight C on the k = floor(1/C) members
-    farthest from the member centroid, ranked by K_ii - 2 (K 1/m)_i with ties
-    broken stably, and the remainder 1 - kC on the next one; it is all C
-    when C * m = 1.  The member sums K 1/m come from one product of the Gram
-    matrix V with the member indicator, so no member block is built.
+    A warm start is used as given when it has the right length and lies on
+    the capped simplex; any other warm start is ignored.  The cold start is
+    the vertex with weight C on the k = floor(1/C) members farthest from the
+    member centroid, ranked by K_ii - 2 (K 1/m)_i with ties broken stably,
+    and the remainder 1 - kC on the next one; it is all C when C * m = 1.
+    The member sums K 1/m come from one product of the Gram matrix V with
+    the member indicator, so no member block is built.
     """
     m = q.size
     if warm_alpha is not None:
         w = np.array(warm_alpha, dtype=float)
-        if w.shape == (m,) and np.all(np.isfinite(w)):
-            if w.min() >= 0.0 and w.max() <= C and abs(w.sum() - 1.0) <= _SUM_TOL:
-                return w, True
-            return project_capped_simplex(w, C), True
+        if (w.shape == (m,) and np.all(np.isfinite(w)) and w.min() >= 0.0 and w.max() <= C
+                and abs(w.sum() - 1.0) <= _SUM_TOL):
+            return w, True
     if C * m <= 1.0 + 1e-12:
         return np.full(m, C), False
     w = np.zeros(V.shape[0])

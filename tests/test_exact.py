@@ -242,10 +242,30 @@ class TestExpand:
         g = gram(LINEAR, [[-2.0], [2.0], [9.0]])
         node = _node_of(np.array([0, 0, -1]), g, 1.0, 1)
         calls = self.failing_solves(monkeypatch, fail_cold=True)
-        with pytest.raises(SolverFailure, match="on 3 members failed to converge twice") as err:
+        with pytest.raises(SolverFailure, match="on 3 members failed to converge from its warm "
+                                                "and cold starts") as err:
             _expand(node, g, 1.0, 1, 1)
         assert calls == [True, False]
         assert isinstance(err.value.__cause__, ConvergenceError)
+
+    def test_root_sphere_is_attempted_once(self, monkeypatch):
+        # a rerun of the same cold start would fail the same way
+        g = gram(LINEAR, [[-2.0], [2.0], [9.0]])
+        calls = self.failing_solves(monkeypatch, fail_cold=True)
+        with pytest.raises(SolverFailure, match="on 2 members failed to converge from its cold start"):
+            _node_of(np.array([0, 0, -1]), g, 1.0, 1)
+        assert calls == [False]
+
+    def test_child_of_collapsed_parent_is_attempted_once(self, monkeypatch):
+        # the one-member parent at C = 0.5 has weight 1 > C, which is no
+        # start on the child's capped simplex, so the child starts cold
+        g = gram(LINEAR, [[-2.0], [2.0], [9.0]])
+        node = _node_of(np.array([0, -1, -1]), g, 0.5, 1)
+        assert node.spheres[0].radius_sq == 0.0
+        calls = self.failing_solves(monkeypatch, fail_cold=True)
+        with pytest.raises(SolverFailure, match="on 2 members failed to converge from its cold start"):
+            _expand(node, g, 0.5, 1, 1)
+        assert calls == [False]
 
     @settings(max_examples=30)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -650,6 +670,8 @@ class TestSolveExact:
 
     @pytest.mark.parametrize("field,value", [
         ("p", 2.5), ("C", "x"), ("time_limit", "x"), ("seed", 1.5),
+        # not a bool: "off" would otherwise solve with the floor on
+        ("enforce_cardinality", "off"), ("enforce_cardinality", 0),
     ])
     def test_wrongly_typed_field_is_named(self, field, value, rng):
         g = gram(LINEAR, rng.normal(size=(6, 2)))

@@ -309,15 +309,21 @@ class TestSmoCases:
         centroid = zero_radius_sphere(g, range(4), 0.25)
         assert sol.objective == pytest.approx(centroid.objective, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "warm", [[0.5, 0.5], np.full(9, np.nan), [np.inf] + [0.0] * 8]
-    )
-    def test_unusable_warm_start_falls_back_to_cold(self, warm, rng):
+    @pytest.mark.parametrize("warm", [
+        # wrong length or a non-finite entry
+        [0.5, 0.5], np.full(9, np.nan), [np.inf] + [0.0] * 8,
+        # off the capped simplex at C = 0.3: sum 2, a weight above C, negative weights
+        np.full(9, 1.0 / 9.0) * 2.0, np.eye(9)[0], -np.arange(9.0),
+    ])
+    def test_unusable_warm_start_falls_back_to_cold(self, warm, rng, monkeypatch):
         g = gram(LINEAR, rng.normal(size=(9, 2)))
         cold = solve_svdd(g, range(9), 0.3)
+        projections = count_projections(monkeypatch)
+        given = np.array(warm, dtype=float)
         sol = solve_svdd(g, range(9), 0.3, warm_alpha=warm)
-        assert np.array_equal(sol.alpha, cold.alpha)
-        assert sol.iterations == cold.iterations
+        assert projections == []
+        assert bits(sol) == bits(cold)
+        np.testing.assert_array_equal(warm, given)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_branch_style_warm_start(self, seed):
@@ -444,19 +450,6 @@ class TestStart:
         assert projections == []
         assert again.iterations == 0
         assert np.array_equal(again.alpha, sol.alpha)
-
-    @pytest.mark.parametrize(
-        "warm", [np.full(9, 1.0 / 9.0) * 2.0, np.eye(9)[0], -np.arange(9.0)]
-    )
-    def test_infeasible_warm_start_is_projected(self, warm, rng, monkeypatch):
-        g = gram(LINEAR, rng.normal(size=(9, 2)))
-        cold = solve_svdd(g, range(9), 0.3)
-        projections = count_projections(monkeypatch)
-        warm_copy = warm.copy()
-        sol = solve_svdd(g, range(9), 0.3, warm_alpha=warm)
-        assert projections == [0.3]
-        assert np.array_equal(warm, warm_copy)
-        assert sol.objective == pytest.approx(cold.objective, abs=DEFAULT_TOLS.objective)
 
     def test_large_linear_cold_solve_takes_few_steps(self):
         # a uniform start spends about one step per interior point
