@@ -133,7 +133,7 @@ def cmd_solve(args) -> int:
     if sol.status is SolveStatus.INFEASIBLE:
         print("infeasible: p * ceil(1/C) exceeds the point count", file=sys.stderr)
         return EXIT_INPUT
-    if sol.status is SolveStatus.TIME_LIMIT_INCUMBENT and args.nu is None:
+    if sol.status is SolveStatus.TIME_LIMIT_INCUMBENT:
         return EXIT_TIME_LIMIT
     return EXIT_OK
 

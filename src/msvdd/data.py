@@ -76,19 +76,24 @@ class SyntheticSpec:
             checked(name, getattr(self, name), *rule)
 
 
+def anomaly_count(noise_level: float, count: int) -> int:
+    """Anomalous points in a synthetic split of ``count`` points."""
+    return int(round(noise_level * count))
+
+
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Two planar Gaussian modes plus annulus anomalies, in three tagged splits.
 
-    Per split, round(noise_level * count) points are anomalous: placed at a
-    uniform angle and a uniform radius in [3 sigma, 5 sigma] around a uniformly
-    chosen cluster center, so every anomaly sits at least 3 sigma out.  Rows
-    are regular points first, anomalies after.
+    Per split, round(noise_level * count) points (`anomaly_count`) are
+    anomalous: placed at a uniform angle and a uniform radius in [3 sigma,
+    5 sigma] around a uniformly chosen cluster center, so every anomaly sits
+    at least 3 sigma out.  Rows are regular points first, anomalies after.
     """
     rng = np.random.default_rng(spec.seed)
     sigmas = np.asarray(spec.cluster_sigmas)
     pts, labels, tags = [], [], []
     for name, count in zip(SPLIT_NAMES, (spec.n_train, spec.n_val, spec.n_test)):
-        n_out = int(round(spec.noise_level * count))
+        n_out = anomaly_count(spec.noise_level, count)
         n_reg = count - n_out
         which = rng.integers(0, 2, size=n_reg)
         reg = CLUSTER_CENTERS[which] + sigmas[which, None] * rng.standard_normal((n_reg, 2))

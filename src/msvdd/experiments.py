@@ -26,6 +26,7 @@ from .data import (
     CLUSTER_SIGMAS,
     Dataset,
     SyntheticSpec,
+    anomaly_count,
     generate_synthetic,
     parse_libsvm,
     read_dataset_csv,
@@ -66,7 +67,8 @@ DATA_SOURCES = {
 
 def _checked_data(data) -> dict:
     """The complete data block: its source's defaults filled in, every value
-    checked against its key's rule, and lists as tuples."""
+    checked against its key's rule, and lists as tuples.  A synthetic noise
+    level must leave an anomaly in the val and test splits, which AUC needs."""
     if not isinstance(data, dict) or data.get("type") not in DATA_SOURCES:
         raise InputError(f"data needs a 'type' among {', '.join(DATA_SOURCES)}, got {data!r}")
     kind = data["type"]
@@ -77,6 +79,14 @@ def _checked_data(data) -> dict:
     for key, (default, rule) in DATA_SOURCES[kind].items():
         value = checked(f"data {key}", data.get(key, default), *rule)
         block[key] = tuple(value) if isinstance(value, list) else value
+    for noise in block.get("noise_levels", ()):
+        for split in ("val", "test"):
+            count = block[f"n_{split}"]
+            if anomaly_count(noise, count) == 0:
+                raise InputError(
+                    f"data noise level {noise} leaves the {split} split of {count} points "
+                    f"without an anomaly (round({noise} * {count}) is 0), so AUC is undefined"
+                )
     return block
 
 

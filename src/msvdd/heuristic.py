@@ -140,7 +140,7 @@ def solve_heuristic(gram_matrix: GramMatrix, config: HeuristicConfig) -> MsvddSo
     """Best solution over seeded restarts of the alternating procedure.
 
     Every sphere in the result was solved with its own C_k = 1/(nu * N_k);
-    the status is never OPTIMAL.  ``restart_partitions`` holds every
+    the status is `SolveStatus.HEURISTIC`.  ``restart_partitions`` holds every
     restart's final partition, in restart order.
     """
     n = gram_matrix.n
@@ -164,7 +164,7 @@ def solve_heuristic(gram_matrix: GramMatrix, config: HeuristicConfig) -> MsvddSo
         sphere_of=sphere_of,
         spheres=tuple(spheres),
         objective=obj,
-        status=SolveStatus.TIME_LIMIT_INCUMBENT,
+        status=SolveStatus.HEURISTIC,
         p=config.p,
         C=float("nan"),
         enforce_cardinality=False,

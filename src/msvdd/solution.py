@@ -16,9 +16,10 @@ UNASSIGNED = -1
 
 class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
-    # best feasible solution without an optimality certificate (time limit hit,
-    # or produced by the heuristic, which never certifies optimality)
+    # best feasible solution of an exact solve stopped by its time limit
     TIME_LIMIT_INCUMBENT = "time_limit_incumbent"
+    # a solution of the alternating heuristic, which certifies no optimality
+    HEURISTIC = "heuristic"
     INFEASIBLE = "infeasible"
 
 

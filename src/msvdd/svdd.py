@@ -14,12 +14,16 @@ the next one, the core-set start for minimum enclosing balls (Badoiu &
 Clarkson, SODA 2003).  A pair step zeroes at most one weight, so this start
 saves the m - |SV| steps that a start at the uniform weight spends zeroing
 interior points.  A warm start is used as given when it lies on the capped
-simplex; any other solve starts cold.  Every few steps a primal-dual gap
-certificate is computed from a fresh K @ a, and the solve returns there
-only: once that gap is within tolerance, or else once the dual value reaches
-the caller's ``cutoff``.  By weak duality the dual value at any feasible
-weights bounds the sphere's optimum from below, which is all a pruned
-branch-and-bound child needs; a sphere stopped at the cutoff is uncertified.
+simplex; any other solve starts cold.  After every block of pair steps a
+primal-dual gap certificate is computed from a fresh K @ a, and the solve
+returns at a certificate only: once that gap is within tolerance, or else
+once the dual value reaches the caller's ``cutoff``.  The start is not
+certified unless its dual value already reaches the cutoff or the first
+block takes no step, so a solve pays for the certificates it can return at.
+By weak duality the dual value at any feasible weights bounds the sphere's
+optimum from below, which is all a pruned branch-and-bound child needs; a
+sphere stopped at the cutoff is uncertified.  A solve that cannot certify
+raises `ConvergenceError` with the smallest gap over the certificates taken.
 At a certificate that does not certify, after a block with pair steps, one
 exact free-face step solves the equality-constrained QP on the face of the
 free weights (the face solve of active-set SVM methods, Scheinberg, JMLR
@@ -30,7 +34,9 @@ new zero-weight point onto the face, so the face step follows at once.
 The radius is recovered from the induced distances by a one-dimensional
 piecewise-linear minimization (`recover_radius`), which is total (it needs no
 free support vector) and returns the smallest minimizer on ties; the errors
-follow from it.  `grow_certified` applies the same certificate to a solved
+follow from it.  The radius's rank among the distances depends on (|S|, C)
+alone, so a solve takes it once and its certificates select the radius in
+work buffers.  `grow_certified` applies the same certificate to a solved
 sphere grown by one point, without a solve.
 A solve reads the shared Gram matrix through the member indices and never
 copies the members' block: a pair step gathers the Gram rows of its two
@@ -62,6 +68,8 @@ MAX_ITERATIONS = 50_000
 _CHECK_EVERY = 16
 # pair-curvature floor, relative to the largest kernel diagonal
 _ETA_FLOOR = 1e-12
+# the smallest positive normal float, the floor of that diagonal scale
+_TINY = float(np.finfo(float).tiny)
 # a warm start is used only if its weights sum to 1 within this
 _SUM_TOL = 1e-12
 
@@ -170,7 +178,7 @@ def recover_radius(distances_sq, C: float) -> tuple[float, np.ndarray]:
     smallest distance (0 for k = 0) for the first k where that slope is
     nonnegative within 1e-12, so ties go to the smallest minimizer (a sphere
     holding exactly 1/C points collapses to R = 0).  k comes in closed form,
-    settled by that float test, and the distance from a partition.
+    settled by that float test (`_rank`), and the distance from a partition.
     """
     d2 = np.asarray(distances_sq, dtype=float)
     n = d2.size
@@ -182,15 +190,35 @@ def recover_radius(distances_sq, C: float) -> tuple[float, np.ndarray]:
         raise InputError(f"C must be finite, got {C}")
     if collapses(C, n):
         raise InputError(f"C * n = {C * n} < 1: penalty slope never turns nonnegative")
+    xi = np.empty(n)
+    return _radius(d2, _rank(n, C), xi), xi
+
+
+def _rank(n: int, C: float) -> int:
+    """The rank k of `recover_radius`'s radius among n distances at penalty C:
+    the first k where the slope 1 - C * (n - k) is nonnegative within 1e-12.
+    It depends on (n, C) alone, so a solve takes it once."""
     # the slope test is monotone in k and holds at k = n, so k stays in [0, n]
     k = min(max(math.ceil(n - 1.0 / C), 0), n)
     while k > 0 and 1.0 - C * (n - (k - 1)) >= -1e-12:
         k -= 1
     while 1.0 - C * (n - k) < -1e-12:
         k += 1
-    R = 0.0 if k == 0 else float(np.partition(d2, k - 1)[k - 1])
-    xi = np.maximum(0.0, d2 - R)
-    return R, xi
+    return k
+
+
+def _radius(d2, k: int, xi) -> float:
+    """The k-th smallest of ``d2`` (0 for k = 0) as the radius R, with the
+    errors max(0, d2 - R) written into ``xi``, which the partition also
+    works in."""
+    R = 0.0
+    if k:
+        np.copyto(xi, d2)
+        xi.partition(k - 1)
+        R = float(xi[k - 1])
+    np.subtract(d2, R, out=xi)
+    np.maximum(0.0, xi, out=xi)
+    return R
 
 
 def _as_member_tuple(members, n: int) -> tuple[int, ...]:
@@ -229,14 +257,19 @@ def solve_svdd(
     Blocks hold `_CHECK_EVERY` pair steps, except that the first block of a
     warm start holds one.  ``iterations`` counts pair steps plus
     accepted face steps, and ``max_iters`` caps that sum.
+    The start forms K @ a and the gradient but is certified only when its
+    dual value already reaches ``cutoff`` or the first block takes no step;
+    otherwise the first certificate follows the first block.
     Every read of ``gram_matrix`` goes through the member indices and copies
     no m x m member block: the largest temporaries are the Gram rows of the
     nonzero weights (at a certificate) or of the free weights (at a face
-    step), each of length n, the Gram matrix's point count.  The certificate
-    that certifies keeps its length-n product as the solution's ``column``.
-    Raises InfeasibleSubproblemError when C * |S| < 1 and ConvergenceError
-    (carrying the smallest gap reached) if the iteration cap is hit or no
-    pair step can close the gap.
+    step), each of length n, the Gram matrix's point count.  Pair steps
+    allocate nothing: they, and each certificate's distances and radius,
+    work in per-solve buffers of length m.  The certificate that certifies
+    keeps its length-n product as the solution's ``column``.
+    Raises InfeasibleSubproblemError when C * |S| < 1 and ConvergenceError,
+    carrying the smallest gap over the certificates taken, if the iteration
+    cap is hit or no pair step can close the gap.
     """
     idx = _as_member_tuple(members, gram_matrix.n)
     m = len(idx)
@@ -256,76 +289,105 @@ def solve_svdd(
     block = 1 if warm else _CHECK_EVERY
 
     # floor for the pair curvature, which is 0 on duplicate points
-    eta_floor = _ETA_FLOOR * max(float(q.max()), np.finfo(float).tiny)
-    best_gap = np.inf
+    eta_floor = _ETA_FLOOR * max(float(q.max()), _TINY)
+    # the radius's rank among the m distances, the same at every certificate
+    k = _rank(m, C)
+    best_gap = math.inf
     it = 0
     # a face step needs an SMO block with steps since the start or the last one
     face_ready = False
     # which weights can rise and which can fall; a pair step updates its two
     # entries, and an accepted face step recomputes both masks
     up, pos = a < C, a > 0.0
-    Kw = _gram_dot(V, ia, a)
+    # work buffers: the gradient, the certificate's distances and errors, and
+    # a pair step's selection, its two Gram rows, curvatures and gains
+    G, d2, xi, G_up, b, K_i, K_j, eta, gain = np.empty((9, m))
+    start, stalled = True, False
     while True:
-        # certificate from a fresh K @ a, so drift in the incremental
-        # gradient can slow the loop but never certify a wrong point
-        Ka = Kw[ia]
-        quad = float(a @ Ka)
-        dual = float(q @ a) - quad
-        d2 = np.maximum(q - 2.0 * Ka + quad, 0.0)
-        R, xi = recover_radius(d2, C)
-        gap = max(float(R + C * xi.sum()) - dual, 0.0)
-        best_gap = min(best_gap, gap)
-        if gap <= DEFAULT_TOLS.duality_gap or dual >= cutoff:
-            # the same arithmetic as d2, so the column at the members is d2
-            column = np.maximum(V.diagonal() - 2.0 * Kw + quad, 0.0)
-            a_out = np.minimum(np.maximum(a, 0.0), C)
-            return _assemble(idx, a_out, column, R, xi, C, dual, quad, gap, it)
+        if not stalled:
+            # a fresh K @ a, so drift in the incremental gradient can slow
+            # the loop but never certify a wrong point
+            Kw = _gram_dot(V, ia, a)
+            Ka = Kw[ia]
+            quad = float(a @ Ka)
+            dual = float(q @ a) - quad
+        # the start is certified only when its dual value already reaches
+        # the cutoff, or when the first block takes no step
+        if not start or stalled or dual >= cutoff:
+            np.multiply(Ka, 2.0, out=d2)
+            np.subtract(q, d2, out=d2)
+            d2 += quad
+            np.maximum(d2, 0.0, out=d2)
+            R = _radius(d2, k, xi)
+            primal = float(R + C * xi.sum())
+            gap = max(primal - dual, 0.0)
+            best_gap = min(best_gap, gap)
+            if gap <= DEFAULT_TOLS.duality_gap or dual >= cutoff:
+                # the same arithmetic as d2, so the column at the members is d2
+                column = np.maximum(V.diagonal() - 2.0 * Kw + quad, 0.0)
+                a_out = np.minimum(np.maximum(a, 0.0), C)
+                return _assemble(idx, a_out, column, R, primal, C, dual, quad, gap, it)
+            if stalled:
+                break
+        start = False
 
         # SMO pair steps on min a'Ka - q'a; G is its gradient
-        G = 2.0 * Ka - q
+        np.multiply(Ka, 2.0, out=G)
+        G -= q
         faced = False
         if face_ready and it < max_iters:
-            step = _face_step(V, ia, a, G, C)
+            step = _face_step(V, ia, a, G, C, up, pos)
             if step is not None:
                 rows_F, delta = step
                 Ka += delta @ rows_F
-                G = 2.0 * Ka - q
-                up, pos = a < C, a > 0.0
+                np.multiply(Ka, 2.0, out=G)
+                G -= q
+                np.less(a, C, out=up)
+                np.greater(a, 0.0, out=pos)
                 it += 1
                 faced = True
         steps = 0
         while steps < block and it < max_iters:
-            G_up = np.where(up, G, np.inf)
-            i = G_up.argmin()
-            b = G - G_up[i]
-            # the gap is at most the largest violation b_j over a_j > 0
-            if np.maximum.reduce(b, where=pos, initial=-np.inf) <= DEFAULT_TOLS.duality_gap:
+            G_up.fill(np.inf)
+            np.copyto(G_up, G, where=up)
+            i = int(G_up.argmin())
+            g_i = G_up.item(i)
+            b.fill(-np.inf)
+            np.copyto(b, G, where=pos)
+            # the gap is at most the largest violation G_j - G_i over a_j > 0
+            if b.max() - g_i <= DEFAULT_TOLS.duality_gap:
                 break
-            K_i = V[ia[i]][ia]
-            eta = q + q[i]
-            eta -= 2.0 * K_i
+            b -= g_i
+            V[idx[i]].take(ia, out=K_i, mode="clip")
+            np.add(q, q[i], out=eta)
+            np.multiply(K_i, 2.0, out=gain)  # gain holds 2 K_i until the gains
+            eta -= gain
             np.maximum(eta, eta_floor, out=eta)
-            # some b_j over a_j > 0 passed the test above, so a positive
-            # gain wins, and the entries at 0 or -1 never do
-            gain = np.maximum(b, 0.0)
+            # b is -inf off the positive weights, so their gain is 0, and
+            # some b_j over a_j > 0 passed the test above, so a positive gain wins
+            np.maximum(b, 0.0, out=gain)
             gain *= gain
             gain /= eta
-            j = np.where(pos, gain, -1.0).argmax()
-            t = min(b[j] / (2.0 * eta[j]), C - a[i], a[j])
-            a[i] = C if t == C - a[i] else a[i] + t
-            a[j] = 0.0 if t == a[j] else a[j] - t
-            up[i], pos[i] = a[i] < C, a[i] > 0.0
-            up[j], pos[j] = a[j] < C, a[j] > 0.0
-            G += 2.0 * t * (K_i - V[ia[j]][ia])
+            j = int(gain.argmax())
+            a_i, a_j = a.item(i), a.item(j)
+            t = min(b.item(j) / (2.0 * eta.item(j)), C - a_i, a_j)
+            a_i = C if t == C - a_i else a_i + t
+            a_j = 0.0 if t == a_j else a_j - t
+            a[i], a[j] = a_i, a_j
+            up[i], pos[i] = a_i < C, a_i > 0.0
+            up[j], pos[j] = a_j < C, a_j > 0.0
+            V[idx[j]].take(ia, out=K_j, mode="clip")
+            np.subtract(K_i, K_j, out=K_j)
+            K_j *= 2.0 * t
+            G += K_j
             steps += 1
             it += 1
         # after a face step the block ran on an incrementally updated
-        # gradient, so an empty block re-certifies before it counts as stalled
-        if steps == 0 and not faced:
-            break
+        # gradient, so an empty block re-certifies before it counts as
+        # stalled; an empty first block certifies the start
+        stalled = steps == 0 and not faced
         face_ready = steps > 0
         block = _CHECK_EVERY
-        Kw = _gram_dot(V, ia, a)
 
     reason = "iteration cap hit" if it >= max_iters else "stalled"
     raise ConvergenceError(
@@ -355,7 +417,8 @@ def _start(V, ia, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
     m = q.size
     if warm_alpha is not None:
         w = np.array(warm_alpha, dtype=float)
-        if (w.shape == (m,) and np.all(np.isfinite(w)) and w.min() >= 0.0 and w.max() <= C
+        # a NaN fails both bound tests, and an infinite entry one of them
+        if (w.shape == (m,) and w.min() >= 0.0 and w.max() <= C
                 and abs(w.sum() - 1.0) <= _SUM_TOL):
             return w, True
     if C * m <= 1.0 + 1e-12:
@@ -372,7 +435,7 @@ def _start(V, ia, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
     return a, False
 
 
-def _face_step(V, ia, a, G, C):
+def _face_step(V, ia, a, G, C, up, pos):
     """One exact step on the face of the free weights, or None if refused.
 
     With F = {0 < a < C} and B = {a = C}, the minimizer x of a'Ka - q'a on
@@ -385,20 +448,23 @@ def _face_step(V, ia, a, G, C):
     bounds.  The step is refused when the solve fails, is not finite, or does
     not lower the objective, as on the singular faces of duplicated points or
     of more than d + 1 free points under a d-dimensional linear kernel.
+    F is read from the solver's masks ``up`` (a < C) and ``pos`` (a > 0).
     Updates ``a`` in place and returns the Gram rows of F at the members and
     the a_F change, for the caller's K @ a.
     """
-    F = ((a > 0.0) & (a < C)).nonzero()[0]
+    F = (up & pos).nonzero()[0]
     f = F.size
     if f < 2:
         return None
     rows_F = V[ia[F]][:, ia]
     K_FF = rows_F[:, F]
+    G_F = G[F]
+    # the bordered system, built in place: 2 K_FF, a border of ones, a 0 corner
     kkt = np.ones((f + 1, f + 1))
-    kkt[:f, :f] = 2.0 * K_FF
+    np.multiply(K_FF, 2.0, out=kkt[:f, :f])
     kkt[f, f] = 0.0
     rhs = np.zeros(f + 1)
-    rhs[:f] = -G[F]
+    np.negative(G_F, out=rhs[:f])
     try:
         d = np.linalg.solve(kkt, rhs)[:f]
     except np.linalg.LinAlgError:
@@ -406,9 +472,12 @@ def _face_step(V, ia, a, G, C):
     if not np.all(np.isfinite(d)):
         return None
     a_F = a[F]
-    # a tiny step component overflows the ratio to inf: no bound from that weight
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        room = np.where(d > 0.0, (C - a_F) / d, np.where(d < 0.0, -a_F / d, np.inf))
+    # a zero step component sets no bound; a tiny one overflows the ratio to
+    # inf, which sets none either
+    room = np.full(f, np.inf)
+    with np.errstate(over="ignore"):
+        np.divide(C - a_F, d, out=room, where=d > 0.0)
+        np.divide(-a_F, d, out=room, where=d < 0.0)
     k = int(np.argmin(room))
     new = a_F + min(room[k], 1.0) * d
     if room[k] < 1.0:
@@ -416,7 +485,7 @@ def _face_step(V, ia, a, G, C):
     np.minimum(np.maximum(new, 0.0, out=new), C, out=new)
     delta = new - a_F
     # dual gain of the step, on the face: -(G_F' delta + delta' K_FF delta)
-    if not float(G[F] @ delta + delta @ K_FF @ delta) < 0.0:
+    if not float(G_F @ delta + delta @ K_FF @ delta) < 0.0:
         return None
     a[F] = new
     inside = ((new > 0.0) & (new < C)).nonzero()[0]
@@ -427,14 +496,14 @@ def _face_step(V, ia, a, G, C):
     return rows_F, delta
 
 
-def _assemble(members, a, column, R, xi, C, dual, quad, gap, iters):
+def _assemble(members, a, column, R, objective, C, dual, quad, gap, iters):
     column.setflags(write=False)
     return SvddSolution(
         members=members,
         alpha=a,
         radius_sq=float(R),
         column=column,
-        objective=float(R + C * xi.sum()),
+        objective=objective,
         C=float(C),
         dual_objective=dual,
         gap=float(gap),
@@ -459,13 +528,16 @@ def grow_certified(parent: SvddSolution, point: int) -> SvddSolution | None:
         return None
     pos = bisect_left(parent.members, point)
     members = parent.members[:pos] + (int(point),) + parent.members[pos:]
-    R, xi = recover_radius(parent.column[np.array(members)], C)
-    gap = max(float(R + C * xi.sum()) - parent.dual_objective, 0.0)
+    m = len(members)
+    xi = np.empty(m)
+    R = _radius(parent.column[np.array(members)], _rank(m, C), xi)
+    primal = float(R + C * xi.sum())
+    gap = max(primal - parent.dual_objective, 0.0)
     if gap > DEFAULT_TOLS.duality_gap:
         return None
     a = np.concatenate((parent.alpha[:pos], [0.0], parent.alpha[pos:]))
     dual, quad = parent.dual_objective, parent.alpha_quad
-    return _assemble(members, a, parent.column, R, xi, C, dual, quad, gap, 0)
+    return _assemble(members, a, parent.column, R, primal, C, dual, quad, gap, 0)
 
 
 def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSolution:
@@ -486,6 +558,7 @@ def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSoluti
     quad = float(a @ Kw[ia])
     column = np.maximum(V.diagonal() - 2.0 * Kw + quad, 0.0)
     # radius zero: every distance is an error, and the value is its own dual
-    d2 = column[ia]
-    objective = float(C * d2.sum())
-    return _assemble(idx, a, column, 0.0, d2, C, objective, quad, 0.0, 0)
+    xi = np.empty(m)
+    R = _radius(column[ia], 0, xi)
+    penalty = C * xi.sum()
+    return _assemble(idx, a, column, R, float(R + penalty), C, float(penalty), quad, 0.0, 0)

@@ -71,7 +71,7 @@ class TestSolve:
         assert code == 0
         with open(out / "solution.json") as fh:
             payload = json.load(fh)
-        assert payload["status"] == "time_limit_incumbent"
+        assert payload["status"] == "heuristic"
 
     def test_heuristic_solve_reports_no_gap(self, dataset_dir, tmp_path):
         # the heuristic proves no bound: no gap in solution.json, and its

@@ -161,6 +161,16 @@ class TestConfig:
         with pytest.raises(InputError):
             small_config(tmp_path, p_grid=())
 
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_noise_level_without_an_anomaly_in_a_scored_split(self, tmp_path, split):
+        # round(0.05 * 10) is 0: every cell of that level would fail its AUC
+        data = {"type": "synthetic", "noise_levels": [0.1, 0.05], f"n_{split}": 10}
+        with pytest.raises(InputError, match=f"noise level 0.05 leaves the {split} split"):
+            small_config(tmp_path, data=data)
+        # the training split is not scored, so it may hold no anomaly
+        data = {"type": "synthetic", "noise_levels": [0.05], "n_train": 10}
+        assert small_config(tmp_path, data=data).data["n_train"] == 10
+
     @pytest.mark.parametrize("bad", [
         {"C_grid": (0.2, math.inf)}, {"C_grid": (math.nan,)}, {"C_grid": (-0.1,)},
         {"time_limit": math.nan}, {"time_limit": -1.0},
@@ -276,6 +286,13 @@ class TestRunCrossValidation:
             assert r["implied_C"] == pytest.approx(
                 r["p"] / (r["param_value"] * 14), abs=1e-12
             )
+
+    def test_cells_carry_their_solver_status(self, run):
+        # the heuristic certifies nothing and has no time limit to hit
+        config, _ = run
+        cells = read_csv(os.path.join(config.out_dir, "cells.csv"))
+        want = {MODEL_HEURISTIC: "heuristic", MODEL_EXACT: "optimal"}
+        assert cells and all(c["status"] == want[c["model"]] for c in cells)
 
     def test_infeasible_cells_recorded_not_fatal(self, tmp_path):
         # C = 0.05 needs 20 points per sphere but the train split has 14

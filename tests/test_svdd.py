@@ -13,6 +13,7 @@ from msvdd.heuristic import HeuristicConfig, solve_heuristic
 from msvdd.kernels import LINEAR, GramMatrix, gram, rbf
 from msvdd.svdd import (
     DEFAULT_TOLS,
+    _rank,
     _start,
     grow_certified,
     project_capped_simplex,
@@ -129,6 +130,19 @@ class TestRecoverRadius:
         assert R == R_ref
         assert np.array_equal(xi, xi_ref)
 
+    @given(st.data(), st.integers(min_value=1, max_value=300),
+           st.floats(min_value=-1e-13, max_value=1e-13))
+    def test_rank_matches_the_slope_scan(self, data, n, delta):
+        # a solve takes the rank once; at C near 1/k the 1e-12 slope test
+        # decides it, and the distances 1..n make the radius equal the rank
+        k = data.draw(st.integers(min_value=1, max_value=n))
+        C = 1.0 / k + delta
+        if C <= 0.0 or msvdd.svdd.collapses(C, n):
+            return
+        d2 = np.arange(1.0, n + 1.0)
+        assert _rank(n, C) == recover_radius_sorted(d2, C)[0]
+        assert _rank(n, C) == recover_radius(d2, C)[0]
+
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_minimizes_cost(self, seed):
         r = np.random.default_rng(seed)
@@ -243,6 +257,17 @@ class TestSolveSvdd:
         assert int(outside.sum()) <= math.floor(1.0 / C)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_radius_is_recovered_from_the_distances(self, seed):
+        # the in-place certificate selects the radius that recover_radius
+        # gives for the sphere's own distances, cold, warm and at a cutoff
+        r, g, n, C = random_instance(seed)
+        full = solve_svdd(g, range(n), C)
+        cut = (full.dual_objective + solve_svdd(g, range(n), C, cutoff=-math.inf).dual_objective) / 2
+        for sol in (full, solve_svdd(g, range(n), C, warm_alpha=r.dirichlet(np.ones(n))),
+                    solve_svdd(g, range(n), C, cutoff=cut)):
+            assert sol.radius_sq == recover_radius(sol.distances_sq, C)[0]
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_member_subset_matches_its_own_gram(self, seed):
         # a solve reads the shared Gram matrix through the member indices;
         # the members' own Gram block, solved over range(m), is the reference
@@ -299,13 +324,15 @@ class TestSmoCases:
         )
 
     def test_every_weight_at_the_cap(self, rng):
-        # C * |S| == 1: the capped simplex is the single point a = C
+        # C * |S| == 1: the capped simplex is the single point a = C, and no
+        # weight can rise, so the empty first block certifies the start
         pts = rng.normal(size=(4, 2))
         g = gram(LINEAR, pts)
         sol = solve_svdd(g, range(4), 0.25)
         assert np.array_equal(sol.alpha, np.full(4, 0.25))
         assert sol.radius_sq == 0.0
         assert sol.gap <= DEFAULT_TOLS.duality_gap
+        assert sol.iterations == 0
         centroid = zero_radius_sphere(g, range(4), 0.25)
         assert sol.objective == pytest.approx(centroid.objective, abs=1e-12)
 
@@ -382,6 +409,21 @@ class TestCutoff:
         assert start.dual_objective < sol.dual_objective < full.dual_objective
         assert 0 < sol.iterations < full.iterations
 
+    def test_warm_start_past_the_cutoff_returns_at_once(self, rng):
+        # the start is certified only because its dual value reaches the cutoff
+        g = gram(LINEAR, rng.normal(size=(12, 2)))
+        K = g.values
+        warm = np.full(12, 1.0 / 12.0)
+        dual = float(np.diag(K) @ warm - warm @ K @ warm)
+        assert dual < solve_svdd(g, range(12), 0.2).dual_objective - 1e-3
+        sol = solve_svdd(g, range(12), 0.2, warm_alpha=warm, cutoff=dual - 1e-9)
+        assert sol.iterations == 0
+        assert sol.gap > DEFAULT_TOLS.duality_gap
+        assert np.array_equal(sol.alpha, warm)
+        assert sol.dual_objective == pytest.approx(dual, rel=1e-12)
+        # a cutoff above the start's dual value runs the solve on
+        assert solve_svdd(g, range(12), 0.2, warm_alpha=warm, cutoff=dual + 1e-3).iterations > 0
+
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_infinite_cutoff_changes_nothing(self, seed):
         r, g, n, C = random_instance(seed)
@@ -442,14 +484,33 @@ class TestStart:
         assert np.array_equal(a, cold_start(own, 12, 0.2))
 
     def test_optimal_feasible_warm_start_takes_no_step(self, rng, monkeypatch):
-        g = gram(rbf(1.0), rng.normal(size=(20, 2)))
-        sol = solve_svdd(g, range(20), 0.2)
-        assert sol.iterations > 0
+        # at a solve's own certified weights the first block takes no step,
+        # so the start is certified and returned as the solve returned it
         projections = count_projections(monkeypatch)
-        again = solve_svdd(g, range(20), 0.2, warm_alpha=sol.alpha)
+        for spec in (rbf(1.0), LINEAR):
+            g = gram(spec, rng.normal(size=(20, 2)))
+            sol = solve_svdd(g, range(20), 0.2)
+            assert sol.iterations > 0
+            again = solve_svdd(g, range(20), 0.2, warm_alpha=sol.alpha)
+            assert again.iterations == 0
+            assert bits(again) == bits(dataclasses.replace(sol, iterations=0))
         assert projections == []
-        assert again.iterations == 0
-        assert np.array_equal(again.alpha, sol.alpha)
+
+    def test_a_start_is_certified_only_where_the_solve_can_return(self, monkeypatch):
+        # one pair step solves both: each solve takes one certificate, after
+        # the step, and none at its start
+        radius = msvdd.svdd._radius
+        calls = []
+        monkeypatch.setattr(msvdd.svdd, "_radius", lambda *args: calls.append(1) or radius(*args))
+        for seed, n, warm in ((1, 13, False), (14, 9, True)):
+            r = np.random.default_rng(seed)
+            assert int(r.integers(8, 20)) == n
+            g = gram(LINEAR, r.normal(size=(n, 2)))
+            start = np.append(solve_svdd(g, range(n - 1), 0.25).alpha, 0.0) if warm else None
+            calls.clear()
+            sol = solve_svdd(g, range(n), 0.25, warm_alpha=start)
+            assert sol.iterations == 1 and sol.gap <= DEFAULT_TOLS.duality_gap
+            assert len(calls) == 1
 
     def test_large_linear_cold_solve_takes_few_steps(self):
         # a uniform start spends about one step per interior point
