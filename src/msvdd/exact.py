@@ -52,6 +52,7 @@ import heapq
 import itertools
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,12 +99,13 @@ class MsvddProblem:
             raise InputError(f"p={self.p} exceeds the number of points {self.gram.n}")
 
 
-def _sphere(gram_matrix, C, members, parent=None, point=None, cutoff=math.inf):
+def _sphere(gram_matrix, C, members, parent=None, slot=None, cutoff=math.inf):
     """The sphere on ``members``, each distinct start tried once.
 
-    A sphere grown from ``parent`` by ``point`` is certified from the parent
-    when its weights still certify it (`grow_certified`), else solved warm
-    from them, with a 0 for the point, then cold; one without a parent, or
+    A sphere grown from ``parent`` by the point at index ``slot`` of
+    ``members`` is certified from the parent when its weights still certify
+    it (`grow_certified`), else solved warm from them, with a 0 in the
+    point's slot, then cold; one without a parent, or
     grown from a collapsed one (weights 1/|S| above the cap), is solved cold
     once.  Solves stop, uncertified, once the dual value reaches ``cutoff``
     (`msvdd.svdd.solve_svdd`).  Spheres below the 1/C floor take the
@@ -111,13 +113,12 @@ def _sphere(gram_matrix, C, members, parent=None, point=None, cutoff=math.inf):
     appear at inner nodes (the counting prune bars them from leaves), where
     that value is a valid lower bound on any completion.
     """
-    sol = None if parent is None else grow_certified(parent, point)
+    sol = None if parent is None else grow_certified(parent, members, slot)
     if sol is not None:
         return sol
     starts = [None]
     if parent is not None and not collapses(C, len(parent.members)):
-        k = members.index(point)
-        starts.insert(0, np.concatenate((parent.alpha[:k], [0.0], parent.alpha[k:])))
+        starts.insert(0, np.concatenate((parent.alpha[:slot], [0.0], parent.alpha[slot:])))
     for warm in starts:
         try:
             return solve_sphere(gram_matrix, members, C, warm_alpha=warm, cutoff=cutoff)
@@ -171,23 +172,22 @@ def _pick(node, size):
     such sphere adds C * m / (m + k) times its k smallest distances from U,
     and the sum over the spheres is the lift.
     """
-    sphere_of, spheres = node.sphere_of, node.spheres
-    unassigned = (sphere_of == UNASSIGNED).nonzero()[0]
+    unassigned = (node.sphere_of == UNASSIGNED).nonzero()[0]
     closest = None
     lift = 0.0
-    for sphere in spheres:
+    for sphere in node.spheres:
         if sphere is None:
             continue
         d2 = sphere.column[unassigned]
-        closest = d2 if closest is None else np.minimum(closest, d2)
+        closest = d2.copy() if closest is None else np.minimum(closest, d2, out=closest)
         m = len(sphere.members)
         k = min(size - m, unassigned.size)
         if k > 0:
-            nearest = float(np.partition(d2, k - 1)[:k].sum())
-            lift += sphere.C * m / (m + k) * nearest
+            d2.partition(k - 1)
+            lift += sphere.C * m / (m + k) * float(d2[:k].sum())
     if closest is None:
-        return int(unassigned[0]), 0.0
-    return int(unassigned[closest.argmax()]), lift  # first maximum: lowest index
+        return unassigned.item(0), 0.0
+    return unassigned.item(closest.argmax()), lift  # first maximum: lowest index
 
 
 def _expand(node, gram_matrix, C, p, floor, bound=math.inf):
@@ -196,26 +196,30 @@ def _expand(node, gram_matrix, C, p, floor, bound=math.inf):
     The branch point is the node's `_pick`.  It joins every nonempty sphere
     and exactly one empty one, which removes the label permutations.  A child
     is dropped when the points left cannot bring every sphere to ``floor``
-    members.  A sphere grown by the point is certified from the node's sphere
-    when it can be and solved otherwise (`_sphere`), with the cutoff
-    ``bound`` (the search's prune bound) minus the dual values of the child's
-    other spheres; a child whose solve stopped there is dropped, its bound
-    having reached ``bound``.  Child bounds are plain dual sums; the search
-    adds a child's lift when it pops it.
+    members, counted from the node's spheres.  The point enters a sphere's
+    members at a slot found by bisection, which `_sphere` reuses; the grown
+    sphere is certified from the node's sphere when it can be and solved
+    otherwise, with the cutoff ``bound`` (the search's prune bound) minus the
+    dual values of the child's other spheres; a child whose solve stopped
+    there is dropped, its bound having reached ``bound``.  Child bounds are
+    plain dual sums; the search adds a child's lift when it pops it.
     """
     sphere_of, spheres = node.sphere_of, node.spheres
     point, _ = node.pick or _pick(node, 0)
-    counts = np.bincount(sphere_of[sphere_of >= 0], minlength=p)[:p]
-    deficit = int(np.maximum(floor - counts, 0).sum())
+    counts = [0 if s is None else len(s.members) for s in spheres]
+    deficit = sum(floor - c for c in counts if c < floor)
     left = sphere_of.size - node.depth - 1
+    duals = [(k, s.dual_objective) for k, s in enumerate(spheres) if s is not None]
     children = []
     for j in [j for j in range(p) if counts[j]] + [j for j in range(p) if not counts[j]][:1]:
         if deficit - (counts[j] < floor) > left:
             continue
         old = spheres[j]
-        members = (point,) if old is None else tuple(sorted(old.members + (point,)))
-        rest = sum(s.dual_objective for k, s in enumerate(spheres) if k != j and s is not None)
-        sol = _sphere(gram_matrix, C, members, old, point, cutoff=bound - rest)
+        held = () if old is None else old.members
+        slot = bisect_left(held, point)
+        members = held[:slot] + (point,) + held[slot:]
+        rest = sum(d for k, d in duals if k != j)  # the others, in label order
+        sol = _sphere(gram_matrix, C, members, old, slot, cutoff=bound - rest)
         if sol.gap > DEFAULT_TOLS.duality_gap:
             continue  # stopped at the cutoff: pruned by its dual value
         child_spheres = spheres[:j] + (sol,) + spheres[j + 1 :]
@@ -354,9 +358,11 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
     def prune_tol(ub):
         return 1e-9 * max(1.0, abs(ub)) if math.isfinite(ub) else 0.0
 
+    # the key from which a node is pruned, taken again when the incumbent changes
+    bound = incumbent - prune_tol(incumbent)
     while heap:
         lb, _, _, node = heapq.heappop(heap)
-        if lb >= incumbent - prune_tol(incumbent):
+        if lb >= bound:
             break
         proven = max(proven, lb)
         if problem.time_limit is not None and time.perf_counter() - t0 > problem.time_limit:
@@ -368,6 +374,7 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
             value = _objective(node)
             if value < incumbent - 1e-12:
                 best, incumbent = node, value
+                bound = incumbent - prune_tol(incumbent)
                 log.append(IncumbentRecord(
                     incumbent, time.perf_counter() - t0, node.sphere_of.copy(), node.spheres
                 ))
@@ -378,12 +385,11 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
             node.pick = _pick(node, size)
             lifted = lb + node.pick[1]
             if lifted > lb:
-                if lifted < incumbent - prune_tol(incumbent):
+                if lifted < bound:
                     heapq.heappush(heap, (lifted, -node.depth, next(counter), node))
                 continue
         node_count += 1
 
-        bound = incumbent - prune_tol(incumbent)
         for child in _expand(node, gram_mat, C, p, floor, bound):
             if child.lb < bound:
                 heapq.heappush(heap, (child.lb, -child.depth, next(counter), child))

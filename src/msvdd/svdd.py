@@ -45,17 +45,17 @@ Gram rows of the nonzero weights with those weights, a face step gathers the
 rows of the free weights, and the cold start takes the member sums from one
 product of the Gram matrix with the member indicator.  Rows stand in for
 columns, which is exact because `GramMatrix` stores a symmetric matrix.
-The certificate that certifies keeps its product as the sphere's ``column``:
-the squared feature distance from every point of the Gram matrix to the
-center.  It is the one place a solved sphere's distances are computed; a
-child that `grow_certified` certifies shares its parent's column, and
-`zero_radius_sphere` builds its own from the mean of its members' Gram rows.
+The certificate that certifies turns its product, in place, into the
+sphere's ``column``: the squared feature distance from every point of the
+Gram matrix to the center.  It is the one place a solved sphere's distances
+are computed; a child that `grow_certified` certifies shares its parent's
+column, and `zero_radius_sphere` builds its own, in place as well, from the
+mean of its members' Gram rows.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +72,9 @@ _ETA_FLOOR = 1e-12
 _TINY = float(np.finfo(float).tiny)
 # a warm start is used only if its weights sum to 1 within this
 _SUM_TOL = 1e-12
+# a weight's offset on the gradient in the pair selection, indexed by whether
+# it can rise (a < C) or fall (a > 0): +-inf hides it from the min or max
+_RISE, _FALL = np.array([math.inf, 0.0]), np.array([-math.inf, 0.0])
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,7 @@ def _radius(d2, k: int, xi) -> float:
     if k:
         np.copyto(xi, d2)
         xi.partition(k - 1)
-        R = float(xi[k - 1])
+        R = xi.item(k - 1)
     np.subtract(d2, R, out=xi)
     np.maximum(0.0, xi, out=xi)
     return R
@@ -265,8 +268,9 @@ def solve_svdd(
     nonzero weights (at a certificate) or of the free weights (at a face
     step), each of length n, the Gram matrix's point count.  Pair steps
     allocate nothing: they, and each certificate's distances and radius,
-    work in per-solve buffers of length m.  The certificate that certifies
-    keeps its length-n product as the solution's ``column``.
+    work in per-solve buffers of length m, and choose the pair through 0 or
+    +-inf offsets on the gradient.  The certificate that certifies turns its
+    length-n product, in place, into the solution's ``column``.
     Raises InfeasibleSubproblemError when C * |S| < 1 and ConvergenceError,
     carrying the smallest gap over the certificates taken, if the iteration
     cap is hit or no pair step can close the gap.
@@ -289,26 +293,27 @@ def solve_svdd(
     block = 1 if warm else _CHECK_EVERY
 
     # floor for the pair curvature, which is 0 on duplicate points
-    eta_floor = _ETA_FLOOR * max(float(q.max()), _TINY)
+    eta_floor = _ETA_FLOOR * max(q.item(q.argmax()), _TINY)
     # the radius's rank among the m distances, the same at every certificate
     k = _rank(m, C)
     best_gap = math.inf
     it = 0
     # a face step needs an SMO block with steps since the start or the last one
     face_ready = False
-    # which weights can rise and which can fall; a pair step updates its two
-    # entries, and an accepted face step recomputes both masks
-    up, pos = a < C, a > 0.0
-    # work buffers: the gradient, the certificate's distances and errors, and
-    # a pair step's selection, its two Gram rows, curvatures and gains
-    G, d2, xi, G_up, b, K_i, K_j, eta, gain = np.empty((9, m))
+    # the offsets for the weights that can rise and for those that can fall;
+    # a pair step updates its two entries, and an accepted face step all
+    up, pos = _RISE.take(a < C), _FALL.take(a > 0.0)
+    # work buffers: K @ a at the members, the gradient, the certificate's
+    # distances and errors, and a pair step's selection, two Gram rows,
+    # curvatures and gains
+    Ka, G, d2, xi, G_up, b, K_i, K_j, eta, gain = np.empty((10, m))
     start, stalled = True, False
     while True:
         if not stalled:
             # a fresh K @ a, so drift in the incremental gradient can slow
             # the loop but never certify a wrong point
             Kw = _gram_dot(V, ia, a)
-            Ka = Kw[ia]
+            Kw.take(ia, out=Ka)
             quad = float(a @ Ka)
             dual = float(q @ a) - quad
         # the start is certified only when its dual value already reaches
@@ -319,14 +324,13 @@ def solve_svdd(
             d2 += quad
             np.maximum(d2, 0.0, out=d2)
             R = _radius(d2, k, xi)
-            primal = float(R + C * xi.sum())
+            primal = R + C * float(xi.sum())
             gap = max(primal - dual, 0.0)
             best_gap = min(best_gap, gap)
             if gap <= DEFAULT_TOLS.duality_gap or dual >= cutoff:
-                # the same arithmetic as d2, so the column at the members is d2
-                column = np.maximum(V.diagonal() - 2.0 * Kw + quad, 0.0)
-                a_out = np.minimum(np.maximum(a, 0.0), C)
-                return _assemble(idx, a_out, column, R, primal, C, dual, quad, gap, it)
+                np.maximum(a, 0.0, out=a)
+                np.minimum(a, C, out=a)
+                return _assemble(idx, a, _column(V, Kw, quad), R, primal, C, dual, quad, gap, it)
             if stalled:
                 break
         start = False
@@ -336,26 +340,24 @@ def solve_svdd(
         G -= q
         faced = False
         if face_ready and it < max_iters:
-            step = _face_step(V, ia, a, G, C, up, pos)
+            step = _face_step(V, ia, a, G, C)
             if step is not None:
                 rows_F, delta = step
                 Ka += delta @ rows_F
                 np.multiply(Ka, 2.0, out=G)
                 G -= q
-                np.less(a, C, out=up)
-                np.greater(a, 0.0, out=pos)
+                up, pos = _RISE.take(a < C), _FALL.take(a > 0.0)
                 it += 1
                 faced = True
         steps = 0
         while steps < block and it < max_iters:
-            G_up.fill(np.inf)
-            np.copyto(G_up, G, where=up)
+            # G + 0 is G but for a zero's sign, which moves no comparison or step
+            np.add(G, up, out=G_up)
             i = int(G_up.argmin())
             g_i = G_up.item(i)
-            b.fill(-np.inf)
-            np.copyto(b, G, where=pos)
+            np.add(G, pos, out=b)
             # the gap is at most the largest violation G_j - G_i over a_j > 0
-            if b.max() - g_i <= DEFAULT_TOLS.duality_gap:
+            if b.item(b.argmax()) - g_i <= DEFAULT_TOLS.duality_gap:
                 break
             b -= g_i
             V[idx[i]].take(ia, out=K_i, mode="clip")
@@ -374,8 +376,8 @@ def solve_svdd(
             a_i = C if t == C - a_i else a_i + t
             a_j = 0.0 if t == a_j else a_j - t
             a[i], a[j] = a_i, a_j
-            up[i], pos[i] = a_i < C, a_i > 0.0
-            up[j], pos[j] = a_j < C, a_j > 0.0
+            up[i], pos[i] = 0.0 if a_i < C else math.inf, 0.0 if a_i > 0.0 else -math.inf
+            up[j], pos[j] = 0.0 if a_j < C else math.inf, 0.0 if a_j > 0.0 else -math.inf
             V[idx[j]].take(ia, out=K_j, mode="clip")
             np.subtract(K_i, K_j, out=K_j)
             K_j *= 2.0 * t
@@ -393,6 +395,15 @@ def solve_svdd(
     raise ConvergenceError(
         f"no convergence after {it} iterations, {reason} (gap {best_gap:.3e})", best_gap
     )
+
+
+def _column(V, Kw, quad) -> np.ndarray:
+    """The squared distances max(diag - 2 Kw + quad, 0), formed in place in
+    ``Kw``: (-2 Kw + diag) + quad has the same bits, signed zeros included."""
+    Kw *= -2.0
+    Kw += V.diagonal()
+    Kw += quad
+    return np.maximum(Kw, 0.0, out=Kw)
 
 
 def _gram_dot(V, ia, a) -> np.ndarray:
@@ -417,8 +428,9 @@ def _start(V, ia, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
     m = q.size
     if warm_alpha is not None:
         w = np.array(warm_alpha, dtype=float)
-        # a NaN fails both bound tests, and an infinite entry one of them
-        if (w.shape == (m,) and w.min() >= 0.0 and w.max() <= C
+        # a NaN is the minimum and the maximum that argmin and argmax find,
+        # and fails both bound tests; an infinite entry fails one of them
+        if (w.shape == (m,) and w.item(w.argmin()) >= 0.0 and w.item(w.argmax()) <= C
                 and abs(w.sum() - 1.0) <= _SUM_TOL):
             return w, True
     if C * m <= 1.0 + 1e-12:
@@ -435,7 +447,7 @@ def _start(V, ia, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
     return a, False
 
 
-def _face_step(V, ia, a, G, C, up, pos):
+def _face_step(V, ia, a, G, C):
     """One exact step on the face of the free weights, or None if refused.
 
     With F = {0 < a < C} and B = {a = C}, the minimizer x of a'Ka - q'a on
@@ -448,14 +460,15 @@ def _face_step(V, ia, a, G, C, up, pos):
     bounds.  The step is refused when the solve fails, is not finite, or does
     not lower the objective, as on the singular faces of duplicated points or
     of more than d + 1 free points under a d-dimensional linear kernel.
-    F is read from the solver's masks ``up`` (a < C) and ``pos`` (a > 0).
     Updates ``a`` in place and returns the Gram rows of F at the members and
     the a_F change, for the caller's K @ a.
     """
-    F = (up & pos).nonzero()[0]
+    F = ((a > 0.0) & (a < C)).nonzero()[0]
     f = F.size
     if f < 2:
         return None
+    # column-major, as this gather leaves it: the products below take their
+    # order of summation from that layout
     rows_F = V[ia[F]][:, ia]
     K_FF = rows_F[:, F]
     G_F = G[F]
@@ -469,28 +482,30 @@ def _face_step(V, ia, a, G, C, up, pos):
         d = np.linalg.solve(kkt, rhs)[:f]
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         return None
     a_F = a[F]
-    # a zero step component sets no bound; a tiny one overflows the ratio to
-    # inf, which sets none either
-    room = np.full(f, np.inf)
-    with np.errstate(over="ignore"):
-        np.divide(C - a_F, d, out=room, where=d > 0.0)
-        np.divide(-a_F, d, out=room, where=d < 0.0)
-    k = int(np.argmin(room))
-    new = a_F + min(room[k], 1.0) * d
-    if room[k] < 1.0:
-        new[k] = C if d[k] > 0.0 else 0.0
+    # the room to the bound each component moves toward: (C - a_F) / d, or
+    # -a_F / d = a_F / |d|.  A zero component divides by 0 and a tiny one
+    # overflows, both to inf, so neither sets a bound
+    with np.errstate(over="ignore", divide="ignore"):
+        room = np.where(d > 0.0, C - a_F, a_F) / np.abs(d)
+    k = int(room.argmin())
+    step = room.item(k)
+    new = a_F + min(step, 1.0) * d
+    if step < 1.0:
+        new[k] = C if d.item(k) > 0.0 else 0.0
     np.minimum(np.maximum(new, 0.0, out=new), C, out=new)
     delta = new - a_F
     # dual gain of the step, on the face: -(G_F' delta + delta' K_FF delta)
     if not float(G_F @ delta + delta @ K_FF @ delta) < 0.0:
         return None
     a[F] = new
-    inside = ((new > 0.0) & (new < C)).nonzero()[0]
-    if inside.size:
-        s = F[inside[np.argmax(np.minimum(new[inside], C - new[inside]))]]
+    # a weight's distance to its nearer bound is 0 unless it is free
+    slack = np.minimum(new, C - new)
+    s = int(slack.argmax())
+    if slack.item(s) > 0.0:
+        s = F[s]
         a[s] = min(max(a[s] + (1.0 - a.sum()), 0.0), C)
         delta = a[F] - a_F
     return rows_F, delta
@@ -512,8 +527,9 @@ def _assemble(members, a, column, R, objective, C, dual, quad, gap, iters):
     )
 
 
-def grow_certified(parent: SvddSolution, point: int) -> SvddSolution | None:
-    """The sphere of ``parent.members`` plus ``point`` if the parent certifies it.
+def grow_certified(parent: SvddSolution, members: tuple, slot: int) -> SvddSolution | None:
+    """The sphere on ``members`` if ``parent`` certifies it, where ``members``
+    is ``parent.members`` with one point inserted at index ``slot``.
 
     The parent's weights plus a 0 for the point keep the parent's dual value
     and center, so the grown sphere's distances are the parent's column at
@@ -526,16 +542,14 @@ def grow_certified(parent: SvddSolution, point: int) -> SvddSolution | None:
     C = parent.C
     if collapses(C, len(parent.members)):
         return None
-    pos = bisect_left(parent.members, point)
-    members = parent.members[:pos] + (int(point),) + parent.members[pos:]
     m = len(members)
     xi = np.empty(m)
     R = _radius(parent.column[np.array(members)], _rank(m, C), xi)
-    primal = float(R + C * xi.sum())
+    primal = R + C * float(xi.sum())
     gap = max(primal - parent.dual_objective, 0.0)
     if gap > DEFAULT_TOLS.duality_gap:
         return None
-    a = np.concatenate((parent.alpha[:pos], [0.0], parent.alpha[pos:]))
+    a = np.concatenate((parent.alpha[:slot], [0.0], parent.alpha[slot:]))
     dual, quad = parent.dual_objective, parent.alpha_quad
     return _assemble(members, a, parent.column, R, primal, C, dual, quad, gap, 0)
 
@@ -556,9 +570,10 @@ def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSoluti
     a = np.full(m, 1.0 / m)
     Kw = a @ V[ia]
     quad = float(a @ Kw[ia])
-    column = np.maximum(V.diagonal() - 2.0 * Kw + quad, 0.0)
-    # radius zero: every distance is an error, and the value is its own dual
-    xi = np.empty(m)
-    R = _radius(column[ia], 0, xi)
-    penalty = C * xi.sum()
-    return _assemble(idx, a, column, R, float(R + penalty), C, float(penalty), quad, 0.0, 0)
+    column = _column(V, Kw, quad)
+    # radius zero: every distance is an error, and the value is its own dual;
+    # rank 0 partitions nothing, so the errors may overwrite the distances
+    xi = column[ia]
+    R = _radius(xi, 0, xi)
+    penalty = C * float(xi.sum())
+    return _assemble(idx, a, column, R, R + penalty, C, penalty, quad, 0.0, 0)

@@ -8,7 +8,9 @@ Euclidean distances only.  The last few helpers are reference versions of
 package code that tests compare against (a rank loop, a sort-based radius
 recovery, center distances from Gram columns, input-space scores, the ROC
 curve whose area `auc_roc` gives) and a monotonicity check on the sphere
-solver.
+solver.  `expand_reference` is the search's node expansion as it was first
+written, with counts from `np.bincount` and sorted member tuples, which the
+lean `_expand` must match bit for bit.
 
 Two oracles certify whole multisphere solutions.  The big-M check tests a
 solution against every (point, sphere) constraint of the paper's
@@ -31,7 +33,7 @@ import numpy as np
 
 from msvdd.detection import DetectionModel, linear_centers
 from msvdd.errors import InputError
-from msvdd.exact import _repair_cardinality
+from msvdd.exact import _Node, _pick, _repair_cardinality, _sphere
 from msvdd.kernels import GramMatrix, KernelKind, KernelSpec
 from msvdd.solution import (
     MsvddSolution,
@@ -40,7 +42,7 @@ from msvdd.solution import (
     min_members,
     solve_sphere,
 )
-from msvdd.svdd import solve_svdd
+from msvdd.svdd import DEFAULT_TOLS, solve_svdd
 
 
 def svdd_1d_brute_force(xs, C, step=1e-4):
@@ -327,3 +329,31 @@ def heuristic_best_root(gram_matrix: GramMatrix, heuristic, C: float, p: int
     """
     repaired = _repair_cardinality(heuristic.sphere_of, gram_matrix, C, p, min_members(C, True))
     return None if repaired is None else evaluate_assignment(gram_matrix, repaired, p, C)
+
+
+def expand_reference(node, gram_matrix, C, p, floor, bound=math.inf):
+    """Children of a search node, made as `msvdd.exact._expand` first made
+    them: member counts by `np.bincount` over ``sphere_of``, each grown member
+    tuple sorted afresh, and the other spheres' duals summed per child."""
+    sphere_of, spheres = node.sphere_of, node.spheres
+    point, _ = node.pick or _pick(node, 0)
+    counts = np.bincount(sphere_of[sphere_of >= 0], minlength=p)[:p]
+    deficit = int(np.maximum(floor - counts, 0).sum())
+    left = sphere_of.size - node.depth - 1
+    children = []
+    for j in [j for j in range(p) if counts[j]] + [j for j in range(p) if not counts[j]][:1]:
+        if deficit - (counts[j] < floor) > left:
+            continue
+        old = spheres[j]
+        members = (point,) if old is None else tuple(sorted(old.members + (point,)))
+        rest = sum(s.dual_objective for k, s in enumerate(spheres) if k != j and s is not None)
+        slot = None if old is None else members.index(point)
+        sol = _sphere(gram_matrix, C, members, old, slot, cutoff=bound - rest)
+        if sol.gap > DEFAULT_TOLS.duality_gap:
+            continue
+        child_spheres = spheres[:j] + (sol,) + spheres[j + 1 :]
+        lb = sum(s.dual_objective for s in child_spheres if s is not None)
+        child_of = sphere_of.copy()
+        child_of[point] = j
+        children.append(_Node(child_of, node.depth + 1, child_spheres, lb))
+    return children

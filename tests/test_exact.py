@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import itertools
 import math
@@ -37,6 +38,7 @@ from oracles import (
     distance_space_gram,
     enumerate_msvdd,
     evaluate_assignment,
+    expand_reference,
     heuristic_best_root,
     verify_bigM_feasibility,
     xi_full,
@@ -291,6 +293,60 @@ class TestExpand:
                 slack = p * DEFAULT_TOLS.duality_gap + 1e-12 * max(1.0, abs(cold))
                 assert abs(child.lb - cold) <= slack
             node = children[int(r.integers(len(children)))]
+
+
+def sphere_bits(sol):
+    """Every field of a sphere, with floats and arrays as their exact bits."""
+    if sol is None:
+        return None
+    out = []
+    for f in dataclasses.fields(sol):
+        v = getattr(sol, f.name)
+        out.append(v.tobytes() if isinstance(v, np.ndarray) else v.hex() if isinstance(v, float) else v)
+    return out
+
+
+def assert_same_children(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.sphere_of.dtype == b.sphere_of.dtype
+        assert a.sphere_of.tobytes() == b.sphere_of.tobytes()
+        assert a.depth == b.depth
+        assert a.lb.hex() == b.lb.hex()
+        assert [sphere_bits(s) for s in a.spheres] == [sphere_bits(s) for s in b.spheres]
+
+
+class TestLeanExpand:
+    # searches with p = 2 and 3 under both kernels, with and without the floor
+    @pytest.mark.parametrize("kernel,n,seed,p,C,enforce", [
+        (LINEAR, 14, 0, 2, 0.2, True),
+        (LINEAR, 12, 1, 3, 0.3, True),
+        (rbf(1.0), 14, 2, 2, 0.2, True),
+        (rbf(0.5), 12, 3, 3, 0.3, True),
+        (LINEAR, 10, 4, 3, 0.5, False),
+        (rbf(2.0), 12, 5, 2, 0.15, False),
+    ])
+    def test_children_match_the_reference_bit_for_bit(
+        self, monkeypatch, kernel, n, seed, p, C, enforce
+    ):
+        # every node the search expands, under the search's finite prune
+        # bound and under none, gets the reference expansion's children
+        g = gram(kernel, np.random.default_rng(seed).normal(scale=1.5, size=(n, 2)))
+        lean = msvdd.exact._expand
+        bounds = []
+
+        def checked(node, gram_matrix, C, p, floor, bound=math.inf):
+            bounds.append(bound)
+            assert_same_children(lean(node, gram_matrix, C, p, floor),
+                                 expand_reference(node, gram_matrix, C, p, floor))
+            children = lean(node, gram_matrix, C, p, floor, bound)
+            assert_same_children(children, expand_reference(node, gram_matrix, C, p, floor, bound))
+            return children
+
+        monkeypatch.setattr(msvdd.exact, "_expand", checked)
+        sol = solve_exact(MsvddProblem(gram=g, p=p, C=C, enforce_cardinality=enforce, seed=0))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert bounds and math.isfinite(max(bounds))
 
 
 class TestCompletionLift:

@@ -13,6 +13,7 @@ from msvdd.heuristic import HeuristicConfig, solve_heuristic
 from msvdd.kernels import LINEAR, GramMatrix, gram, rbf
 from msvdd.svdd import (
     DEFAULT_TOLS,
+    collapses,
     _rank,
     _start,
     grow_certified,
@@ -307,6 +308,32 @@ class TestSolveSvdd:
         )
 
 
+# a start on the capped simplex at C = 0.3 with weights at exactly C and 0
+EDGE_START = np.array([0.3, 0.3, 0.3, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+
+def sum_edge(w, i, direction):
+    """``w`` with ``w[i]`` moved in ``direction`` to the last float at which
+    the weights still sum to 1 within the warm-start slack, and ``w`` with
+    ``w[i]`` at the next float, past it."""
+    tol = msvdd.svdd._SUM_TOL
+    inside, outside = w[i], w[i] + 2.0 * direction * tol
+
+    def at(x):
+        v = w.copy()
+        v[i] = x
+        return v
+
+    while True:
+        mid = (inside + outside) / 2.0
+        if mid in (inside, outside):
+            return at(inside), at(outside)
+        if abs(at(mid).sum() - 1.0) <= tol:
+            inside = mid
+        else:
+            outside = mid
+
+
 class TestSmoCases:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_duplicated_points_double_the_penalty(self, seed):
@@ -341,6 +368,10 @@ class TestSmoCases:
         [0.5, 0.5], np.full(9, np.nan), [np.inf] + [0.0] * 8,
         # off the capped simplex at C = 0.3: sum 2, a weight above C, negative weights
         np.full(9, 1.0 / 9.0) * 2.0, np.eye(9)[0], -np.arange(9.0),
+        # EDGE_START with a NaN, an infinity, or a weight one float outside
+        # the box in place of one of its weights
+        *(np.r_[EDGE_START[:8], x] for x in (np.nan, np.inf, -np.inf, -5e-324)),
+        np.r_[np.nextafter(0.3, 1.0), EDGE_START[1:]],
     ])
     def test_unusable_warm_start_falls_back_to_cold(self, warm, rng, monkeypatch):
         g = gram(LINEAR, rng.normal(size=(9, 2)))
@@ -351,6 +382,24 @@ class TestSmoCases:
         assert projections == []
         assert bits(sol) == bits(cold)
         np.testing.assert_array_equal(warm, given)
+
+    @pytest.mark.parametrize("edge", ["bounds", "sum-above", "sum-below"])
+    def test_warm_start_on_the_edge_of_the_capped_simplex_is_used(self, edge, rng):
+        # weights at exactly 0 and C, and a sum at either end of the slack,
+        # are used as given; a sum one float past the slack starts cold
+        g = gram(LINEAR, rng.normal(size=(9, 2)))
+        cold = solve_svdd(g, range(9), 0.3, cutoff=-math.inf)
+        used, refused = EDGE_START, None
+        if edge != "bounds":
+            used, refused = sum_edge(EDGE_START, 3, 1.0 if edge == "sum-above" else -1.0)
+            assert abs(refused.sum() - 1.0) > msvdd.svdd._SUM_TOL
+        # a cutoff of -inf returns the start's weights, as the solve took them
+        sol = solve_svdd(g, range(9), 0.3, warm_alpha=used, cutoff=-math.inf)
+        assert sol.iterations == 0
+        assert sol.alpha.tobytes() == used.tobytes()
+        if refused is not None:
+            sol = solve_svdd(g, range(9), 0.3, warm_alpha=refused, cutoff=-math.inf)
+            assert bits(sol) == bits(cold)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_branch_style_warm_start(self, seed):
@@ -703,7 +752,9 @@ class TestSupportGeometry:
         nearest = int(np.argmin(solve_svdd(gram(spec, pts), range(half), C).distances_sq))
         g = gram(spec, np.vstack([pts, pts[nearest]]))
         parent = solve_svdd(g, range(half), C)
-        certified = [c for c in (grow_certified(parent, i) for i in range(half, n + 1)) if c]
+        # each point past the first half grows it in the last slot
+        grown = (grow_certified(parent, (*parent.members, i), half) for i in range(half, n + 1))
+        certified = [c for c in grown if c]
         assert certified
         assert all(c.column is parent.column for c in certified)
         spheres = [
@@ -716,6 +767,41 @@ class TestSupportGeometry:
             np.stack([s.column for s in spheres], axis=1),
             sphere_distances_sq_columns(g, spheres), rtol=1e-12, atol=1e-12 * scale,
         )
+
+
+class TestColumnBits:
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from(["cold", "warm", "cutoff"]))
+    def test_column_has_the_bits_of_its_formula(self, seed, start):
+        # the column is formed in place, and keeps the bits of
+        # max(K_ii - 2 (K w)_i + alpha_quad, 0) with K w from the returned
+        # weights, taken over their nonzero entries as the solver takes it
+        r, g, n, C = random_instance(seed)
+        m = max(math.ceil(1.0 / C), int(r.integers(1, n + 1)))
+        members = tuple(sorted(r.choice(n, size=min(m, n), replace=False).tolist()))
+        if collapses(C, len(members)):
+            return
+        warm, cutoff = None, math.inf
+        if start == "warm" and not collapses(C, len(members) - 1):
+            warm = np.append(solve_svdd(g, members[:-1], C).alpha, 0.0)
+        if start == "cutoff":
+            lo = solve_svdd(g, members, C, cutoff=-math.inf).dual_objective
+            cutoff = (lo + solve_svdd(g, members, C).dual_objective) / 2.0
+        sol = solve_svdd(g, members, C, warm_alpha=warm, cutoff=cutoff)
+        V = g.values
+        nz = sol.alpha.nonzero()[0]
+        Kw = sol.alpha[nz] @ V[np.array(members)[nz]]
+        want = np.maximum(V.diagonal() - 2.0 * Kw + sol.alpha_quad, 0.0)
+        assert sol.column.tobytes() == want.tobytes()
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_zero_radius_column_has_the_bits_of_its_formula(self, seed):
+        r, g, n, _ = random_instance(seed)
+        members = np.sort(r.choice(n, size=int(r.integers(1, n + 1)), replace=False))
+        sol = zero_radius_sphere(g, members, 0.5 / members.size)
+        V = g.values
+        a = np.full(members.size, 1.0 / members.size)
+        want = np.maximum(V.diagonal() - 2.0 * (a @ V[members]) + sol.alpha_quad, 0.0)
+        assert sol.column.tobytes() == want.tobytes()
 
 
 class TestMonotoneCheck:
