@@ -46,7 +46,6 @@ from .svdd import (
     DEFAULT_TOLS,
     SolverTolerances,
     SvddSolution,
-    project_capped_simplex,
     recover_radius,
     solve_svdd,
 )

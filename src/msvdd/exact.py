@@ -72,7 +72,7 @@ from .solution import (
     min_members,
     solve_sphere,
 )
-from .svdd import DEFAULT_TOLS, collapses, grow_certified, zero_radius_sphere
+from .svdd import DEFAULT_TOLS, capacity, collapses, grow_certified, zero_radius_sphere
 
 
 @dataclass
@@ -103,22 +103,23 @@ def _sphere(gram_matrix, C, members, parent=None, slot=None, cutoff=math.inf):
     """The sphere on ``members``, each distinct start tried once.
 
     A sphere grown from ``parent`` by the point at index ``slot`` of
-    ``members`` is certified from the parent when its weights still certify
-    it (`grow_certified`), else solved warm from them, with a 0 in the
-    point's slot, then cold; one without a parent, or
-    grown from a collapsed one (weights 1/|S| above the cap), is solved cold
-    once.  Solves stop, uncertified, once the dual value reaches ``cutoff``
-    (`msvdd.svdd.solve_svdd`).  Spheres below the 1/C floor take the
-    radius-floored value; with cardinality enforcement such spheres only
-    appear at inner nodes (the counting prune bars them from leaves), where
-    that value is a valid lower bound on any completion.
+    ``members`` takes the parent's weights with a 0 in that slot, built
+    once: the grown sphere is certified from them when they still certify
+    it (`grow_certified`), else solved warm from them, then cold.  One
+    without a parent, or grown from a collapsed one (weights 1/|S| above the
+    cap), is solved cold once.  Solves stop, uncertified, once the dual
+    value reaches ``cutoff`` (`msvdd.svdd.solve_svdd`).  Spheres below the
+    1/C floor take the radius-floored value; with cardinality enforcement
+    such spheres only appear at inner nodes (the counting prune bars them
+    from leaves), where that value is a valid lower bound on any completion.
     """
-    sol = None if parent is None else grow_certified(parent, members, slot)
-    if sol is not None:
-        return sol
     starts = [None]
     if parent is not None and not collapses(C, len(parent.members)):
-        starts.insert(0, np.concatenate((parent.alpha[:slot], [0.0], parent.alpha[slot:])))
+        grown = np.concatenate((parent.alpha[:slot], [0.0], parent.alpha[slot:]))
+        sol = grow_certified(parent, members, grown)
+        if sol is not None:
+            return sol
+        starts.insert(0, grown)
     for warm in starts:
         try:
             return solve_sphere(gram_matrix, members, C, warm_alpha=warm, cutoff=cutoff)
@@ -142,23 +143,16 @@ class _Node:
     pick: tuple | None = None
 
 
-def _centroid_size(C: float, enforce_cardinality: bool) -> int:
-    """Largest member count t whose sphere is valued C * scatter (C * t <= 1),
-    which every sphere must reach under the cardinality floor; 0 without it."""
-    if not enforce_cardinality:
-        return 0
-    q = min_members(C, True)
-    return q if C * q <= 1.0 + 1e-12 else q - 1
-
-
 def _pick(node, size):
     """Branch point and the node's lift, from the columns of its spheres.
 
     The branch point is the max-min point: the unassigned point whose squared
     feature distance to its nearest nonempty sphere center is largest, ties
     going to the lowest index (with every sphere empty, the lowest unassigned
-    index).  The same distances give the completion lift for ``size`` =
-    `_centroid_size` (0 turns it off).  A nonempty sphere S with m < ``size``
+    index).  The same distances give the completion lift for ``size``, the
+    largest member count whose sphere is valued C * scatter: the
+    `msvdd.svdd.capacity` of C under the cardinality floor, and 0, which
+    turns the lift off, without it.  A nonempty sphere S with m < ``size``
     members sits at its centroid mu with value C * scatter(S), and must still
     take k = min(size - m, |U|) of the unassigned points U.  For any k of
     them, A, the scatter identity about mu gives
@@ -193,7 +187,8 @@ def _pick(node, size):
 def _expand(node, gram_matrix, C, p, floor, bound=math.inf):
     """Children of a node: the search's one way of making them.
 
-    The branch point is the node's `_pick`.  It joins every nonempty sphere
+    The branch point is the node's `_pick`, which the search takes when it
+    first pops the node, before it expands it.  It joins every nonempty sphere
     and exactly one empty one, which removes the label permutations.  A child
     is dropped when the points left cannot bring every sphere to ``floor``
     members, counted from the node's spheres.  The point enters a sphere's
@@ -205,7 +200,7 @@ def _expand(node, gram_matrix, C, p, floor, bound=math.inf):
     plain dual sums; the search adds a child's lift when it pops it.
     """
     sphere_of, spheres = node.sphere_of, node.spheres
-    point, _ = node.pick or _pick(node, 0)
+    point, _ = node.pick
     counts = [0 if s is None else len(s.members) for s in spheres]
     deficit = sum(floor - c for c in counts if c < floor)
     left = sphere_of.size - node.depth - 1
@@ -249,11 +244,12 @@ def _repair_cardinality(sphere_of, gram_matrix, C, p, floor):
     """Move cheapest points into deficient spheres until all meet the floor,
     or None when no donor can move.
 
-    A sphere below the floor sits at the centroid of its members (C * |S| < 1,
-    `zero_radius_sphere`), so a move into it is priced by the point's squared
-    distance to that centroid, re-taken after every move.  An empty sphere
-    has no centroid; it is seeded first with the point farthest from the
-    centroid of its own sphere (lowest index on ties).  Donors keep the floor.
+    Every one of the p spheres must be nonempty, as in every restart
+    partition of `solve_heuristic` on more than p points, and a move never
+    empties a donor.  A sphere below the floor sits at the centroid of its
+    members (C * |S| < 1, `zero_radius_sphere`), so a move into it is priced
+    by the point's squared distance to that centroid, re-taken after every
+    move.  Donors keep the floor.
     """
     sphere_of = sphere_of.copy()
     for _ in range(sphere_of.size * p):
@@ -266,17 +262,8 @@ def _repair_cardinality(sphere_of, gram_matrix, C, p, floor):
         donors = donors[sphere_of[donors] != j]
         if donors.size == 0:
             return None
-        if counts[j]:
-            centroid = zero_radius_sphere(gram_matrix, np.flatnonzero(sphere_of == j), C)
-            cost = centroid.column[donors]
-        else:
-            labels = np.flatnonzero(counts)
-            d2 = np.stack([
-                zero_radius_sphere(gram_matrix, np.flatnonzero(sphere_of == k), C).column
-                for k in labels
-            ], axis=1)
-            cost = -d2[donors, np.searchsorted(labels, sphere_of[donors])]
-        sphere_of[int(donors[np.argmin(cost)])] = j
+        centroid = zero_radius_sphere(gram_matrix, np.flatnonzero(sphere_of == j), C)
+        sphere_of[int(donors[np.argmin(centroid.column[donors])])] = j
     return None
 
 
@@ -331,7 +318,7 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
     n = gram_mat.n
     floor = min_members(C, problem.enforce_cardinality)
     feasible = p * floor <= n
-    size = _centroid_size(C, problem.enforce_cardinality)
+    size = capacity(C) if problem.enforce_cardinality else 0
 
     t0 = time.perf_counter()
     best = None  # the incumbent, a complete node carrying its spheres
@@ -342,9 +329,7 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
         best = _root_incumbent(problem)
         if best is not None:
             incumbent = _objective(best)
-            log.append(IncumbentRecord(
-                incumbent, time.perf_counter() - t0, best.sphere_of.copy(), best.spheres
-            ))
+            log.append(IncumbentRecord(incumbent, time.perf_counter() - t0, best.spheres))
 
     root = _Node(np.full(n, UNASSIGNED, dtype=np.int16), 0, (None,) * p, 0.0)
     counter = itertools.count()
@@ -375,9 +360,7 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
             if value < incumbent - 1e-12:
                 best, incumbent = node, value
                 bound = incumbent - prune_tol(incumbent)
-                log.append(IncumbentRecord(
-                    incumbent, time.perf_counter() - t0, node.sphere_of.copy(), node.spheres
-                ))
+                log.append(IncumbentRecord(incumbent, time.perf_counter() - t0, node.spheres))
             continue
 
         if node.pick is None:

@@ -81,10 +81,8 @@ def _repair_empty(sphere_of, d2, radii, p):
     while np.any(counts == 0):
         j = int(np.argmin(counts))
         excess = np.maximum(0.0, d2[np.arange(sphere_of.size), sphere_of] - radii[sphere_of])
-        movable = counts[sphere_of] > 1
-        if not movable.any():
-            break
-        cand = np.flatnonzero(movable)
+        # with n >= p, an empty cluster leaves another with two points
+        cand = np.flatnonzero(counts[sphere_of] > 1)
         own_d2 = d2[np.arange(sphere_of.size), sphere_of]
         order = np.lexsort((cand, -own_d2[cand], -excess[cand]))
         pick = int(cand[order[0]])
@@ -124,9 +122,7 @@ def _single_run(gram_matrix, p, nu, max_iters, rng, t0, solved):
         history.append(obj)
         state = (sphere_of.copy(), spheres, obj)
         if not log or obj < log[-1].objective - 1e-12:
-            log.append(
-                IncumbentRecord(obj, time.perf_counter() - t0, sphere_of.copy(), tuple(spheres))
-            )
+            log.append(IncumbentRecord(obj, time.perf_counter() - t0, tuple(spheres)))
         d2 = np.stack([s.column for s in spheres], axis=1)
         radii = np.array([s.radius_sq for s in spheres])
         new_assign = _repair_empty(_nearest_sphere(d2, radii), d2, radii, p)

@@ -25,11 +25,12 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class IncumbentRecord:
-    """One improving feasible solution found during a solve, with its spheres."""
+    """One improving feasible solution found during a solve: its objective,
+    the seconds since the solve began, and its spheres, whose members give
+    its assignment."""
 
     objective: float
     wall_time: float
-    sphere_of: np.ndarray
     spheres: tuple[SvddSolution, ...]
 
 
@@ -37,9 +38,9 @@ class IncumbentRecord:
 class MsvddSolution:
     """A complete multisphere solution.
 
-    ``sphere_of`` is the int16 point-to-sphere map, as in `IncumbentRecord`,
-    and all UNASSIGNED (-1) for an infeasible solve.  For exact solves
-    ``objective`` is sum(R_j) + C * sum(xi_i) under the global C; for
+    ``sphere_of`` is the int16 point-to-sphere map, all UNASSIGNED (-1) for
+    an infeasible solve.  For exact solves ``objective`` is
+    sum(R_j) + C * sum(xi_i) under the global C; for
     heuristic solves each sphere carries its own per-cluster C and
     ``objective`` sums the per-sphere values accordingly.
     ``iterate_objectives`` and ``restart_partitions`` are only populated by

@@ -95,6 +95,19 @@ def collapses(C: float, m: int) -> bool:
     return C * m < 1.0 - 1e-12
 
 
+def capacity(C: float) -> int:
+    """How many weights can sit at the cap C: the largest t with
+    1 - C * t >= 0 within 1e-12, which is floor(1/C) or, within that slack,
+    one more (C = 1/(0.1 * 930) has 1/C just below 93, and yields 93).  It
+    bounds a sphere's outliers, and a sphere of at most that many members
+    has all its weights at C.  `msvdd.solution.min_members`, ceil(1/C), is
+    the same or one more."""
+    # the test holds at floor(1/C) and, for C > 2e-12, fails two past it;
+    # a smaller C has a capacity beyond 5e11 either way
+    t = math.floor(1.0 / C) + 1
+    return t if 1.0 - C * t >= -1e-12 else t - 1
+
+
 @dataclass(frozen=True)
 class SvddSolution:
     """One solved sphere: its weights ``alpha`` and radius ``radius_sq``.
@@ -151,7 +164,7 @@ def project_capped_simplex(v, cap: float) -> np.ndarray:
         raise InfeasibleSubproblemError(
             f"capped simplex is empty: cap {cap} * size {m} < 1"
         )
-    if cap * m <= 1.0 + 1e-12:
+    if m <= capacity(cap):
         return np.full(m, cap)
 
     bps = np.unique(np.concatenate([v, v - cap]))
@@ -199,15 +212,10 @@ def recover_radius(distances_sq, C: float) -> tuple[float, np.ndarray]:
 
 def _rank(n: int, C: float) -> int:
     """The rank k of `recover_radius`'s radius among n distances at penalty C:
-    the first k where the slope 1 - C * (n - k) is nonnegative within 1e-12.
-    It depends on (n, C) alone, so a solve takes it once."""
-    # the slope test is monotone in k and holds at k = n, so k stays in [0, n]
-    k = min(max(math.ceil(n - 1.0 / C), 0), n)
-    while k > 0 and 1.0 - C * (n - (k - 1)) >= -1e-12:
-        k -= 1
-    while 1.0 - C * (n - k) < -1e-12:
-        k += 1
-    return k
+    the first k where the slope 1 - C * (n - k) is nonnegative within 1e-12,
+    so n - k is the `capacity` of C, or 0 past n.  It depends on (n, C)
+    alone, so a solve takes it once."""
+    return max(n - capacity(C), 0)
 
 
 def _radius(d2, k: int, xi) -> float:
@@ -240,7 +248,6 @@ def solve_svdd(
     members,
     C: float,
     warm_alpha=None,
-    max_iters: int = MAX_ITERATIONS,
     *,
     cutoff: float = math.inf,
 ) -> SvddSolution:
@@ -259,7 +266,8 @@ def solve_svdd(
     tolerance) but with a dual value that bounds the sphere from below.
     Blocks hold `_CHECK_EVERY` pair steps, except that the first block of a
     warm start holds one.  ``iterations`` counts pair steps plus
-    accepted face steps, and ``max_iters`` caps that sum.
+    accepted face steps, and `MAX_ITERATIONS`, read at the call, caps that
+    sum.
     The start forms K @ a and the gradient but is certified only when its
     dual value already reaches ``cutoff`` or the first block takes no step;
     otherwise the first certificate follows the first block.
@@ -277,6 +285,7 @@ def solve_svdd(
     """
     idx = _as_member_tuple(members, gram_matrix.n)
     m = len(idx)
+    max_iters = MAX_ITERATIONS
     if not C > 0:
         raise InputError("C must be positive")
     if collapses(C, m):
@@ -421,7 +430,8 @@ def _start(V, ia, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
     the capped simplex; any other warm start is ignored.  The cold start is
     the vertex with weight C on the k = floor(1/C) members farthest from the
     member centroid, ranked by K_ii - 2 (K 1/m)_i with ties broken stably,
-    and the remainder 1 - kC on the next one; it is all C when C * m = 1.
+    and the remainder 1 - kC on the next one; it is all C when m is at most
+    `capacity` (C * m = 1 within 1e-12).
     The member sums K 1/m come from one product of the Gram matrix V with
     the member indicator, so no member block is built.
     """
@@ -433,13 +443,16 @@ def _start(V, ia, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
         if (w.shape == (m,) and w.item(w.argmin()) >= 0.0 and w.item(w.argmax()) <= C
                 and abs(w.sum() - 1.0) <= _SUM_TOL):
             return w, True
-    if C * m <= 1.0 + 1e-12:
+    if m <= capacity(C):
         return np.full(m, C), False
     w = np.zeros(V.shape[0])
     w[ia] = 1.0 / m
     far = q - 2.0 * (V @ w)[ia]
     order = np.argsort(-far, kind="stable")
-    # C * m > 1 leaves k < m, so the remainder has a member to go on
+    # int(1/C) can fall one short of capacity(C): for the heuristic's
+    # C = 1/(0.1 * 930) it is 92 against 93.  Either vertex is feasible, but
+    # the start fixes a solve's path, so the count stays.  m above
+    # capacity(C) leaves k < m, so the remainder has a member to go on
     k = int(1.0 / C)
     a = np.zeros(m)
     a[order[:k]] = C
@@ -527,21 +540,20 @@ def _assemble(members, a, column, R, objective, C, dual, quad, gap, iters):
     )
 
 
-def grow_certified(parent: SvddSolution, members: tuple, slot: int) -> SvddSolution | None:
+def grow_certified(parent: SvddSolution, members: tuple, alpha) -> SvddSolution | None:
     """The sphere on ``members`` if ``parent`` certifies it, where ``members``
-    is ``parent.members`` with one point inserted at index ``slot``.
+    is ``parent.members`` with one point inserted, and ``alpha`` the parent's
+    weights with a 0 in that point's slot.
 
-    The parent's weights plus a 0 for the point keep the parent's dual value
-    and center, so the grown sphere's distances are the parent's column at
-    its members; the radius follows as in a solve's certificate.  Returns the
-    grown sphere, with 0 iterations and the parent's column object, when the
-    gap is within the default tolerance (the one every sphere solve of the
-    search uses); None otherwise, and for a zero-radius parent
-    (C * |S| < 1), whose weights exceed the cap.
+    Those weights keep the parent's dual value and center, so the grown
+    sphere's distances are the parent's column at its members; the radius
+    follows as in a solve's certificate.  Returns the grown sphere, with
+    ``alpha`` as its weights, 0 iterations and the parent's column object,
+    when the gap is within the default tolerance (the one every sphere solve
+    of the search uses); None otherwise.  The parent must not collapse
+    (C * |S| >= 1): a zero-radius parent's weights exceed the cap.
     """
     C = parent.C
-    if collapses(C, len(parent.members)):
-        return None
     m = len(members)
     xi = np.empty(m)
     R = _radius(parent.column[np.array(members)], _rank(m, C), xi)
@@ -549,9 +561,8 @@ def grow_certified(parent: SvddSolution, members: tuple, slot: int) -> SvddSolut
     gap = max(primal - parent.dual_objective, 0.0)
     if gap > DEFAULT_TOLS.duality_gap:
         return None
-    a = np.concatenate((parent.alpha[:slot], [0.0], parent.alpha[slot:]))
     dual, quad = parent.dual_objective, parent.alpha_quad
-    return _assemble(members, a, parent.column, R, primal, C, dual, quad, gap, 0)
+    return _assemble(members, alpha, parent.column, R, primal, C, dual, quad, gap, 0)
 
 
 def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSolution:

@@ -289,6 +289,15 @@ def verify_bigM_feasibility(
     return bool(np.all(d2 <= rhs + tol))
 
 
+def assignment_of(spheres, n: int) -> np.ndarray:
+    """The int16 point-to-sphere map that ``spheres`` cover, UNASSIGNED (-1)
+    for the points that no sphere holds."""
+    sphere_of = np.full(n, -1, dtype=np.int16)
+    for j, s in enumerate(spheres):
+        sphere_of[list(s.members)] = j
+    return sphere_of
+
+
 def evaluate_assignment(
     gram_matrix: GramMatrix,
     sphere_of,

@@ -14,7 +14,6 @@ from msvdd.errors import ConvergenceError, InputError, SolverFailure
 from msvdd.heuristic import solve_heuristic
 from msvdd.exact import (
     MsvddProblem,
-    _centroid_size,
     _expand,
     _node_of,
     _pick,
@@ -29,8 +28,9 @@ from msvdd.solution import (
     min_members,
     solve_sphere,
 )
-from msvdd.svdd import DEFAULT_TOLS, collapses
+from msvdd.svdd import DEFAULT_TOLS, capacity, collapses
 from oracles import (
+    assignment_of,
     capped_simplex_samples,
     canonical_assignments,
     compute_delta_dual,
@@ -96,11 +96,17 @@ class TestDeltaDual:
             assert np.all(d2 <= delta + 1e-9), (i, d2.max(), delta)
 
 
+def expand(node, g, C, p, floor):
+    """`_expand` on a node, after the branch point pick that the search takes
+    when it first pops a node."""
+    node.pick = _pick(node, 0)
+    return _expand(node, g, C, p, floor)
+
+
 def branch(sphere_of, g, C, p, enforce_cardinality=True):
     """Children of a partial assignment, as the search makes them, under the
     floor ``enforce_cardinality`` gives."""
-    node = _node_of(sphere_of, g, C, p)
-    return _expand(node, g, C, p, min_members(C, enforce_cardinality))
+    return expand(_node_of(sphere_of, g, C, p), g, C, p, min_members(C, enforce_cardinality))
 
 
 class TestBranch:
@@ -195,7 +201,7 @@ class TestExpand:
         g = gram(LINEAR, [[-2.0], [2.0], [0.1], [-0.1]])
         node = _node_of(np.array([0, 0, -1, -1]), g, 1.0, 1)
         calls = count_sphere_solves(monkeypatch)
-        (child,) = _expand(node, g, 1.0, 1, 1)
+        (child,) = expand(node, g, 1.0, 1, 1)
         assert calls == []
         assert list(child.sphere_of) == [0, 0, 0, -1]
         grown = child.spheres[0]
@@ -212,7 +218,7 @@ class TestExpand:
         g = gram(LINEAR, [[-2.0], [2.0], [9.0]])
         node = _node_of(np.array([0, 0, -1]), g, 1.0, 1)
         calls = count_sphere_solves(monkeypatch)
-        (child,) = _expand(node, g, 1.0, 1, 1)
+        (child,) = expand(node, g, 1.0, 1, 1)
         assert calls == [(0, 1, 2)]
         cold = solve_sphere(g, (0, 1, 2), 1.0)
         assert child.spheres[0].objective == pytest.approx(cold.objective, abs=1e-7)
@@ -235,7 +241,7 @@ class TestExpand:
         g = gram(LINEAR, [[-2.0], [2.0], [9.0]])
         node = _node_of(np.array([0, 0, -1]), g, 1.0, 1)
         calls = self.failing_solves(monkeypatch, fail_cold=False)
-        (child,) = _expand(node, g, 1.0, 1, 1)
+        (child,) = expand(node, g, 1.0, 1, 1)
         assert calls == [True, False]
         cold = solve_sphere(g, (0, 1, 2), 1.0)
         assert child.spheres[0].objective == cold.objective
@@ -246,7 +252,7 @@ class TestExpand:
         calls = self.failing_solves(monkeypatch, fail_cold=True)
         with pytest.raises(SolverFailure, match="on 3 members failed to converge from its warm "
                                                 "and cold starts") as err:
-            _expand(node, g, 1.0, 1, 1)
+            expand(node, g, 1.0, 1, 1)
         assert calls == [True, False]
         assert isinstance(err.value.__cause__, ConvergenceError)
 
@@ -266,7 +272,7 @@ class TestExpand:
         assert node.spheres[0].radius_sq == 0.0
         calls = self.failing_solves(monkeypatch, fail_cold=True)
         with pytest.raises(SolverFailure, match="on 2 members failed to converge from its cold start"):
-            _expand(node, g, 0.5, 1, 1)
+            expand(node, g, 0.5, 1, 1)
         assert calls == [False]
 
     @settings(max_examples=30)
@@ -285,7 +291,7 @@ class TestExpand:
         g = gram(spec, pts)
         node = _node_of(np.full(n, -1), g, C, p)
         while node.depth < n:
-            children = _expand(node, g, C, p, floor)
+            children = expand(node, g, C, p, floor)
             if not children:
                 break
             for child in children:
@@ -356,9 +362,9 @@ class TestCompletionLift:
         # C * 1/3 * (1 + 9); the completion {0, 1, 3} costs C * 42/9
         g = gram(LINEAR, [[0.0], [1.0], [3.0]])
         C = 1.0 / 3.0
-        assert _centroid_size(C, True) == 3
+        assert capacity(C) == 3
         node = _node_of(np.array([0, -1, -1]), g, C, 1)
-        point, lift = _pick(node, _centroid_size(C, True))
+        point, lift = _pick(node, capacity(C))
         assert point == 2
         assert lift == pytest.approx(10.0 / 9.0, abs=1e-12)
         best = evaluate_assignment(g, np.array([0, 0, 0]), 1, C)
@@ -366,9 +372,10 @@ class TestCompletionLift:
 
     @pytest.mark.parametrize("C,size", [(0.2, 5), (0.3, 3), (0.5, 2), (0.45, 2), (1.0, 1)])
     def test_centroid_size(self, C, size):
-        assert _centroid_size(C, True) == size
+        # the largest sphere valued C * scatter, the lift's size under the
+        # cardinality floor, is the capacity of C
+        assert capacity(C) == size
         assert C * size <= 1.0 + 1e-12 < C * (size + 1)
-        assert _centroid_size(C, False) == 0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -386,9 +393,9 @@ class TestCompletionLift:
         free = r.choice(n, size=int(r.integers(n // 2, min(n - 1, 7) + 1)), replace=False)
         base[free] = -1
         node = _node_of(base, g, C, p)
-        lift = _pick(node, _centroid_size(C, True))[1]
+        lift = _pick(node, capacity(C))[1]
         assert lift >= 0.0
-        assert _pick(node, _centroid_size(C, False))[1] == 0.0
+        assert _pick(node, 0)[1] == 0.0
         best = math.inf
         for combo in itertools.product(range(p), repeat=free.size):
             full = base.copy()
@@ -411,23 +418,6 @@ class TestRepairCardinality:
         # the only donor sphere sits at the floor, so nothing can move
         g = gram(LINEAR, [[0.0], [1.0], [10.0]])
         assert _repair_cardinality(np.array([0, 0, 1]), g, 0.5, 2, 2) is None
-
-    def test_empty_sphere_is_seeded_with_the_farthest_point(self):
-        # sphere 1 is empty: the point at 10 lies farthest from the centroid
-        # 4 of sphere 0 and seeds it, then the point at 5, nearest 10, joins
-        g = gram(LINEAR, [[0.0], [1.0], [5.0], [10.0]])
-        repaired = _repair_cardinality(np.array([0, 0, 0, 0]), g, 0.5, 2, 2)
-        assert list(repaired) == [0, 0, 1, 1]
-
-    def test_empty_sphere_seed_ties_go_to_the_lowest_index(self):
-        g = gram(LINEAR, [[-1.0], [1.0], [0.0], [0.0]])
-        repaired = _repair_cardinality(np.array([0, 0, 0, 0]), g, 0.5, 2, 2)
-        assert list(repaired) == [1, 0, 1, 0]
-
-    def test_empty_sphere_without_a_donor(self):
-        # a floor of 3 leaves sphere 0 one point to give, and sphere 1 needs 3
-        g = gram(LINEAR, [[0.0], [1.0], [5.0], [10.0]])
-        assert _repair_cardinality(np.array([0, 0, 0, 0]), g, 0.4, 2, 3) is None
 
 
 def lin60p2():
@@ -773,7 +763,7 @@ class TestSolveExact:
         sol = solve_exact(MsvddProblem(gram=g, p=3, C=0.3, seed=0))
         assert len(sol.incumbent_log) >= 1
         for rec in sol.incumbent_log:
-            cold = evaluate_assignment(g, rec.sphere_of, 3, 0.3)
+            cold = evaluate_assignment(g, assignment_of(rec.spheres, 12), 3, 0.3)
             assert [s.members for s in rec.spheres] == [s.members for s in cold.spheres]
             assert canonical_objective([s.objective for s in rec.spheres]) == rec.objective
             assert rec.objective == pytest.approx(cold.objective, abs=1e-7)
@@ -792,7 +782,7 @@ class TestSolveExact:
             r.objective for r in b.incumbent_log
         ]
         assert all(
-            np.array_equal(x.sphere_of, y.sphere_of)
+            [s.members for s in x.spheres] == [s.members for s in y.spheres]
             for x, y in zip(a.incumbent_log, b.incumbent_log)
         )
         assert a.node_count == b.node_count

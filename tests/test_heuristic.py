@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msvdd.heuristic
@@ -11,7 +11,7 @@ from msvdd.heuristic import HeuristicConfig, _nearest_sphere, solve_heuristic
 from msvdd.kernels import LINEAR, gram, rbf
 from msvdd.solution import SolveStatus
 from msvdd.svdd import solve_svdd
-from oracles import evaluate_assignment
+from oracles import assignment_of, evaluate_assignment
 
 TWO_CLUSTERS_1D = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2]])
 
@@ -38,8 +38,9 @@ class TestConfig:
         g = gram(LINEAR, rng.normal(size=(12, 2)))
         sol = solve_heuristic(g, HeuristicConfig(p=2, nu=0.3, seed=0))
         for rec in sol.incumbent_log:
-            members = [tuple(np.flatnonzero(rec.sphere_of == j)) for j in range(2)]
-            assert [s.members for s in rec.spheres] == members
+            # the spheres partition the points, and their values sum to the record's
+            assert (assignment_of(rec.spheres, 12) >= 0).all()
+            assert sum(len(s.members) for s in rec.spheres) == 12
             assert sum(s.objective for s in rec.spheres) == pytest.approx(rec.objective)
 
 
@@ -167,6 +168,21 @@ class TestRestartPartitions:
         assert any(np.array_equal(heur.sphere_of, s) for s in heur.restart_partitions)
         first = solve_heuristic(g, HeuristicConfig(p=p, nu=nu, restarts=1, seed=draw))
         assert np.array_equal(heur.restart_partitions[0], first.sphere_of)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([2, 3]),
+           st.sampled_from([0.05, 0.2, 0.5, 1.0]), st.booleans())
+    def test_no_restart_ends_with_an_empty_cluster(self, seed, p, nu, on_grid):
+        # the exact root's cardinality repair takes every restart partition
+        # of more than p points as it is, and needs all p clusters nonempty;
+        # points on a coarse grid repeat, so clusters can tie or coincide
+        r = np.random.default_rng(seed)
+        n = int(r.integers(p + 1, 13))
+        pts = r.integers(-2, 3, size=(n, 2)).astype(float) if on_grid else r.normal(size=(n, 2))
+        spec = rbf(float(r.uniform(0.2, 2.0))) if r.random() < 0.5 else LINEAR
+        heur = solve_heuristic(gram(spec, pts), HeuristicConfig(p=p, nu=nu, seed=seed % 97))
+        for partition in heur.restart_partitions:
+            assert (np.bincount(partition, minlength=p) > 0).all()
 
 
 class TestReassign:

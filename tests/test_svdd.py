@@ -3,16 +3,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import msvdd.svdd
 from msvdd.errors import ConvergenceError, InfeasibleSubproblemError, InputError
 from msvdd.exact import MsvddProblem, solve_exact
+from msvdd.experiments import ExperimentConfig
 from msvdd.heuristic import HeuristicConfig, solve_heuristic
 from msvdd.kernels import LINEAR, GramMatrix, gram, rbf
+from msvdd.solution import min_members
 from msvdd.svdd import (
+    _SUM_TOL,
     DEFAULT_TOLS,
+    capacity,
     collapses,
     _rank,
     _start,
@@ -162,6 +166,51 @@ class TestRecoverRadius:
                 assert c + C * np.maximum(0.0, d2 - c).sum() > got + 1e-12
 
 
+def ulps_from(x, steps):
+    """``x`` moved ``steps`` floats up (or down, for negative ``steps``)."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, math.copysign(math.inf, steps))
+    return float(x)
+
+
+# penalties at C = 1/k and a few ulps around it, and the heuristic's
+# per-cluster C_k = 1/(nu * N) over the default nu grid
+PENALTIES = st.one_of(
+    st.builds(lambda k, steps: ulps_from(1.0 / k, steps),
+              st.integers(min_value=1, max_value=200), st.integers(min_value=-4, max_value=4)),
+    st.builds(lambda nu, N: 1.0 / (nu * N),
+              st.sampled_from(ExperimentConfig.nu_grid), st.integers(min_value=1, max_value=1000)),
+)
+
+
+class TestCapacity:
+    @given(PENALTIES)
+    @example(1.0 / (0.1 * 930))  # int(1/C) = 92, one below
+    def test_is_the_last_count_the_cap_test_passes(self, C):
+        fits = [t for t in range(int(2.0 / C) + 3) if 1.0 - C * t >= -1e-12]
+        assert capacity(C) == max(fits)
+
+    @given(PENALTIES, st.integers(min_value=0, max_value=450))
+    def test_rank_matches_the_brute_force_slope_scan(self, C, n):
+        # the first k whose slope 1 - C * (n - k) is nonnegative within 1e-12
+        assert _rank(n, C) == next(k for k in range(n + 1) if 1.0 - C * (n - k) >= -1e-12)
+
+    @given(PENALTIES)
+    def test_floor_is_capacity_or_one_more(self, C):
+        assert min_members(C, True) - capacity(C) in (0, 1)
+
+    @given(PENALTIES, st.integers(min_value=1, max_value=40))
+    @example(1.0 / (0.1 * 930), 1)
+    def test_cold_start_vertex_lies_on_the_capped_simplex(self, C, extra):
+        # more members than capacity(C), so the start is the far-point vertex
+        V = gram(LINEAR, np.random.default_rng(7).normal(size=(256, 2))).values
+        ia = np.arange(capacity(C) + extra)
+        a, warm = _start(V, ia, V.diagonal()[ia], C, None)
+        assert not warm
+        assert a.min() >= 0.0 and a.max() <= C
+        assert abs(a.sum() - 1.0) <= _SUM_TOL
+
+
 def random_instance(seed):
     r = np.random.default_rng(seed)
     n = int(r.integers(1, 30))
@@ -209,13 +258,14 @@ class TestSolveSvdd:
         with pytest.raises(InputError):
             zero_radius_sphere(g, members, 0.1)
 
-    def test_iteration_cap_carries_best_iterate(self, rng):
+    def test_iteration_cap_carries_best_iterate(self, rng, monkeypatch):
         pts = rng.normal(size=(12, 2))
         g = gram(LINEAR, pts)
         # an instance the cold start does not solve within one pair step
         assert solve_svdd(g, range(12), 0.5).iterations > 1
+        monkeypatch.setattr(msvdd.svdd, "MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError) as err:
-            solve_svdd(g, range(12), 0.5, max_iters=1)
+            solve_svdd(g, range(12), 0.5)
         assert err.value.gap > DEFAULT_TOLS.duality_gap
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -753,7 +803,8 @@ class TestSupportGeometry:
         g = gram(spec, np.vstack([pts, pts[nearest]]))
         parent = solve_svdd(g, range(half), C)
         # each point past the first half grows it in the last slot
-        grown = (grow_certified(parent, (*parent.members, i), half) for i in range(half, n + 1))
+        weights = np.append(parent.alpha, 0.0)
+        grown = (grow_certified(parent, (*parent.members, i), weights) for i in range(half, n + 1))
         certified = [c for c in grown if c]
         assert certified
         assert all(c.column is parent.column for c in certified)
