@@ -39,11 +39,15 @@ collapsed to radius zero, whose weights lie off the child's capped simplex.
 
 A child whose bound reaches the incumbent is pruned, and by weak duality the
 dual value at any feasible weights already bounds its sphere.  So `_expand`
-stops each solve once its dual value reaches the cutoff (incumbent - prune
-tolerance) - (the child's other dual values), and drops that child.  The SMO
-dual only rises, so a stopped child solved on to its certificate would have
-been pruned on push too: the expanded nodes do not change, and no
-uncertified sphere enters a node.
+first screens each child from its parent sphere's column in closed form
+(`_screen`): one SMO pair step onto the branch point, the scatter identity
+for a collapsed sphere that stays collapsed, or the uniform weights for one
+that grows out of collapse.  A child whose screen reaches the cutoff
+(incumbent - prune tolerance) - (the child's other dual values), plus the
+gap tolerance and a rounding allowance, is dropped without a solve or a
+zero-radius build; it would have been pruned on push, so the expanded nodes
+do not change.  Every other child is built and solved to its certificate:
+there is no solve cutoff, and every sphere in a node is certified.
 """
 
 from __future__ import annotations
@@ -74,6 +78,9 @@ from .solution import (
 )
 from .svdd import DEFAULT_TOLS, capacity, collapses, grow_certified, zero_radius_sphere
 
+# the screens' rounding allowance, relative to the prune bound
+_SCREEN_ROUNDING = 1e-9
+
 
 @dataclass
 class MsvddProblem:
@@ -99,7 +106,7 @@ class MsvddProblem:
             raise InputError(f"p={self.p} exceeds the number of points {self.gram.n}")
 
 
-def _sphere(gram_matrix, C, members, parent=None, slot=None, cutoff=math.inf):
+def _sphere(gram_matrix, C, members, parent=None, slot=None):
     """The sphere on ``members``, each distinct start tried once.
 
     A sphere grown from ``parent`` by the point at index ``slot`` of
@@ -107,8 +114,7 @@ def _sphere(gram_matrix, C, members, parent=None, slot=None, cutoff=math.inf):
     once: the grown sphere is certified from them when they still certify
     it (`grow_certified`), else solved warm from them, then cold.  One
     without a parent, or grown from a collapsed one (weights 1/|S| above the
-    cap), is solved cold once.  Solves stop, uncertified, once the dual
-    value reaches ``cutoff`` (`msvdd.svdd.solve_svdd`).  Spheres below the
+    cap), is solved cold once.  Spheres below the
     1/C floor take the radius-floored value; with cardinality enforcement
     such spheres only appear at inner nodes (the counting prune bars them
     from leaves), where that value is a valid lower bound on any completion.
@@ -122,7 +128,7 @@ def _sphere(gram_matrix, C, members, parent=None, slot=None, cutoff=math.inf):
         starts.insert(0, grown)
     for warm in starts:
         try:
-            return solve_sphere(gram_matrix, members, C, warm_alpha=warm, cutoff=cutoff)
+            return solve_sphere(gram_matrix, members, C, warm_alpha=warm)
         except ConvergenceError as exc:
             failure = exc
     tried = "warm and cold starts" if len(starts) > 1 else "cold start"
@@ -184,6 +190,48 @@ def _pick(node, size):
     return unassigned.item(closest.argmax()), lift  # first maximum: lowest index
 
 
+def _screen(sphere, point, V, C, reach=-math.inf) -> float:
+    """A lower bound on the value of ``sphere`` grown by ``point``, in closed
+    form from the sphere's column d, without building the grown sphere.
+
+    A collapsed sphere S of m members sits at its centroid with value
+    C * scatter(S), and by the scatter identity scatter(S + u) =
+    scatter(S) + m / (m + 1) * d_u.  A grown sphere that still collapses has
+    C times that value, exactly; one that does not admits the uniform
+    weights 1/(m + 1), whose dual value is scatter(S + u) / (m + 1).  For a
+    sphere that does not collapse, one SMO pair step (Fan, Chen & Lin, JMLR
+    2005) from its certified weights a moves weight t from a support point s
+    onto u, which keeps the grown weights on their capped simplex for
+    0 <= t <= min(a_s, C) = a_s, and raises the dual value by
+    t (d_u - d_s) - t^2 ||phi_u - phi_s||^2; the bound is the dual value
+    plus the best such step, which needs the Gram row of u at the support.
+    By weak duality each value bounds the grown sphere's optimum.  No step
+    gains more than C * d_u (it moves at most C onto u, and d_s >= 0), so
+    when even that stays below ``reach`` the step is not searched, and the
+    sphere's own dual value, the bound at t = 0, is returned.
+    """
+    m = len(sphere.members)
+    d_u = sphere.column.item(point)
+    dual = sphere.dual_objective
+    if collapses(C, m):
+        scatter = dual / C + m / (m + 1) * d_u
+        return C * scatter if collapses(C, m + 1) else scatter / (m + 1)
+    if dual + C * d_u < reach:
+        return dual
+    a = sphere.alpha
+    s = a.nonzero()[0]
+    ids = np.array(sphere.members)[s]
+    cap = a[s]
+    rise = d_u - sphere.column[ids]
+    # ||phi_u - phi_s||^2, 0 on a duplicate of u
+    eta = V.diagonal()[ids] - 2.0 * V[point, ids] + V.item(point, point)
+    # the step to the vertex of t (rise - t eta), clipped to [0, cap]; where
+    # the point gains nothing (rise <= 0) the step is 0
+    t = np.where(rise > 0.0, cap, 0.0)
+    np.divide(rise, 2.0 * eta, out=t, where=(rise > 0.0) & (rise < 2.0 * eta * cap))
+    return dual + max(float((t * (rise - t * eta)).max()), 0.0)
+
+
 def _expand(node, gram_matrix, C, p, floor, bound=math.inf):
     """Children of a node: the search's one way of making them.
 
@@ -194,10 +242,14 @@ def _expand(node, gram_matrix, C, p, floor, bound=math.inf):
     members, counted from the node's spheres.  The point enters a sphere's
     members at a slot found by bisection, which `_sphere` reuses; the grown
     sphere is certified from the node's sphere when it can be and solved
-    otherwise, with the cutoff ``bound`` (the search's prune bound) minus the
-    dual values of the child's other spheres; a child whose solve stopped
-    there is dropped, its bound having reached ``bound``.  Child bounds are
-    plain dual sums; the search adds a child's lift when it pops it.
+    otherwise.  Before that, a child is dropped unbuilt when the `_screen` of
+    its grown sphere reaches the cutoff: ``bound`` (the search's prune bound)
+    minus the dual values of the child's other spheres, plus the gap
+    tolerance and a rounding allowance.  The grown sphere's certified dual
+    value is within the gap tolerance of its optimum, which the screen
+    bounds, so such a child's bound would reach ``bound`` and it would be
+    pruned on push.  Child bounds are plain dual sums; the search adds a
+    child's lift when it pops it.
     """
     sphere_of, spheres = node.sphere_of, node.spheres
     point, _ = node.pick
@@ -205,18 +257,21 @@ def _expand(node, gram_matrix, C, p, floor, bound=math.inf):
     deficit = sum(floor - c for c in counts if c < floor)
     left = sphere_of.size - node.depth - 1
     duals = [(k, s.dual_objective) for k, s in enumerate(spheres) if s is not None]
+    slack = DEFAULT_TOLS.duality_gap + _SCREEN_ROUNDING * max(1.0, abs(bound))
+    V = gram_matrix.values
     children = []
     for j in [j for j in range(p) if counts[j]] + [j for j in range(p) if not counts[j]][:1]:
         if deficit - (counts[j] < floor) > left:
             continue
         old = spheres[j]
+        rest = sum(d for k, d in duals if k != j)  # the others, in label order
+        reach = bound - rest + slack
+        if old is not None and _screen(old, point, V, C, reach) >= reach:
+            continue  # its bound would reach the prune bound on push
         held = () if old is None else old.members
         slot = bisect_left(held, point)
         members = held[:slot] + (point,) + held[slot:]
-        rest = sum(d for k, d in duals if k != j)  # the others, in label order
-        sol = _sphere(gram_matrix, C, members, old, slot, cutoff=bound - rest)
-        if sol.gap > DEFAULT_TOLS.duality_gap:
-            continue  # stopped at the cutoff: pruned by its dual value
+        sol = _sphere(gram_matrix, C, members, old, slot)
         child_spheres = spheres[:j] + (sol,) + spheres[j + 1 :]
         lb = sum(s.dual_objective for s in child_spheres if s is not None)
         child_of = sphere_of.copy()

@@ -92,16 +92,14 @@ def min_members(C: float, enforce_cardinality: bool) -> int:
     return m + 1 if collapses(C, m) else m
 
 
-def solve_sphere(
-    gram_matrix: GramMatrix, members, C: float, warm_alpha=None, *, cutoff: float = math.inf
-) -> SvddSolution:
+def solve_sphere(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) -> SvddSolution:
     """Single-sphere subproblem with the radius-floored fallback.
 
-    A sphere with C * |S| >= 1 is a plain dual solve, stopped uncertified
-    once its dual value reaches ``cutoff`` (`solve_svdd`); a smaller one
-    collapses to the zero-radius centroid solution, which is exact.
+    A sphere with C * |S| >= 1 is a plain dual solve, certified
+    (`solve_svdd`); a smaller one collapses to the zero-radius centroid
+    solution, which is exact.
     """
     members = tuple(members)
     if collapses(C, len(members)):
         return zero_radius_sphere(gram_matrix, members, C)
-    return solve_svdd(gram_matrix, members, C, warm_alpha=warm_alpha, cutoff=cutoff)
+    return solve_svdd(gram_matrix, members, C, warm_alpha=warm_alpha)

@@ -16,14 +16,13 @@ saves the m - |SV| steps that a start at the uniform weight spends zeroing
 interior points.  A warm start is used as given when it lies on the capped
 simplex; any other solve starts cold.  After every block of pair steps a
 primal-dual gap certificate is computed from a fresh K @ a, and the solve
-returns at a certificate only: once that gap is within tolerance, or else
-once the dual value reaches the caller's ``cutoff``.  The start is not
-certified unless its dual value already reaches the cutoff or the first
+returns at a certificate only, once that gap is within tolerance: every
+sphere it returns is certified.  The start is not certified unless the first
 block takes no step, so a solve pays for the certificates it can return at.
-By weak duality the dual value at any feasible weights bounds the sphere's
-optimum from below, which is all a pruned branch-and-bound child needs; a
-sphere stopped at the cutoff is uncertified.  A solve that cannot certify
-raises `ConvergenceError` with the smallest gap over the certificates taken.
+A cold solve of at most `capacity` members has every weight at C, the one
+point of its capped simplex, and returns at the one certificate of that
+start without any pair-step work.  A solve that cannot certify raises
+`ConvergenceError` with the smallest gap over the certificates taken.
 At a certificate that does not certify, after a block with pair steps, one
 exact free-face step solves the equality-constrained QP on the face of the
 free weights (the face solve of active-set SVM methods, Scheinberg, JMLR
@@ -108,7 +107,7 @@ def capacity(C: float) -> int:
     return t if 1.0 - C * t >= -1e-12 else t - 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class SvddSolution:
     """One solved sphere: its weights ``alpha`` and radius ``radius_sq``.
 
@@ -120,10 +119,9 @@ class SvddSolution:
     to.  The members' distances (`distances_sq`) are the column at the
     members, and the errors follow from them (`errors`).  ``objective`` is the
     primal value radius_sq + C * sum(errors); ``gap`` is the certified
-    distance to the dual optimum at termination.  It is within
-    ``DEFAULT_TOLS.duality_gap`` unless the solve stopped at its ``cutoff``
-    (`solve_svdd`); such a sphere is not certified, and only its
-    ``dual_objective`` is a valid bound.
+    distance to the dual optimum at termination, within
+    ``DEFAULT_TOLS.duality_gap``.  No field is written after the record is
+    built; it is not frozen because a frozen field costs a checked store.
     """
 
     members: tuple[int, ...]
@@ -243,15 +241,9 @@ def _as_member_tuple(members, n: int) -> tuple[int, ...]:
     return idx
 
 
-def solve_svdd(
-    gram_matrix: GramMatrix,
-    members,
-    C: float,
-    warm_alpha=None,
-    *,
-    cutoff: float = math.inf,
-) -> SvddSolution:
-    """Solve the single-sphere subproblem on the given member set.
+def solve_svdd(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) -> SvddSolution:
+    """Solve the single-sphere subproblem on the given member set, to a
+    certified gap.
 
     ``warm_alpha`` (length len(members), aligned with the sorted member order)
     seeds the pair steps, as given, when it lies on the capped simplex.
@@ -261,16 +253,16 @@ def solve_svdd(
     (see `_face_step`), which are tried at a certificate that does not
     certify, never twice in a row; the block after a face step runs on the
     incrementally updated K @ a, and the fresh-gradient certificate stays the
-    only exit: it returns when the gap is within tolerance, or else when the
-    dual value is at least ``cutoff``, uncertified (its ``gap`` above the
-    tolerance) but with a dual value that bounds the sphere from below.
+    only exit: it returns when the gap is within tolerance.
     Blocks hold `_CHECK_EVERY` pair steps, except that the first block of a
     warm start holds one.  ``iterations`` counts pair steps plus
     accepted face steps, and `MAX_ITERATIONS`, read at the call, caps that
     sum.
-    The start forms K @ a and the gradient but is certified only when its
-    dual value already reaches ``cutoff`` or the first block takes no step;
-    otherwise the first certificate follows the first block.
+    The start forms K @ a and the gradient but is certified only when the
+    first block takes no step; otherwise the first certificate follows the
+    first block.  A cold start of at most `capacity` members, all at C, is
+    that case in closed form: it is certified at once, with no pair-step
+    buffers, and returns with 0 iterations.
     Every read of ``gram_matrix`` goes through the member indices and copies
     no m x m member block: the largest temporaries are the Gram rows of the
     nonzero weights (at a certificate) or of the free weights (at a face
@@ -297,14 +289,16 @@ def solve_svdd(
     q = V.diagonal()[ia]
 
     a, warm = _start(V, ia, q, C, warm_alpha)
+    # the radius's rank among the m distances, the same at every certificate
+    k = _rank(m, C)
+    if k == 0 and not warm:
+        return _capped(V, idx, ia, q, a, C)
     # a warm start runs one pair step before its first face step, which
     # brings a new zero-weight point onto the face when it is needed
     block = 1 if warm else _CHECK_EVERY
 
     # floor for the pair curvature, which is 0 on duplicate points
     eta_floor = _ETA_FLOOR * max(q.item(q.argmax()), _TINY)
-    # the radius's rank among the m distances, the same at every certificate
-    k = _rank(m, C)
     best_gap = math.inf
     it = 0
     # a face step needs an SMO block with steps since the start or the last one
@@ -325,18 +319,11 @@ def solve_svdd(
             Kw.take(ia, out=Ka)
             quad = float(a @ Ka)
             dual = float(q @ a) - quad
-        # the start is certified only when its dual value already reaches
-        # the cutoff, or when the first block takes no step
-        if not start or stalled or dual >= cutoff:
-            np.multiply(Ka, 2.0, out=d2)
-            np.subtract(q, d2, out=d2)
-            d2 += quad
-            np.maximum(d2, 0.0, out=d2)
-            R = _radius(d2, k, xi)
-            primal = R + C * float(xi.sum())
-            gap = max(primal - dual, 0.0)
+        # the start is certified only when the first block takes no step
+        if not start or stalled:
+            R, primal, gap = _certificate(q, Ka, quad, dual, k, C, d2, xi)
             best_gap = min(best_gap, gap)
-            if gap <= DEFAULT_TOLS.duality_gap or dual >= cutoff:
+            if gap <= DEFAULT_TOLS.duality_gap:
                 np.maximum(a, 0.0, out=a)
                 np.minimum(a, C, out=a)
                 return _assemble(idx, a, _column(V, Kw, quad), R, primal, C, dual, quad, gap, it)
@@ -404,6 +391,34 @@ def solve_svdd(
     raise ConvergenceError(
         f"no convergence after {it} iterations, {reason} (gap {best_gap:.3e})", best_gap
     )
+
+
+def _certificate(q, Ka, quad, dual, k, C, d2, xi):
+    """Radius, primal value and gap at the weights whose K @ a at the members
+    is ``Ka``: the distances q - 2 Ka + quad, clamped at 0, are formed in
+    ``d2``, and the errors in ``xi``."""
+    np.multiply(Ka, 2.0, out=d2)
+    np.subtract(q, d2, out=d2)
+    d2 += quad
+    np.maximum(d2, 0.0, out=d2)
+    R = _radius(d2, k, xi)
+    primal = R + C * float(xi.sum())
+    return R, primal, max(primal - dual, 0.0)
+
+
+def _capped(V, idx, ia, q, a, C) -> SvddSolution:
+    """The solve of weights ``a`` all at C: the one point of the capped
+    simplex, so its one certificate decides it, with the bits that a solve's
+    certificate after an empty first block gives."""
+    Kw = _gram_dot(V, ia, a)
+    Ka = Kw[ia]
+    quad = float(a @ Ka)
+    dual = float(q @ a) - quad
+    # the distances, then the errors, overwrite Ka, which is not read again
+    R, primal, gap = _certificate(q, Ka, quad, dual, 0, C, Ka, Ka)
+    if gap > DEFAULT_TOLS.duality_gap:
+        raise ConvergenceError(f"no convergence after 0 iterations, stalled (gap {gap:.3e})", gap)
+    return _assemble(idx, a, _column(V, Kw, quad), R, primal, C, dual, quad, gap, 0)
 
 
 def _column(V, Kw, quad) -> np.ndarray:

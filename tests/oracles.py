@@ -9,8 +9,9 @@ package code that tests compare against (a rank loop, a sort-based radius
 recovery, center distances from Gram columns, input-space scores, the ROC
 curve whose area `auc_roc` gives) and a monotonicity check on the sphere
 solver.  `expand_reference` is the search's node expansion as it was first
-written, with counts from `np.bincount` and sorted member tuples, which the
-lean `_expand` must match bit for bit.
+written, with counts from `np.bincount` and sorted member tuples and every
+child built unscreened; the lean `_expand` must match it bit for bit on the
+children the search keeps.
 
 Two oracles certify whole multisphere solutions.  The big-M check tests a
 solution against every (point, sphere) constraint of the paper's
@@ -42,7 +43,7 @@ from msvdd.solution import (
     min_members,
     solve_sphere,
 )
-from msvdd.svdd import DEFAULT_TOLS, solve_svdd
+from msvdd.svdd import solve_svdd
 
 
 def svdd_1d_brute_force(xs, C, step=1e-4):
@@ -340,10 +341,11 @@ def heuristic_best_root(gram_matrix: GramMatrix, heuristic, C: float, p: int
     return None if repaired is None else evaluate_assignment(gram_matrix, repaired, p, C)
 
 
-def expand_reference(node, gram_matrix, C, p, floor, bound=math.inf):
+def expand_reference(node, gram_matrix, C, p, floor):
     """Children of a search node, made as `msvdd.exact._expand` first made
     them: member counts by `np.bincount` over ``sphere_of``, each grown member
-    tuple sorted afresh, and the other spheres' duals summed per child."""
+    tuple sorted afresh, and every child built, with no screen and no prune
+    bound."""
     sphere_of, spheres = node.sphere_of, node.spheres
     point, _ = node.pick or _pick(node, 0)
     counts = np.bincount(sphere_of[sphere_of >= 0], minlength=p)[:p]
@@ -355,11 +357,8 @@ def expand_reference(node, gram_matrix, C, p, floor, bound=math.inf):
             continue
         old = spheres[j]
         members = (point,) if old is None else tuple(sorted(old.members + (point,)))
-        rest = sum(s.dual_objective for k, s in enumerate(spheres) if k != j and s is not None)
         slot = None if old is None else members.index(point)
-        sol = _sphere(gram_matrix, C, members, old, slot, cutoff=bound - rest)
-        if sol.gap > DEFAULT_TOLS.duality_gap:
-            continue
+        sol = _sphere(gram_matrix, C, members, old, slot)
         child_spheres = spheres[:j] + (sol,) + spheres[j + 1 :]
         lb = sum(s.dual_objective for s in child_spheres if s is not None)
         child_of = sphere_of.copy()

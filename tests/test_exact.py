@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import heapq
 import itertools
 import math
@@ -18,10 +19,11 @@ from msvdd.exact import (
     _node_of,
     _pick,
     _repair_cardinality,
+    _screen,
     incumbent_gap_rows,
     solve_exact,
 )
-from msvdd.kernels import LINEAR, gram, rbf
+from msvdd.kernels import LINEAR, GramMatrix, gram, rbf
 from msvdd.solution import (
     SolveStatus,
     canonical_objective,
@@ -228,11 +230,11 @@ class TestExpand:
         # every warm solve (and every cold one with ``fail_cold``) raises
         calls = []
 
-        def flaky(gram_matrix, members, C, warm_alpha=None, *, cutoff=math.inf):
+        def flaky(gram_matrix, members, C, warm_alpha=None):
             calls.append(warm_alpha is not None)
             if warm_alpha is not None or fail_cold:
                 raise ConvergenceError("no convergence", gap=0.5)
-            return solve_sphere(gram_matrix, members, C, cutoff=cutoff)
+            return solve_sphere(gram_matrix, members, C)
 
         monkeypatch.setattr(msvdd.exact, "solve_sphere", flaky)
         return calls
@@ -335,18 +337,21 @@ class TestLeanExpand:
     def test_children_match_the_reference_bit_for_bit(
         self, monkeypatch, kernel, n, seed, p, C, enforce
     ):
-        # every node the search expands, under the search's finite prune
-        # bound and under none, gets the reference expansion's children
+        # every node the search expands gets the reference expansion's
+        # children: all of them under no prune bound, and, under the search's
+        # finite one, the ones it pushes (lb < bound); the screens drop only
+        # children that would not be pushed
         g = gram(kernel, np.random.default_rng(seed).normal(scale=1.5, size=(n, 2)))
         lean = msvdd.exact._expand
         bounds = []
 
         def checked(node, gram_matrix, C, p, floor, bound=math.inf):
             bounds.append(bound)
-            assert_same_children(lean(node, gram_matrix, C, p, floor),
-                                 expand_reference(node, gram_matrix, C, p, floor))
+            want = expand_reference(node, gram_matrix, C, p, floor)
+            assert_same_children(lean(node, gram_matrix, C, p, floor), want)
             children = lean(node, gram_matrix, C, p, floor, bound)
-            assert_same_children(children, expand_reference(node, gram_matrix, C, p, floor, bound))
+            assert_same_children([c for c in children if c.lb < bound],
+                                 [c for c in want if c.lb < bound])
             return children
 
         monkeypatch.setattr(msvdd.exact, "_expand", checked)
@@ -893,6 +898,7 @@ class PopClock:
 
     def __init__(self):
         self.keys = []
+        self.trail = hashlib.sha256()
 
     def perf_counter(self):
         return float(len(self.keys))
@@ -900,7 +906,12 @@ class PopClock:
     def heappop(self, heap):
         item = heapq.heappop(heap)
         self.keys.append(item[0])
+        self.trail.update(np.array(item[:2], dtype=float).tobytes() + item[3].sphere_of.tobytes())
         return item
+
+    def digest(self):
+        """SHA-256 over every popped (key, -depth, sphere_of), in pop order."""
+        return self.trail.hexdigest()
 
     heappush = staticmethod(heapq.heappush)
 
@@ -936,8 +947,53 @@ class TestDeadlineBound:
         assert max(bounds) <= optimum.objective
 
 
-class TestCutoff:
-    # instances on which some child solves stop at their cutoff
+def screen_case(C, m):
+    """Which screen a sphere of m members grown by one point takes."""
+    if not collapses(C, m):
+        return "pair step"
+    return "collapsed" if collapses(C, m + 1) else "uniform"
+
+
+class TestScreens:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_screen_bounds_the_cold_solved_child(self, seed):
+        # walk down the tree through random children; every child of a
+        # nonempty sphere is screened from its parent sphere.  With 1/C in
+        # (k - 1, k] and more than p * k points, some sphere grows past k
+        # members on every walk, so each walk meets all three screens
+        r = np.random.default_rng(seed)
+        p = int(r.integers(2, 4))
+        k = int(r.integers(3, 5))
+        C = float(r.uniform(1.0 / k, 1.0 / (k - 1)))
+        n = p * k + int(r.integers(1, 4))
+        floor = min_members(C, bool(r.random() < 0.5))
+        spec = rbf(float(r.uniform(0.2, 2.0))) if r.random() < 0.5 else LINEAR
+        g = gram(spec, r.normal(scale=1.5, size=(n, 2)))
+        node = _node_of(np.full(n, -1), g, C, p)
+        seen = set()
+        while node.depth < n:
+            children = expand(node, g, C, p, floor)
+            point = node.pick[0]
+            for child in children:
+                j = int(child.sphere_of[point])
+                old = node.spheres[j]
+                if old is None:
+                    continue
+                screen = _screen(old, point, g.values, C)
+                cold = _node_of(child.sphere_of, g, C, p).spheres[j]
+                rounding = 1e-12 * max(1.0, abs(cold.objective))
+                assert screen <= cold.objective + rounding
+                case = screen_case(C, len(old.members))
+                if case == "collapsed":
+                    # the grown zero-radius sphere's value, in closed form
+                    assert screen == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
+                seen.add(case)
+            node = children[int(r.integers(len(children)))]
+        assert seen == {"pair step", "collapsed", "uniform"}
+
+    # instances on which the screens drop children
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("kernel,n,seed,p,C,time_limit", [
         (LINEAR, 18, 0, 2, 0.2, None),
         (LINEAR, 18, 1, 3, 0.3, None),
@@ -945,45 +1001,43 @@ class TestCutoff:
         (rbf(2.0), 16, 1, 3, 0.3, None),
         (LINEAR, 18, 1, 3, 0.3, 100.5),
     ])
-    def test_stopping_children_at_the_cutoff_leaves_the_search_unchanged(
-        self, monkeypatch, kernel, n, seed, p, C, time_limit
+    def test_screens_leave_the_search_unchanged(
+        self, monkeypatch, kernel, n, seed, p, C, time_limit, scale
     ):
+        # the same search with screens that never drop a child: the same
+        # popped (key, -depth, sphere_of) sequence, nodes and objectives
         g = gram(kernel, np.random.default_rng(seed).normal(scale=1.5, size=(n, 2)))
+        g = GramMatrix(g.values * scale, g.spec)
         problem = MsvddProblem(gram=g, p=p, C=C, time_limit=time_limit, seed=0)
-        stopped = []
+        real = msvdd.exact._screen
+        dropped = []
 
-        def counting(*args, **kwargs):
-            sol = solve_sphere(*args, **kwargs)
-            stopped.append(sol.gap > DEFAULT_TOLS.duality_gap)
-            return sol
+        def counting(sphere, point, V, C, reach=-math.inf):
+            value = real(sphere, point, V, C, reach)
+            dropped.append(value >= reach)
+            return value
 
         def solve():
             # a clock that counts heap pops makes the time limit deterministic
             clock = PopClock()
             monkeypatch.setattr(msvdd.exact, "time", clock)
             monkeypatch.setattr(msvdd.exact, "heapq", clock)
-            return solve_exact(problem)
+            return solve_exact(problem), clock.digest()
 
-        monkeypatch.setattr(msvdd.exact, "solve_sphere", counting)
-        cut = solve()
-        assert any(stopped)
-        real = msvdd.exact._sphere
-
-        def uncut(gram_matrix, C, members, parent=None, point=None, cutoff=math.inf):
-            return real(gram_matrix, C, members, parent, point)
-
-        monkeypatch.setattr(msvdd.exact, "_sphere", uncut)
-        stopped.clear()
-        full = solve()
-        assert not any(stopped)
+        monkeypatch.setattr(msvdd.exact, "_screen", counting)
+        screened, trail = solve()
+        assert any(dropped)
+        monkeypatch.setattr(msvdd.exact, "_screen", lambda *args: -math.inf)
+        full, full_trail = solve()
         expected = SolveStatus.OPTIMAL if time_limit is None else SolveStatus.TIME_LIMIT_INCUMBENT
-        assert cut.status is full.status is expected
-        assert cut.node_count == full.node_count
-        assert cut.objective == full.objective
-        assert np.array_equal(cut.sphere_of, full.sphere_of)
-        assert cut.lower_bound == full.lower_bound
-        assert [r.objective for r in cut.incumbent_log] == [r.objective for r in full.incumbent_log]
-        assert all(s.gap <= DEFAULT_TOLS.duality_gap for s in cut.spheres)
+        assert screened.status is full.status is expected
+        assert trail == full_trail
+        assert screened.node_count == full.node_count
+        assert screened.objective.hex() == full.objective.hex()
+        assert np.array_equal(screened.sphere_of, full.sphere_of)
+        assert screened.lower_bound == full.lower_bound
+        assert ([r.objective for r in screened.incumbent_log]
+                == [r.objective for r in full.incumbent_log])
 
 
 class TestIncumbentGapRows:

@@ -16,6 +16,7 @@ from msvdd.solution import min_members
 from msvdd.svdd import (
     _SUM_TOL,
     DEFAULT_TOLS,
+    SvddSolution,
     capacity,
     collapses,
     _rank,
@@ -278,14 +279,23 @@ class TestSolveSvdd:
         uniform = solve_svdd(g, range(n), C, warm_alpha=np.full(n, 1.0 / n))
         assert uniform.objective == pytest.approx(cold.objective, abs=1e-7)
 
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_solution_contract(self, seed):
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.booleans())
+    def test_solution_contract(self, seed, capped):
         r = np.random.default_rng(seed)
         n = int(r.integers(1, 14))
         C = float(r.uniform(1.0 / n, 1.5))
         pts = r.normal(scale=2.0, size=(n, 2))
         spec = rbf(float(r.uniform(0.1, 2.0))) if r.random() < 0.4 else LINEAR
+        if capped:
+            # the capacity(C) points of a capped solve, every weight at C
+            n = capacity(C)
+            if collapses(C, n):
+                return
+            pts = pts[:n]
         sol = solve_svdd(gram(spec, pts), range(n), C)
+        if capped:
+            assert np.array_equal(sol.alpha, np.full(n, C))
+            assert sol.iterations == 0
         assert abs(sol.alpha.sum() - 1.0) <= 1e-8
         assert sol.alpha.min() >= 0.0
         assert sol.alpha.max() <= C + 1e-10
@@ -310,12 +320,14 @@ class TestSolveSvdd:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_radius_is_recovered_from_the_distances(self, seed):
         # the in-place certificate selects the radius that recover_radius
-        # gives for the sphere's own distances, cold, warm and at a cutoff
+        # gives for the sphere's own distances, cold, warm and capped
         r, g, n, C = random_instance(seed)
-        full = solve_svdd(g, range(n), C)
-        cut = (full.dual_objective + solve_svdd(g, range(n), C, cutoff=-math.inf).dual_objective) / 2
-        for sol in (full, solve_svdd(g, range(n), C, warm_alpha=r.dirichlet(np.ones(n))),
-                    solve_svdd(g, range(n), C, cutoff=cut)):
+        sols = [solve_svdd(g, range(n), C),
+                solve_svdd(g, range(n), C, warm_alpha=r.dirichlet(np.ones(n)))]
+        capped = capped_solve(g, n, C)
+        if isinstance(capped, SvddSolution):
+            sols.append(capped)
+        for sol in sols:
             assert sol.radius_sq == recover_radius(sol.distances_sq, C)[0]
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -401,8 +413,8 @@ class TestSmoCases:
         )
 
     def test_every_weight_at_the_cap(self, rng):
-        # C * |S| == 1: the capped simplex is the single point a = C, and no
-        # weight can rise, so the empty first block certifies the start
+        # C * |S| == 1: the capped simplex is the single point a = C, so the
+        # solve certifies its start and takes no step
         pts = rng.normal(size=(4, 2))
         g = gram(LINEAR, pts)
         sol = solve_svdd(g, range(4), 0.25)
@@ -437,19 +449,45 @@ class TestSmoCases:
     def test_warm_start_on_the_edge_of_the_capped_simplex_is_used(self, edge, rng):
         # weights at exactly 0 and C, and a sum at either end of the slack,
         # are used as given; a sum one float past the slack starts cold
-        g = gram(LINEAR, rng.normal(size=(9, 2)))
-        cold = solve_svdd(g, range(9), 0.3, cutoff=-math.inf)
+        V = gram(LINEAR, rng.normal(size=(9, 2))).values
+        ia = np.arange(9)
         used, refused = EDGE_START, None
         if edge != "bounds":
             used, refused = sum_edge(EDGE_START, 3, 1.0 if edge == "sum-above" else -1.0)
             assert abs(refused.sum() - 1.0) > msvdd.svdd._SUM_TOL
-        # a cutoff of -inf returns the start's weights, as the solve took them
-        sol = solve_svdd(g, range(9), 0.3, warm_alpha=used, cutoff=-math.inf)
-        assert sol.iterations == 0
-        assert sol.alpha.tobytes() == used.tobytes()
+        a, warm = _start(V, ia, V.diagonal()[ia], 0.3, used)
+        assert warm
+        assert a.tobytes() == used.tobytes()
         if refused is not None:
-            sol = solve_svdd(g, range(9), 0.3, warm_alpha=refused, cutoff=-math.inf)
-            assert bits(sol) == bits(cold)
+            a, warm = _start(V, ia, V.diagonal()[ia], 0.3, refused)
+            assert not warm
+            assert a.tobytes() == _start(V, ia, V.diagonal()[ia], 0.3, None)[0].tobytes()
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @example(2**31 - 1)
+    def test_capped_solve_has_the_bits_of_the_pair_step_path(self, seed):
+        # a cold solve of capacity(C) members returns at the certificate of
+        # its all-C start; warm-started at those weights, the solve runs its
+        # pair-step loop, whose empty first block certifies the same start
+        r, g, n, C = random_instance(seed)
+        if r.random() < 0.5:
+            # C at or one float beside 1/k, where capacity and collapses turn
+            C = float(np.nextafter(1.0 / int(r.integers(1, n + 1)), r.choice([0.0, 1.0, 2.0])))
+        capped = capped_solve(g, n, C)
+        if capped is None:
+            return
+        m = capacity(C)
+        try:
+            loop = solve_svdd(g, range(m), C, warm_alpha=np.full(m, C))
+        except ConvergenceError as exc:
+            loop = exc
+        if isinstance(capped, ConvergenceError):
+            assert isinstance(loop, ConvergenceError)
+            assert capped.gap == loop.gap
+            return
+        assert bits(capped) == bits(loop)
+        assert capped.iterations == 0
+        assert np.array_equal(capped.alpha, np.full(m, C))
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_branch_style_warm_start(self, seed):
@@ -464,6 +502,19 @@ class TestSmoCases:
         assert warm.objective >= parent.objective - DEFAULT_TOLS.objective
 
 
+def capped_solve(g, n, C):
+    """The cold solve of the first capacity(C) points, whose weights all sit
+    at C; the ConvergenceError it raises; or None if those points collapse
+    or number more than ``n``."""
+    m = capacity(C)
+    if m > n or collapses(C, m):
+        return None
+    try:
+        return solve_svdd(g, range(m), C)
+    except ConvergenceError as exc:
+        return exc
+
+
 def bits(sol):
     """Every field of a sphere, with floats and arrays as their exact bits."""
     out = []
@@ -471,65 +522,6 @@ def bits(sol):
         v = getattr(sol, f.name)
         out.append(v.tobytes() if isinstance(v, np.ndarray) else v.hex() if isinstance(v, float) else v)
     return out
-
-
-class TestCutoff:
-    @settings(max_examples=60)
-    @given(
-        st.integers(min_value=0, max_value=2**31 - 1),
-        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-        st.booleans(),
-    )
-    def test_stops_at_a_certificate_past_the_cutoff(self, seed, frac, warm):
-        r, g, n, C = random_instance(seed)
-        warm_alpha = r.dirichlet(np.ones(n)) if warm else None
-        full = solve_svdd(g, range(n), C, warm_alpha=warm_alpha)
-        # an unreachable-below cutoff stops the solve at its first certificate
-        start = solve_svdd(g, range(n), C, warm_alpha=warm_alpha, cutoff=-math.inf)
-        assert start.iterations == 0
-        cutoff = start.dual_objective + frac * (full.dual_objective - start.dual_objective)
-        sol = solve_svdd(g, range(n), C, warm_alpha=warm_alpha, cutoff=cutoff)
-        if sol.gap <= DEFAULT_TOLS.duality_gap:
-            # the solve certified before its dual value reached the cutoff
-            assert bits(sol) == bits(full)
-            return
-        assert sol.dual_objective >= cutoff
-        assert sol.dual_objective <= full.objective
-        assert sol.iterations <= full.iterations
-        assert abs(sol.alpha.sum() - 1.0) <= 1e-9
-        assert sol.alpha.min() >= 0.0 and sol.alpha.max() <= C
-
-    def test_stop_between_start_and_optimum(self):
-        g = gram(rbf(1.0), np.random.default_rng(0).normal(scale=2.0, size=(30, 2)))
-        full = solve_svdd(g, range(30), 0.1)
-        start = solve_svdd(g, range(30), 0.1, cutoff=-math.inf)
-        sol = solve_svdd(g, range(30), 0.1, cutoff=(start.dual_objective + full.dual_objective) / 2)
-        assert sol.gap > DEFAULT_TOLS.duality_gap
-        assert start.dual_objective < sol.dual_objective < full.dual_objective
-        assert 0 < sol.iterations < full.iterations
-
-    def test_warm_start_past_the_cutoff_returns_at_once(self, rng):
-        # the start is certified only because its dual value reaches the cutoff
-        g = gram(LINEAR, rng.normal(size=(12, 2)))
-        K = g.values
-        warm = np.full(12, 1.0 / 12.0)
-        dual = float(np.diag(K) @ warm - warm @ K @ warm)
-        assert dual < solve_svdd(g, range(12), 0.2).dual_objective - 1e-3
-        sol = solve_svdd(g, range(12), 0.2, warm_alpha=warm, cutoff=dual - 1e-9)
-        assert sol.iterations == 0
-        assert sol.gap > DEFAULT_TOLS.duality_gap
-        assert np.array_equal(sol.alpha, warm)
-        assert sol.dual_objective == pytest.approx(dual, rel=1e-12)
-        # a cutoff above the start's dual value runs the solve on
-        assert solve_svdd(g, range(12), 0.2, warm_alpha=warm, cutoff=dual + 1e-3).iterations > 0
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_infinite_cutoff_changes_nothing(self, seed):
-        r, g, n, C = random_instance(seed)
-        for warm in (None, r.dirichlet(np.ones(n)), r.normal(size=n)):
-            sol = solve_svdd(g, range(n), C, warm_alpha=warm)
-            assert bits(solve_svdd(g, range(n), C, warm_alpha=warm, cutoff=math.inf)) == bits(sol)
-            assert sol.gap <= DEFAULT_TOLS.duality_gap
 
 
 def cold_start(g, n, C):
@@ -821,23 +813,27 @@ class TestSupportGeometry:
 
 
 class TestColumnBits:
-    @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from(["cold", "warm", "cutoff"]))
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from(["cold", "warm", "capped"]))
     def test_column_has_the_bits_of_its_formula(self, seed, start):
         # the column is formed in place, and keeps the bits of
         # max(K_ii - 2 (K w)_i + alpha_quad, 0) with K w from the returned
         # weights, taken over their nonzero entries as the solver takes it
         r, g, n, C = random_instance(seed)
         m = max(math.ceil(1.0 / C), int(r.integers(1, n + 1)))
+        if start == "capped":
+            m = capacity(C)
         members = tuple(sorted(r.choice(n, size=min(m, n), replace=False).tolist()))
         if collapses(C, len(members)):
             return
-        warm, cutoff = None, math.inf
+        warm = None
         if start == "warm" and not collapses(C, len(members) - 1):
             warm = np.append(solve_svdd(g, members[:-1], C).alpha, 0.0)
-        if start == "cutoff":
-            lo = solve_svdd(g, members, C, cutoff=-math.inf).dual_objective
-            cutoff = (lo + solve_svdd(g, members, C).dual_objective) / 2.0
-        sol = solve_svdd(g, members, C, warm_alpha=warm, cutoff=cutoff)
+        try:
+            sol = solve_svdd(g, members, C, warm_alpha=warm)
+        except ConvergenceError:
+            # all at C with C * m just above 1, the start cannot certify
+            assert start == "capped"
+            return
         V = g.values
         nz = sol.alpha.nonzero()[0]
         Kw = sol.alpha[nz] @ V[np.array(members)[nz]]
