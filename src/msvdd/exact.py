@@ -114,10 +114,10 @@ def _sphere(gram_matrix, C, members, parent=None, slot=None):
     once: the grown sphere is certified from them when they still certify
     it (`grow_certified`), else solved warm from them, then cold.  One
     without a parent, or grown from a collapsed one (weights 1/|S| above the
-    cap), is solved cold once.  Spheres below the
-    1/C floor take the radius-floored value; with cardinality enforcement
-    such spheres only appear at inner nodes (the counting prune bars them
-    from leaves), where that value is a valid lower bound on any completion.
+    cap), is solved cold once.  Spheres below the 1/C floor take the
+    radius-floored value; with cardinality enforcement such spheres only
+    appear at inner nodes (the counting prune bars them from leaves), where
+    that value is a valid lower bound on any completion.
     """
     starts = [None]
     if parent is not None and not collapses(C, len(parent.members)):
