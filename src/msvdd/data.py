@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    COUNT, NOISE_LEVEL, POSITIVE, SPLIT_FRACTIONS, InputError, ParseError, checked, each,
+    COUNT, FRACTION, NOISE_LEVEL, POSITIVE, SPLIT_FRACTIONS, InputError, ParseError, checked,
+    each,
 )
 
 CLUSTER_CENTERS = np.array([[-2.0, -2.0], [2.0, 2.0]])
@@ -193,11 +194,13 @@ def split_real(
     Points whose raw class label is in ``anomaly_classes`` form the anomaly
     pool; the rest are regular.  Each split receives
     round(anomaly_fraction * regular split size) pool points, drawn without
-    replacement.  Output labels are 0/1 outlier flags.
+    replacement; ``anomaly_fraction`` must lie in (0, 1].  Output labels are
+    0/1 outlier flags.
     """
     if dataset.labels is None:
         raise InputError("split_real needs raw class labels")
     checked("fractions", fractions, *SPLIT_FRACTIONS)
+    checked("anomaly_fraction", anomaly_fraction, *FRACTION)
     anomaly_classes = set(int(c) for c in anomaly_classes)
     rng = np.random.default_rng(seed)
     is_anom = np.isin(dataset.labels, sorted(anomaly_classes))

@@ -43,11 +43,12 @@ first screens each child from its parent sphere's column in closed form
 (`_screen`): one SMO pair step onto the branch point, the scatter identity
 for a collapsed sphere that stays collapsed, or the uniform weights for one
 that grows out of collapse.  A child whose screen reaches the cutoff
-(incumbent - prune tolerance) - (the child's other dual values), plus the
-gap tolerance and a rounding allowance, is dropped without a solve or a
-zero-radius build; it would have been pruned on push, so the expanded nodes
-do not change.  Every other child is built and solved to its certificate:
-there is no solve cutoff, and every sphere in a node is certified.
+(incumbent - rounding allowance) - (the child's other dual values), plus
+the gap tolerance and the same allowance (`_rounding`), is dropped without
+a solve or a zero-radius build; it would have been pruned on push, so the
+expanded nodes do not change.  Every other child is built and solved to
+its certificate: there is no solve cutoff, and every sphere in a node is
+certified.
 """
 
 from __future__ import annotations
@@ -78,8 +79,13 @@ from .solution import (
 )
 from .svdd import DEFAULT_TOLS, capacity, collapses, grow_certified, zero_radius_sphere
 
-# the screens' rounding allowance, relative to the prune bound
-_SCREEN_ROUNDING = 1e-9
+
+def _rounding(x: float) -> float:
+    """The search's allowance for rounding at a value x, 1e-9 * max(1, |x|),
+    or 0 at an infinite x: the prune bound's margin below the incumbent, and
+    part of the screens' slack above the prune bound (an infinite prune bound
+    leaves the screens' cutoff infinite)."""
+    return 1e-9 * max(1.0, abs(x)) if math.isfinite(x) else 0.0
 
 
 @dataclass
@@ -245,11 +251,11 @@ def _expand(node, gram_matrix, C, p, floor, bound=math.inf):
     otherwise.  Before that, a child is dropped unbuilt when the `_screen` of
     its grown sphere reaches the cutoff: ``bound`` (the search's prune bound)
     minus the dual values of the child's other spheres, plus the gap
-    tolerance and a rounding allowance.  The grown sphere's certified dual
-    value is within the gap tolerance of its optimum, which the screen
-    bounds, so such a child's bound would reach ``bound`` and it would be
-    pruned on push.  Child bounds are plain dual sums; the search adds a
-    child's lift when it pops it.
+    tolerance and the `_rounding` allowance at ``bound``.  The grown
+    sphere's certified dual value is within the gap tolerance of its
+    optimum, which the screen bounds, so such a child's bound would reach
+    ``bound`` and it would be pruned on push.  Child bounds are plain dual
+    sums; the search adds a child's lift when it pops it.
     """
     sphere_of, spheres = node.sphere_of, node.spheres
     point, _ = node.pick
@@ -257,7 +263,7 @@ def _expand(node, gram_matrix, C, p, floor, bound=math.inf):
     deficit = sum(floor - c for c in counts if c < floor)
     left = sphere_of.size - node.depth - 1
     duals = [(k, s.dual_objective) for k, s in enumerate(spheres) if s is not None]
-    slack = DEFAULT_TOLS.duality_gap + _SCREEN_ROUNDING * max(1.0, abs(bound))
+    slack = DEFAULT_TOLS.duality_gap + _rounding(bound)
     V = gram_matrix.values
     children = []
     for j in [j for j in range(p) if counts[j]] + [j for j in range(p) if not counts[j]][:1]:
@@ -395,11 +401,8 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
     # and a subtree's bound only rises, so no completion lies below it
     proven = -math.inf
 
-    def prune_tol(ub):
-        return 1e-9 * max(1.0, abs(ub)) if math.isfinite(ub) else 0.0
-
     # the key from which a node is pruned, taken again when the incumbent changes
-    bound = incumbent - prune_tol(incumbent)
+    bound = incumbent - _rounding(incumbent)
     while heap:
         lb, _, _, node = heapq.heappop(heap)
         if lb >= bound:
@@ -414,7 +417,7 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
             value = _objective(node)
             if value < incumbent - 1e-12:
                 best, incumbent = node, value
-                bound = incumbent - prune_tol(incumbent)
+                bound = incumbent - _rounding(incumbent)
                 log.append(IncumbentRecord(incumbent, time.perf_counter() - t0, node.spheres))
             continue
 

@@ -19,10 +19,11 @@ primal-dual gap certificate is computed from a fresh K @ a, and the solve
 returns at a certificate only, once that gap is within tolerance: every
 sphere it returns is certified.  The start is not certified unless the first
 block takes no step, so a solve pays for the certificates it can return at.
-A cold solve of at most `capacity` members has every weight at C, the one
-point of its capped simplex, and returns at the one certificate of that
-start without any pair-step work.  A solve that cannot certify raises
-`ConvergenceError` with the smallest gap over the certificates taken.
+A cold solve of at most `capacity` members starts with every weight at C,
+the one point of its capped simplex, so its first block takes no step and
+its first certificate decides it, with 0 iterations.  A solve that cannot
+certify raises `ConvergenceError` with the smallest gap over the
+certificates taken.
 At a certificate that does not certify, after a block with pair steps, one
 exact free-face step solves the equality-constrained QP on the face of the
 free weights (the face solve of active-set SVM methods, Scheinberg, JMLR
@@ -35,8 +36,7 @@ piecewise-linear minimization (`recover_radius`), which is total (it needs no
 free support vector) and returns the smallest minimizer on ties; the errors
 follow from it.  The radius's rank among the distances depends on (|S|, C)
 alone, so a solve takes it once and its certificates select the radius in
-work buffers.  `grow_certified` applies the same certificate to a solved
-sphere grown by one point, without a solve.
+work buffers.
 A solve reads the shared Gram matrix through the member indices and never
 copies the members' block: a pair step gathers the Gram rows of its two
 points at the members, a certificate forms the full-length product of the
@@ -44,12 +44,16 @@ Gram rows of the nonzero weights with those weights, a face step gathers the
 rows of the free weights, and the cold start takes the member sums from one
 product of the Gram matrix with the member indicator.  Rows stand in for
 columns, which is exact because `GramMatrix` stores a symmetric matrix.
-The certificate that certifies turns its product, in place, into the
-sphere's ``column``: the squared feature distance from every point of the
-Gram matrix to the center.  It is the one place a solved sphere's distances
-are computed; a child that `grow_certified` certifies shares its parent's
-column, and `zero_radius_sphere` builds its own, in place as well, from the
-mean of its members' Gram rows.
+Every certificate turns its product, in place, into the ``column`` of
+squared feature distances from every point of the Gram matrix to the center,
+and reads the members' distances from it: the one place a solved sphere's
+distances are computed, and the column the sphere keeps if that certificate
+certifies it.  One helper (`_certified`) takes the radius, the primal value
+and the gap from those distances, for a solve and for `grow_certified`,
+which certifies a solved sphere grown by one point without a solve, from
+the parent's column, which the grown sphere shares.  `zero_radius_sphere`
+builds its column, in place as well, from the mean of its members' Gram
+rows.
 """
 
 from __future__ import annotations
@@ -261,25 +265,29 @@ def solve_svdd(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) -> S
     The start forms K @ a and the gradient but is certified only when the
     first block takes no step; otherwise the first certificate follows the
     first block.  A cold start of at most `capacity` members, all at C, is
-    that case in closed form: it is certified at once, with no pair-step
-    buffers, and returns with 0 iterations.
+    that case: its first certificate decides it, with 0 iterations.  Each
+    certificate forms K @ a afresh, even when the block before it took no
+    step; a certificate that does not certify, followed by neither a face
+    step nor a pair step, ends the solve.
     Every read of ``gram_matrix`` goes through the member indices and copies
     no m x m member block: the largest temporaries are the Gram rows of the
-    nonzero weights (at a certificate) or of the free weights (at a face
-    step), each of length n, the Gram matrix's point count.  Pair steps
-    allocate nothing: they, and each certificate's distances and radius,
-    work in per-solve buffers of length m, and choose the pair through 0 or
-    +-inf offsets on the gradient.  The certificate that certifies turns its
-    length-n product, in place, into the solution's ``column``.
-    Raises InfeasibleSubproblemError when C * |S| < 1 and ConvergenceError,
-    carrying the smallest gap over the certificates taken, if the iteration
-    cap is hit or no pair step can close the gap.
+    nonzero weights and the product formed from them (at each fresh K @ a),
+    or the Gram rows of the free weights (at a face step), each of length n,
+    the Gram matrix's point count.  Pair steps allocate nothing: they, and
+    each certificate's members' distances and radius, work in per-solve
+    buffers of length m, and choose the pair through 0 or +-inf offsets on
+    the gradient.  Each certificate turns its length-n product, in place,
+    into a ``column``, the solution's if it certifies.
+    Raises InputError unless 0 < C < inf, InfeasibleSubproblemError when
+    C * |S| < 1 and ConvergenceError, carrying the smallest gap over the
+    certificates taken, if the iteration cap is hit or no pair step can
+    close the gap.
     """
+    if not 0.0 < C < math.inf:
+        raise InputError(f"C must be a finite number > 0, got {C!r}")
     idx = _as_member_tuple(members, gram_matrix.n)
     m = len(idx)
     max_iters = MAX_ITERATIONS
-    if not C > 0:
-        raise InputError("C must be positive")
     if collapses(C, m):
         raise InfeasibleSubproblemError(
             f"sphere with {m} members infeasible for C={C}: C*|S| < 1"
@@ -291,8 +299,6 @@ def solve_svdd(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) -> S
     a, warm = _start(V, ia, q, C, warm_alpha)
     # the radius's rank among the m distances, the same at every certificate
     k = _rank(m, C)
-    if k == 0 and not warm:
-        return _capped(V, idx, ia, q, a, C)
     # a warm start runs one pair step before its first face step, which
     # brings a new zero-weight point onto the face when it is needed
     block = 1 if warm else _CHECK_EVERY
@@ -310,26 +316,23 @@ def solve_svdd(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) -> S
     # distances and errors, and a pair step's selection, two Gram rows,
     # curvatures and gains
     Ka, G, d2, xi, G_up, b, K_i, K_j, eta, gain = np.empty((10, m))
-    start, stalled = True, False
+    # the start is certified only when the first block takes no step
+    certify = False
     while True:
-        if not stalled:
-            # a fresh K @ a, so drift in the incremental gradient can slow
-            # the loop but never certify a wrong point
-            Kw = _gram_dot(V, ia, a)
-            Kw.take(ia, out=Ka)
-            quad = float(a @ Ka)
-            dual = float(q @ a) - quad
-        # the start is certified only when the first block takes no step
-        if not start or stalled:
-            R, primal, gap = _certificate(q, Ka, quad, dual, k, C, d2, xi)
+        # a fresh K @ a, so drift in the incremental gradient can slow the
+        # loop but never certify a wrong point
+        Kw = _gram_dot(V, ia, a)
+        Kw.take(ia, out=Ka)
+        quad = float(a @ Ka)
+        dual = float(q @ a) - quad
+        if certify:
+            # the column overwrites Kw, whose member entries Ka has taken
+            column = _column(V, Kw, quad)
+            column.take(ia, out=d2)
+            sol, gap = _certified(idx, a, column, d2, k, C, dual, quad, it, xi)
+            if sol is not None:
+                return sol
             best_gap = min(best_gap, gap)
-            if gap <= DEFAULT_TOLS.duality_gap:
-                np.maximum(a, 0.0, out=a)
-                np.minimum(a, C, out=a)
-                return _assemble(idx, a, _column(V, Kw, quad), R, primal, C, dual, quad, gap, it)
-            if stalled:
-                break
-        start = False
 
         # SMO pair steps on min a'Ka - q'a; G is its gradient
         np.multiply(Ka, 2.0, out=G)
@@ -380,10 +383,13 @@ def solve_svdd(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) -> S
             G += K_j
             steps += 1
             it += 1
-        # after a face step the block ran on an incrementally updated
-        # gradient, so an empty block re-certifies before it counts as
-        # stalled; an empty first block certifies the start
-        stalled = steps == 0 and not faced
+        # an empty block after a certificate leaves the weights it did not
+        # certify: the solve has stalled.  After a face step the block ran on
+        # an incrementally updated gradient, and after the start's empty
+        # block the start is still to be certified
+        if steps == 0 and not faced and certify:
+            break
+        certify = True
         face_ready = steps > 0
         block = _CHECK_EVERY
 
@@ -391,34 +397,6 @@ def solve_svdd(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) -> S
     raise ConvergenceError(
         f"no convergence after {it} iterations, {reason} (gap {best_gap:.3e})", best_gap
     )
-
-
-def _certificate(q, Ka, quad, dual, k, C, d2, xi):
-    """Radius, primal value and gap at the weights whose K @ a at the members
-    is ``Ka``: the distances q - 2 Ka + quad, clamped at 0, are formed in
-    ``d2``, and the errors in ``xi``."""
-    np.multiply(Ka, 2.0, out=d2)
-    np.subtract(q, d2, out=d2)
-    d2 += quad
-    np.maximum(d2, 0.0, out=d2)
-    R = _radius(d2, k, xi)
-    primal = R + C * float(xi.sum())
-    return R, primal, max(primal - dual, 0.0)
-
-
-def _capped(V, idx, ia, q, a, C) -> SvddSolution:
-    """The solve of weights ``a`` all at C: the one point of the capped
-    simplex, so its one certificate decides it, with the bits that a solve's
-    certificate after an empty first block gives."""
-    Kw = _gram_dot(V, ia, a)
-    Ka = Kw[ia]
-    quad = float(a @ Ka)
-    dual = float(q @ a) - quad
-    # the distances, then the errors, overwrite Ka, which is not read again
-    R, primal, gap = _certificate(q, Ka, quad, dual, 0, C, Ka, Ka)
-    if gap > DEFAULT_TOLS.duality_gap:
-        raise ConvergenceError(f"no convergence after 0 iterations, stalled (gap {gap:.3e})", gap)
-    return _assemble(idx, a, _column(V, Kw, quad), R, primal, C, dual, quad, gap, 0)
 
 
 def _column(V, Kw, quad) -> np.ndarray:
@@ -539,6 +517,23 @@ def _face_step(V, ia, a, G, C):
     return rows_F, delta
 
 
+def _certified(members, a, column, d2, k, C, dual, quad, iters, xi):
+    """The certificate of weights ``a`` of dual value ``dual``, whose
+    members' distances ``d2`` are their entries of ``column``: the radius at
+    rank ``k`` (`_radius`, with the errors in ``xi``), the primal value and
+    the gap.  Returns the sphere and the gap when the gap is within the
+    default tolerance, with ``a`` clipped into [0, C] in place against
+    rounding; None and the gap otherwise."""
+    R = _radius(d2, k, xi)
+    primal = R + C * float(xi.sum())
+    gap = max(primal - dual, 0.0)
+    if gap > DEFAULT_TOLS.duality_gap:
+        return None, gap
+    np.maximum(a, 0.0, out=a)
+    np.minimum(a, C, out=a)
+    return _assemble(members, a, column, R, primal, C, dual, quad, gap, iters), gap
+
+
 def _assemble(members, a, column, R, objective, C, dual, quad, gap, iters):
     column.setflags(write=False)
     return SvddSolution(
@@ -561,23 +556,17 @@ def grow_certified(parent: SvddSolution, members: tuple, alpha) -> SvddSolution 
     weights with a 0 in that point's slot.
 
     Those weights keep the parent's dual value and center, so the grown
-    sphere's distances are the parent's column at its members; the radius
-    follows as in a solve's certificate.  Returns the grown sphere, with
+    sphere's distances are the parent's column at its members, and a
+    solve's certificate (`_certified`) takes the radius, the value and the
+    gap from them.  Returns the grown sphere, with
     ``alpha`` as its weights, 0 iterations and the parent's column object,
     when the gap is within the default tolerance (the one every sphere solve
     of the search uses); None otherwise.  The parent must not collapse
     (C * |S| >= 1): a zero-radius parent's weights exceed the cap.
     """
-    C = parent.C
-    m = len(members)
-    xi = np.empty(m)
-    R = _radius(parent.column[np.array(members)], _rank(m, C), xi)
-    primal = R + C * float(xi.sum())
-    gap = max(primal - parent.dual_objective, 0.0)
-    if gap > DEFAULT_TOLS.duality_gap:
-        return None
-    dual, quad = parent.dual_objective, parent.alpha_quad
-    return _assemble(members, alpha, parent.column, R, primal, C, dual, quad, gap, 0)
+    C, column, m = parent.C, parent.column, len(members)
+    return _certified(members, alpha, column, column[np.array(members)], _rank(m, C), C,
+                      parent.dual_objective, parent.alpha_quad, 0, np.empty(m))[0]
 
 
 def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSolution:
@@ -587,8 +576,11 @@ def zero_radius_sphere(gram_matrix: GramMatrix, members, C: float) -> SvddSoluti
     R >= 0 when C * |S| < 1 (the penalty slope is then positive everywhere, so
     the radius collapses and the best center is the centroid).  The capped
     simplex bound on alpha does not apply in this regime; alpha is uniform,
-    and the column comes from the mean of the members' Gram rows.
+    and the column comes from the mean of the members' Gram rows.  Raises
+    InputError unless 0 < C < inf.
     """
+    if not 0.0 < C < math.inf:
+        raise InputError(f"C must be a finite number > 0, got {C!r}")
     idx = _as_member_tuple(members, gram_matrix.n)
     m = len(idx)
     ia = np.asarray(idx)

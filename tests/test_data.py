@@ -222,6 +222,12 @@ class TestSplitReal:
             with pytest.raises(InputError, match="fractions"):
                 split_real(ds, fractions=fractions, anomaly_classes={9})
 
+    @pytest.mark.parametrize("fraction", [-0.5, float("nan"), 0.0, 1.5, "0.1"])
+    def test_bad_anomaly_fraction(self, fraction, rng):
+        # refused where it enters, with the rule the experiment config applies
+        with pytest.raises(InputError, match="anomaly_fraction"):
+            split_real(self._raw(rng), anomaly_classes={9}, anomaly_fraction=fraction)
+
     def test_anomalies_come_from_pool_classes(self, rng):
         ds = self._raw(rng)
         out = split_real(ds, anomaly_classes={9}, anomaly_fraction=0.1, seed=0)

@@ -259,6 +259,16 @@ class TestSolveSvdd:
         with pytest.raises(InputError):
             zero_radius_sphere(g, members, 0.1)
 
+    @pytest.mark.parametrize("entry", [solve_svdd, zero_radius_sphere],
+                             ids=["solve", "zero_radius"])
+    @pytest.mark.parametrize("C", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_penalty_is_refused(self, entry, C):
+        # refused where the sphere starts: an infinite C ran a solve to its
+        # iteration cap, and the centroid priced its errors at any C
+        g = linear_gram([[float(i)] for i in range(10)])
+        with pytest.raises(InputError, match="C must be"):
+            entry(g, range(10), C)
+
     def test_iteration_cap_carries_best_iterate(self, rng, monkeypatch):
         pts = rng.normal(size=(12, 2))
         g = gram(LINEAR, pts)
@@ -319,16 +329,35 @@ class TestSolveSvdd:
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_radius_is_recovered_from_the_distances(self, seed):
-        # the in-place certificate selects the radius that recover_radius
-        # gives for the sphere's own distances, cold, warm and capped
+        # the certificate gives the radius, errors and objective, bit for
+        # bit, that recover_radius gives for the sphere's own distances:
+        # cold, warm, capped and grown; a zero-radius sphere has R = 0 and
+        # its distances as errors
         r, g, n, C = random_instance(seed)
         sols = [solve_svdd(g, range(n), C),
                 solve_svdd(g, range(n), C, warm_alpha=r.dirichlet(np.ones(n)))]
         capped = capped_solve(g, n, C)
         if isinstance(capped, SvddSolution):
             sols.append(capped)
+        m = int(r.integers(1, n + 1))
+        if m < n and not collapses(C, m):
+            # the first m points grown in their last slot by each later point
+            parent = solve_svdd(g, range(m), C)
+            grown = [grow_certified(parent, (*range(m), i), np.append(parent.alpha, 0.0))
+                     for i in range(m, n)]
+            sols += [sol for sol in grown if sol is not None]
+        zero = min(n, math.ceil(1.0 / C) - 1)
+        if zero >= 1 and collapses(C, zero):
+            sols.append(zero_radius_sphere(g, r.choice(n, size=zero, replace=False), C))
         for sol in sols:
-            assert sol.radius_sq == recover_radius(sol.distances_sq, C)[0]
+            if collapses(C, len(sol.members)):
+                R, xi = 0.0, sol.distances_sq
+                assert np.array_equal(sol.errors, xi)
+            else:
+                R, xi = recover_radius(sol.distances_sq, C)
+                assert sol.errors.tobytes() == xi.tobytes()
+            assert sol.radius_sq.hex() == R.hex()
+            assert sol.objective.hex() == (R + C * float(xi.sum())).hex()
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_member_subset_matches_its_own_gram(self, seed):
@@ -465,10 +494,11 @@ class TestSmoCases:
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @example(2**31 - 1)
-    def test_capped_solve_has_the_bits_of_the_pair_step_path(self, seed):
-        # a cold solve of capacity(C) members returns at the certificate of
-        # its all-C start; warm-started at those weights, the solve runs its
-        # pair-step loop, whose empty first block certifies the same start
+    def test_all_C_cold_and_warm_starts_certify_with_the_same_bits(self, seed):
+        # a cold solve of capacity(C) members starts with every weight at C,
+        # as a warm start at those weights does: each takes no step in its
+        # first block and returns at, or fails with the gap of, the
+        # certificate of that start, with 0 iterations
         r, g, n, C = random_instance(seed)
         if r.random() < 0.5:
             # C at or one float beside 1/k, where capacity and collapses turn
