@@ -62,9 +62,10 @@ class DetectionModel:
 def model_distances_sq(model: DetectionModel, X) -> np.ndarray:
     """(m, p) squared feature distances from query points to sphere centers.
 
-    The cross-kernel block is built against the support vectors only (the
-    training points with weight in some sphere): the other columns would
-    multiply zero weights.
+    Raises InputError on a query of the wrong dimension or with a non-finite
+    coordinate.  The cross-kernel block is built against the support vectors
+    only (the training points with weight in some sphere): the other columns
+    would multiply zero weights.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.train_points.shape[1]:
@@ -72,6 +73,8 @@ def model_distances_sq(model: DetectionModel, X) -> np.ndarray:
             f"query dimension {X.shape[1]} does not match training dimension "
             f"{model.train_points.shape[1]}"
         )
+    if not np.isfinite(X).all():
+        raise InputError("query points must have finite coordinates")
     if model.kernel_spec.kind is KernelKind.LINEAR:
         kxx = np.sum(X * X, axis=1)
     else:
@@ -124,14 +127,16 @@ def auc_roc(scores, labels) -> RocResult:
     under the ROC curve with ties grouped into one step.
 
     ``labels`` flags outliers truthy; outliers are expected to score higher.
-    Perfect separation gives 1, anti-separation 0.  Raises when only one class
-    is present.
+    Perfect separation gives 1, anti-separation 0.  Raises InputError on a
+    non-finite score, and UndefinedMetricError when only one class is present.
     """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels).astype(bool).ravel()
     if s.ravel().shape != y.shape:
         raise InputError("scores and labels must have equal length")
     s = s.ravel()
+    if not np.isfinite(s).all():
+        raise InputError("scores must be finite")
     n_out = int(y.sum())
     n_reg = y.size - n_out
     if n_out == 0 or n_reg == 0:

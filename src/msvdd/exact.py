@@ -370,8 +370,12 @@ def _objective(node) -> float:
 def solve_exact(problem: MsvddProblem) -> MsvddSolution:
     """Globally optimal multisphere solution (or the best incumbent on timeout).
 
-    A timed-out solve reports as ``lower_bound`` the largest node key it
-    popped, capped at the incumbent; it never drops as the search goes on.
+    With p = 1 every point is in the one sphere, so there is nothing to
+    branch on: when the floor is feasible, the sphere on all points, solved
+    cold (`_node_of`), is returned OPTIMAL with its objective as the lower
+    bound, one incumbent record and no node.  A timed-out solve reports as
+    ``lower_bound`` the largest node key it popped, capped at the incumbent;
+    it never drops as the search goes on.
     When p spheres cannot all reach the cardinality floor the solve skips
     the root heuristic and the search and reports `SolveStatus.INFEASIBLE`.
     """
@@ -386,15 +390,18 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
     incumbent = math.inf
     log: list[IncumbentRecord] = []
 
-    if feasible and n > p:
+    if feasible and p == 1:
+        # one sphere takes every point: there is nothing to branch on
+        best = _node_of(np.zeros(n), gram_mat, C, p)
+    elif feasible and n > p:
         best = _root_incumbent(problem)
-        if best is not None:
-            incumbent = _objective(best)
-            log.append(IncumbentRecord(incumbent, time.perf_counter() - t0, best.spheres))
+    if best is not None:
+        incumbent = _objective(best)
+        log.append(IncumbentRecord(incumbent, time.perf_counter() - t0, best.spheres))
 
     root = _Node(np.full(n, UNASSIGNED, dtype=np.int16), 0, (None,) * p, 0.0)
     counter = itertools.count()
-    heap = [(root.lb, 0, next(counter), root)] if feasible else []
+    heap = [(root.lb, 0, next(counter), root)] if feasible and p > 1 else []
     node_count = 0
     timed_out = False
     # the largest key popped so far: a popped key is the smallest open one,

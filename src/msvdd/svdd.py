@@ -14,23 +14,23 @@ the next one, the core-set start for minimum enclosing balls (Badoiu &
 Clarkson, SODA 2003).  A pair step zeroes at most one weight, so this start
 saves the m - |SV| steps that a start at the uniform weight spends zeroing
 interior points.  A warm start is used as given when it lies on the capped
-simplex; any other solve starts cold.  After every block of pair steps a
-primal-dual gap certificate is computed from a fresh K @ a, and the solve
-returns at a certificate only, once that gap is within tolerance: every
-sphere it returns is certified.  The start is not certified unless the first
-block takes no step, so a solve pays for the certificates it can return at.
-A cold solve of at most `capacity` members starts with every weight at C,
-the one point of its capped simplex, so its first block takes no step and
-its first certificate decides it, with 0 iterations.  A solve that cannot
-certify raises `ConvergenceError` with the smallest gap over the
-certificates taken.
-At a certificate that does not certify, after a block with pair steps, one
-exact free-face step solves the equality-constrained QP on the face of the
-free weights (the face solve of active-set SVM methods, Scheinberg, JMLR
-2006) and moves toward its solution as far as the box allows; it is never
-taken twice in a row, and refused when it would not raise the dual.  A warm
-start's first block is one pair step, which brings a branch-and-bound child's
-new zero-weight point onto the face, so the face step follows at once.
+simplex; any other solve starts cold.  Once a pair step leaves the free set
+{0 < a < C} as the pair step before it left it, the free set has settled, and
+one exact free-face step solves the equality-constrained QP on the face of
+the free weights (the face solve of active-set SVM methods, Scheinberg, JMLR
+2006) and moves toward its solution as far as the box allows.  It is taken
+at most once per free set, and refused when it would not raise the dual.  A
+branch-and-bound child's first pair step brings its new zero-weight point
+into the free set, and the face step follows its next one.
+After every block of pair steps a primal-dual gap certificate is computed
+from a fresh K @ a, and the solve returns at a certificate only, once that
+gap is within tolerance: every sphere it returns is certified.  The start is
+not certified unless the first block takes no step; then its own K @ a is
+certified, so a solve pays for the certificates it can return at.  A cold
+solve of at most `capacity` members starts with every weight at C, the one
+point of its capped simplex, so its first block takes no step and its first
+certificate decides it, with 0 iterations.  A solve that cannot certify
+raises `ConvergenceError` with the smallest gap over the certificates taken.
 The radius is recovered from the induced distances by a one-dimensional
 piecewise-linear minimization (`recover_radius`), which is total (it needs no
 free support vector) and returns the smallest minimizer on ties; the errors
@@ -69,6 +69,8 @@ from .kernels import GramMatrix
 MAX_ITERATIONS = 50_000
 # pair steps between two fresh-gradient certificates
 _CHECK_EVERY = 16
+# pair steps in a row that leave the free set unchanged before its face step
+_SETTLE = 1
 # pair-curvature floor, relative to the largest kernel diagonal
 _ETA_FLOOR = 1e-12
 # the smallest positive normal float, the floor of that diagonal scale
@@ -253,22 +255,22 @@ def solve_svdd(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) -> S
     seeds the pair steps, as given, when it lies on the capped simplex.
     Without one, or if it lies off the capped simplex, has the wrong length or
     a non-finite entry, the solve starts cold at the far-point vertex (see
-    `_start`).  Blocks of pair steps alternate with single free-face steps
-    (see `_face_step`), which are tried at a certificate that does not
-    certify, never twice in a row; the block after a face step runs on the
-    incrementally updated K @ a, and the fresh-gradient certificate stays the
-    only exit: it returns when the gap is within tolerance.
-    Blocks hold `_CHECK_EVERY` pair steps, except that the first block of a
-    warm start holds one.  ``iterations`` counts pair steps plus
-    accepted face steps, and `MAX_ITERATIONS`, read at the call, caps that
-    sum.
+    `_start`).  Blocks of `_CHECK_EVERY` pair steps alternate with
+    fresh-gradient certificates, the solve's only exit: it returns when the
+    gap is within tolerance.  Within a block, `_SETTLE` pair steps in a row
+    that leave the free set {0 < a < C} as they found it are followed by one
+    free-face step (see `_face_step`), and the gradient is updated from the
+    Gram rows it returns.  It is taken at most once per free set: after it,
+    the next needs a pair step that moves a weight of its pair into or out of
+    (0, C), unless the face step itself set a free weight to 0 or C.
+    ``iterations`` counts pair steps plus accepted face steps, and
+    `MAX_ITERATIONS`, read at the call, caps that sum.
     The start forms K @ a and the gradient but is certified only when the
-    first block takes no step; otherwise the first certificate follows the
-    first block.  A cold start of at most `capacity` members, all at C, is
-    that case: its first certificate decides it, with 0 iterations.  Each
-    certificate forms K @ a afresh, even when the block before it took no
-    step; a certificate that does not certify, followed by neither a face
-    step nor a pair step, ends the solve.
+    first block takes no step, from that same K @ a; otherwise the first
+    certificate follows the first block.  A cold start of at most `capacity`
+    members, all at C, is that case: its first certificate decides it, with
+    0 iterations.  Each later certificate forms K @ a afresh; a certificate
+    that does not certify, followed by no pair step, ends the solve.
     Every read of ``gram_matrix`` goes through the member indices and copies
     no m x m member block: the largest temporaries are the Gram rows of the
     nonzero weights and the product formed from them (at each fresh K @ a),
@@ -296,19 +298,17 @@ def solve_svdd(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) -> S
     V = gram_matrix.values
     q = V.diagonal()[ia]
 
-    a, warm = _start(V, ia, q, C, warm_alpha)
+    a = _start(V, ia, q, C, warm_alpha)
     # the radius's rank among the m distances, the same at every certificate
     k = _rank(m, C)
-    # a warm start runs one pair step before its first face step, which
-    # brings a new zero-weight point onto the face when it is needed
-    block = 1 if warm else _CHECK_EVERY
 
     # floor for the pair curvature, which is 0 on duplicate points
     eta_floor = _ETA_FLOOR * max(q.item(q.argmax()), _TINY)
     best_gap = math.inf
     it = 0
-    # a face step needs an SMO block with steps since the start or the last one
-    face_ready = False
+    # pair steps in a row that left the free set as they found it; the face
+    # step follows the `_SETTLE`-th, so each free set has at most one
+    settled = 0
     # the offsets for the weights that can rise and for those that can fall;
     # a pair step updates its two entries, and an accepted face step all
     up, pos = _RISE.take(a < C), _FALL.take(a > 0.0)
@@ -316,12 +316,10 @@ def solve_svdd(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) -> S
     # distances and errors, and a pair step's selection, two Gram rows,
     # curvatures and gains
     Ka, G, d2, xi, G_up, b, K_i, K_j, eta, gain = np.empty((10, m))
-    # the start is certified only when the first block takes no step
+    # the start's K @ a; it is certified only when the first block takes no step
+    Kw = _gram_dot(V, ia, a)
     certify = False
     while True:
-        # a fresh K @ a, so drift in the incremental gradient can slow the
-        # loop but never certify a wrong point
-        Kw = _gram_dot(V, ia, a)
         Kw.take(ia, out=Ka)
         quad = float(a @ Ka)
         dual = float(q @ a) - quad
@@ -337,19 +335,8 @@ def solve_svdd(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) -> S
         # SMO pair steps on min a'Ka - q'a; G is its gradient
         np.multiply(Ka, 2.0, out=G)
         G -= q
-        faced = False
-        if face_ready and it < max_iters:
-            step = _face_step(V, ia, a, G, C)
-            if step is not None:
-                rows_F, delta = step
-                Ka += delta @ rows_F
-                np.multiply(Ka, 2.0, out=G)
-                G -= q
-                up, pos = _RISE.take(a < C), _FALL.take(a > 0.0)
-                it += 1
-                faced = True
         steps = 0
-        while steps < block and it < max_iters:
+        while steps < _CHECK_EVERY and it < max_iters:
             # G + 0 is G but for a zero's sign, which moves no comparison or step
             np.add(G, up, out=G_up)
             i = int(G_up.argmin())
@@ -371,6 +358,8 @@ def solve_svdd(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) -> S
             gain /= eta
             j = int(gain.argmax())
             a_i, a_j = a.item(i), a.item(j)
+            # whether each was free: a_i < C, as it can rise, and a_j > 0
+            free_i, free_j = a_i > 0.0, a_j < C
             t = min(b.item(j) / (2.0 * eta.item(j)), C - a_i, a_j)
             a_i = C if t == C - a_i else a_i + t
             a_j = 0.0 if t == a_j else a_j - t
@@ -383,15 +372,29 @@ def solve_svdd(gram_matrix: GramMatrix, members, C: float, warm_alpha=None) -> S
             G += K_j
             steps += 1
             it += 1
-        # an empty block after a certificate leaves the weights it did not
-        # certify: the solve has stalled.  After a face step the block ran on
-        # an incrementally updated gradient, and after the start's empty
-        # block the start is still to be certified
-        if steps == 0 and not faced and certify:
+            if free_i == (0.0 < a_i < C) and free_j == (0.0 < a_j < C):
+                settled += 1
+            else:
+                settled = 0
+            if settled == _SETTLE and it < max_iters:
+                # the free set has settled: one exact step on its face
+                step = _face_step(V, ia, a, G, C)
+                if step is not None:
+                    rows_F, delta, kept = step
+                    G += 2.0 * (delta @ rows_F)
+                    up, pos = _RISE.take(a < C), _FALL.take(a > 0.0)
+                    it += 1
+                    if not kept:
+                        settled = 0  # a new free set, with a face step of its own
+        if steps:
+            # a fresh K @ a, so drift in the incremental gradient can slow the
+            # loop but never certify a wrong point
+            Kw = _gram_dot(V, ia, a)
+        elif certify:
+            # an empty block after a certificate leaves the weights it did
+            # not certify: the solve has stalled
             break
         certify = True
-        face_ready = steps > 0
-        block = _CHECK_EVERY
 
     reason = "iteration cap hit" if it >= max_iters else "stalled"
     raise ConvergenceError(
@@ -415,9 +418,8 @@ def _gram_dot(V, ia, a) -> np.ndarray:
     return a[s] @ V[ia[s]]
 
 
-def _start(V, ia, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
-    """Starting weights on {a : sum a = 1, 0 <= a_i <= C}, as a fresh array,
-    and whether they come from the warm start.
+def _start(V, ia, q, C, warm_alpha) -> np.ndarray:
+    """Starting weights on {a : sum a = 1, 0 <= a_i <= C}, as a fresh array.
 
     A warm start is used as given when it has the right length and lies on
     the capped simplex; any other warm start is ignored.  The cold start is
@@ -435,9 +437,9 @@ def _start(V, ia, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
         # and fails both bound tests; an infinite entry fails one of them
         if (w.shape == (m,) and w.item(w.argmin()) >= 0.0 and w.item(w.argmax()) <= C
                 and abs(w.sum() - 1.0) <= _SUM_TOL):
-            return w, True
+            return w
     if m <= capacity(C):
-        return np.full(m, C), False
+        return np.full(m, C)
     w = np.zeros(V.shape[0])
     w[ia] = 1.0 / m
     far = q - 2.0 * (V @ w)[ia]
@@ -450,7 +452,7 @@ def _start(V, ia, q, C, warm_alpha) -> tuple[np.ndarray, bool]:
     a = np.zeros(m)
     a[order[:k]] = C
     a[order[k]] = max(1.0 - k * C, 0.0)
-    return a, False
+    return a
 
 
 def _face_step(V, ia, a, G, C):
@@ -467,7 +469,8 @@ def _face_step(V, ia, a, G, C):
     not lower the objective, as on the singular faces of duplicated points or
     of more than d + 1 free points under a d-dimensional linear kernel.
     Updates ``a`` in place and returns the Gram rows of F at the members and
-    the a_F change, for the caller's K @ a.
+    the a_F change, for the caller's gradient, and whether every weight of F
+    is still free.
     """
     F = ((a > 0.0) & (a < C)).nonzero()[0]
     f = F.size
@@ -509,12 +512,13 @@ def _face_step(V, ia, a, G, C):
     a[F] = new
     # a weight's distance to its nearer bound is 0 unless it is free
     slack = np.minimum(new, C - new)
+    kept = slack.item(slack.argmin()) > 0.0
     s = int(slack.argmax())
     if slack.item(s) > 0.0:
         s = F[s]
         a[s] = min(max(a[s] + (1.0 - a.sum()), 0.0), C)
         delta = a[F] - a_F
-    return rows_F, delta
+    return rows_F, delta, kept
 
 
 def _certified(members, a, column, d2, k, C, dual, quad, iters, xi):

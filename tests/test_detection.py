@@ -56,6 +56,20 @@ class TestScores:
         with pytest.raises(InputError):
             anomaly_score(m, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("spec", [LINEAR, rbf(1.0)], ids=["linear", "rbf"])
+    def test_non_finite_query_rejected(self, bad, spec, rng):
+        # a NaN query used to score NaN, with a RuntimeWarning, and classify
+        # as an outlier
+        pts = rng.normal(size=(6, 2))
+        sol = solve_exact(MsvddProblem(gram=gram(spec, pts), p=1, C=0.5))
+        m = DetectionModel.from_solution(sol, gram(spec, pts), pts)
+        for call in (score_points, model_distances_sq):
+            with pytest.raises(InputError, match="finite"):
+                call(m, [[0.0, 0.0], [bad, 0.0]])
+        with pytest.raises(InputError, match="finite"):
+            classify(m, [0.0, bad])
+
     def test_kernel_expansion_equals_geometry_for_linear(self, rng):
         pts = rng.normal(scale=1.5, size=(12, 2))
         g = gram(LINEAR, pts)
@@ -137,6 +151,12 @@ class TestAucRoc:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             auc_roc([1, 2, 3], [0, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        # a NaN score used to rank somewhere and give an AUC of 0.75
+        with pytest.raises(InputError, match="finite"):
+            auc_roc([bad, 0.1, 0.2, 0.3], [1, 0, 1, 0])
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_curve_monotone_and_trapezoid_identity(self, seed):

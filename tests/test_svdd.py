@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -206,8 +207,7 @@ class TestCapacity:
         # more members than capacity(C), so the start is the far-point vertex
         V = gram(LINEAR, np.random.default_rng(7).normal(size=(256, 2))).values
         ia = np.arange(capacity(C) + extra)
-        a, warm = _start(V, ia, V.diagonal()[ia], C, None)
-        assert not warm
+        a = _start(V, ia, V.diagonal()[ia], C, None)
         assert a.min() >= 0.0 and a.max() <= C
         assert abs(a.sum() - 1.0) <= _SUM_TOL
 
@@ -484,13 +484,11 @@ class TestSmoCases:
         if edge != "bounds":
             used, refused = sum_edge(EDGE_START, 3, 1.0 if edge == "sum-above" else -1.0)
             assert abs(refused.sum() - 1.0) > msvdd.svdd._SUM_TOL
-        a, warm = _start(V, ia, V.diagonal()[ia], 0.3, used)
-        assert warm
-        assert a.tobytes() == used.tobytes()
+        a = _start(V, ia, V.diagonal()[ia], 0.3, used)
+        assert a is not used and a.tobytes() == used.tobytes()
         if refused is not None:
-            a, warm = _start(V, ia, V.diagonal()[ia], 0.3, refused)
-            assert not warm
-            assert a.tobytes() == _start(V, ia, V.diagonal()[ia], 0.3, None)[0].tobytes()
+            a = _start(V, ia, V.diagonal()[ia], 0.3, refused)
+            assert a.tobytes() == _start(V, ia, V.diagonal()[ia], 0.3, None).tobytes()
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @example(2**31 - 1)
@@ -557,9 +555,7 @@ def bits(sol):
 def cold_start(g, n, C):
     """The weights a cold solve of all ``n`` points starts from."""
     K = g.values
-    a, warm = _start(K, np.arange(n), np.diag(K).copy(), C, None)
-    assert not warm
-    return a
+    return _start(K, np.arange(n), np.diag(K).copy(), C, None)
 
 
 def count_projections(monkeypatch):
@@ -600,8 +596,7 @@ class TestStart:
         g = gram(spec, rng.normal(size=(30, 2)))
         ia = np.sort(rng.choice(30, size=12, replace=False))
         own = GramMatrix(g.values[np.ix_(ia, ia)], spec)
-        a, warm = _start(g.values, ia, np.diag(g.values)[ia], 0.2, None)
-        assert not warm
+        a = _start(g.values, ia, np.diag(g.values)[ia], 0.2, None)
         assert np.array_equal(a, cold_start(own, 12, 0.2))
 
     def test_optimal_feasible_warm_start_takes_no_step(self, rng, monkeypatch):
@@ -670,8 +665,28 @@ def free_count(sol):
     return int(np.sum((sol.alpha > tol) & (sol.alpha < sol.C - tol)))
 
 
+def record_face_steps(monkeypatch):
+    """Every face step that `solve_svdd` tries, as (pair steps in its block,
+    iterations before it, free set it starts from, whether it was accepted,
+    whether it left that free set as it found it), read from the solve's
+    locals at the call."""
+    calls = []
+    face = msvdd.svdd._face_step
+
+    def recording(V, ia, a, G, C):
+        solve = sys._getframe(1).f_locals
+        free = frozenset(np.flatnonzero((a > 0.0) & (a < C)).tolist())
+        step = face(V, ia, a, G, C)
+        calls.append((solve["steps"], solve["it"], free, step is not None,
+                      step is None or step[2]))
+        return step
+
+    monkeypatch.setattr(msvdd.svdd, "_face_step", recording)
+    return calls
+
+
 class TestFaceStep:
-    def test_warm_child_solve_takes_few_steps(self):
+    def test_warm_child_solve_takes_few_steps(self, monkeypatch):
         # the search seeds a child with its parent's weights plus a 0 for
         # the new point; pair steps alone spent 160 iterations on this one
         pts = np.random.default_rng(5).normal(size=(30, 2))
@@ -682,15 +697,25 @@ class TestFaceStep:
         K, a = g.values, parent.alpha
         outside = K[29, 29] - 2.0 * K[29, :29] @ a + a @ K[:29, :29] @ a
         assert outside > parent.radius_sq
+        faces = record_face_steps(monkeypatch)
         child = solve_svdd(g, range(30), C, warm_alpha=np.append(a, 0.0))
         assert free_count(child) >= 10
         assert child.iterations <= 80
+        child_faces = faces.copy()
+        faces.clear()
         cold = solve_svdd(g, range(30), C)
         assert child.objective == pytest.approx(cold.objective, abs=1e-7)
+        # each ends within a few iterations of its last accepted face step;
+        # here that step is the last of the child's 6 iterations and of the
+        # cold solve's 27
+        for sol, taken in ((child, child_faces), (cold, faces)):
+            last = max(it for _, it, _, accepted, _ in taken if accepted)
+            assert sol.iterations <= last + 3
 
-    def test_warm_child_solve_takes_a_one_step_first_block(self, monkeypatch):
-        # a warm start runs one pair step, which brings the new point onto
-        # the face, and then the face step
+    def test_warm_child_solve_faces_once_its_new_point_is_free(self, monkeypatch):
+        # the first pair step brings the child's new zero-weight point onto
+        # the free set; the second leaves that set as it found it, and the
+        # face step on it follows and ends the solve
         r = np.random.default_rng(1)
         n = int(r.integers(10, 40))
         pts = r.normal(size=(n, 2))
@@ -698,17 +723,38 @@ class TestFaceStep:
         assert (n, C) == (24, 0.2)
         g = gram(rbf(0.5), pts)
         parent = solve_svdd(g, range(n - 1), C)
+        faces = record_face_steps(monkeypatch)
         child = solve_svdd(g, range(n), C, warm_alpha=np.append(parent.alpha, 0.0))
-        assert 1 <= child.iterations <= 3
+        ((steps, it, free, accepted, kept),) = faces
+        assert (steps, it, accepted, kept) == (2, 2, True, True)
+        assert n - 1 in free
+        assert child.iterations == 3
         assert child.alpha[-1] > 0.0
         cold = solve_svdd(g, range(n), C)
         assert child.objective == pytest.approx(cold.objective, abs=DEFAULT_TOLS.objective)
-        # a first block of _CHECK_EVERY pair steps, as a cold start runs,
-        # spends all 16 before the face step certifies
-        start = msvdd.svdd._start
-        monkeypatch.setattr(msvdd.svdd, "_start", lambda *args: (start(*args)[0], False))
-        full = solve_svdd(g, range(n), C, warm_alpha=np.append(parent.alpha, 0.0))
-        assert full.iterations == 17
+
+    @settings(max_examples=60)
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.booleans())
+    def test_face_steps_follow_pair_steps_once_per_free_set(self, seed, warm):
+        # no face step is taken at a certificate: each follows a pair step
+        # of its block.  A free set gets one face step until it changes, and
+        # a change that brings it back takes pair steps: at least two after a
+        # face step that left the set, and three after one that kept it
+        r, g, n, C = random_instance(seed)
+        if collapses(C, n) or (warm and collapses(C, n - 1)):
+            return
+        start = np.append(solve_svdd(g, range(n - 1), C).alpha, 0.0) if warm else None
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            faces = record_face_steps(monkeypatch)
+            try:
+                solve_svdd(g, range(n), C, warm_alpha=start)
+            except ConvergenceError:
+                return
+        for steps, *_ in faces:
+            assert steps >= 1
+        for (_, it0, free0, accepted, kept), (_, it1, free1, _, _) in zip(faces, faces[1:]):
+            if free1 == free0:
+                assert it1 - it0 - accepted >= (3 if kept else 2)
 
     # a fixed draw of examples: near the scales where the absolute gap
     # tolerance meets float resolution, instances of this kind can stall
