@@ -19,10 +19,15 @@ Under the cardinality floor a node's first pop adds a completion lift, the
 completion bound of repetitive branch-and-bound for clustering (Brusco,
 Psychometrika 2006).  A sphere with C * |S| < 1 is valued C * scatter at its
 centroid, and must still take points up to the floor of ceil(1/C) members.
-By the scatter identity and Jensen's inequality, the unassigned points
-nearest its centroid bound what they add (`_pick` gives the derivation).  Each
-term bounds one sphere's own completion, so their sum is valid, and the
-distances are the ones the max-min pick reads anyway.  A lifted node goes
+By the scatter identity, the k points it takes add their distances to the
+centroid, weighted by its m members, plus the distances between the k points
+themselves (the pairwise-dissimilarity form of that bound); each point's
+share of those pairs is at least half its k - 1 smallest distances to the
+other points, read from a table built once per solve (`_neighbour_table`), so
+the unassigned points of smallest score bound what the completion adds
+(`_pick` gives the derivation).  Each term bounds one sphere's own
+completion, so their sum is valid, and the centroid distances are the ones
+the max-min pick reads anyway.  A lifted node goes
 back on the queue under its raised key and is expanded, and counted, when it
 comes out again; children are keyed by their plain dual sums.
 
@@ -86,6 +91,10 @@ def _rounding(x: float) -> float:
     part of the screens' slack above the prune bound (an infinite prune bound
     leaves the screens' cutoff infinite)."""
     return 1e-9 * max(1.0, abs(x)) if math.isfinite(x) else 0.0
+
+
+# the entries of one block of pair distances in `_neighbour_table`
+_BLOCK = 1 << 18
 
 
 @dataclass
@@ -155,29 +164,62 @@ class _Node:
     pick: tuple | None = None
 
 
-def _pick(node, size):
+def _neighbour_table(gram_matrix, size) -> np.ndarray:
+    """The completion lift's pair terms: row r holds, for every point u, half
+    the sum of u's r smallest squared feature distances
+    D(u, v) = V_uu + V_vv - 2 V_uv to the other points v, for r < ``size``
+    (row 0 is 0).  The distances are formed ``_BLOCK`` entries at a time, so
+    no n x n array is kept; D is a distance, so rounding below 0 is cut off.
+    """
+    V = gram_matrix.values
+    n = V.shape[0]
+    table = np.zeros((size, n))
+    if size < 2:
+        return table
+    diag = V.diagonal()
+    rows = max(1, _BLOCK // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        D = diag[lo:hi, None] + diag - 2.0 * V[lo:hi]
+        np.maximum(D, 0.0, out=D)
+        D[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # u is not its own neighbour
+        near = np.partition(D, size - 2, axis=1)[:, : size - 1]
+        near.sort(axis=1)
+        table[1:, lo:hi] = 0.5 * np.cumsum(near, axis=1).T
+    return table
+
+
+def _pick(node, table):
     """Branch point and the node's lift, from the columns of its spheres.
 
     The branch point is the max-min point: the unassigned point whose squared
     feature distance to its nearest nonempty sphere center is largest, ties
     going to the lowest index (with every sphere empty, the lowest unassigned
-    index).  The same distances give the completion lift for ``size``, the
-    largest member count whose sphere is valued C * scatter: the
-    `msvdd.svdd.capacity` of C under the cardinality floor, and 0, which
-    turns the lift off, without it.  A nonempty sphere S with m < ``size``
-    members sits at its centroid mu with value C * scatter(S), and must still
-    take k = min(size - m, |U|) of the unassigned points U.  For any k of
-    them, A, the scatter identity about mu gives
-        scatter(S + A) = scatter(S) + sum_A ||x - mu||^2
-                         - k^2 / (m + k) * ||mean_A - mu||^2,
-    and Jensen (||mean_A - mu||^2 <= mean_A ||x - mu||^2) leaves
-    scatter(S) + m / (m + k) * sum_A ||x - mu||^2.  S + A has at most ``size``
-    members, so its value is C times its scatter.  A completion gives S at
-    least ceil(1/C) >= ``size`` members, so it contains some such A and, the
-    value being monotone in the members, costs at least that much.  So each
-    such sphere adds C * m / (m + k) times its k smallest distances from U,
-    and the sum over the spheres is the lift.
+    index).  The same distances give the completion lift, with ``table`` the
+    `_neighbour_table` h for ``size`` = len(table), the largest member count
+    whose sphere is valued C * scatter: the `msvdd.svdd.capacity` of C under
+    the cardinality floor, and 0, which turns the lift off, without it.  A
+    nonempty sphere S with m < ``size`` members and column d sits at its
+    centroid with value C * scatter(S), and must still take
+    k = min(size - m, |U|) of the unassigned points U.  For any k of them, A,
+    with g = m + k, the scatter identity |T| * scatter(T) = (the sum of D
+    over the pairs of T) splits the pairs of S + A into those within S, those
+    across, where sum_S D(s, u) = scatter(S) + m * d_u for each u, and those
+    within A:
+        g * scatter(S + A) = m * scatter(S) + (k * scatter(S) + m * sum_A d_u)
+                             + (the sum of D over the pairs of A).
+    Each u of A has k - 1 partners in A, so the pairs of A sum to at least
+    half the sum over u of its k - 1 smallest distances, h[k - 1][u].
+    So scatter(S + A) >= scatter(S) + (1 / g) * sum_A (m * d_u + h[k - 1][u]).
+    S + A has at most ``size`` members, so its value is C times its scatter.
+    A completion gives S at least ceil(1/C) >= ``size`` members, so it
+    contains some such A and, the value being monotone in the members, costs
+    at least that much.  So each such sphere adds C / g times its k smallest
+    scores m * d_u + h[k - 1][u] over U, and the sum over the spheres is the
+    lift.  Each score is at least m * d_u, so the lift is never below the
+    Jensen bound C * m / g * (the k smallest d_u) about the centroid.
     """
+    size = len(table)
     unassigned = (node.sphere_of == UNASSIGNED).nonzero()[0]
     closest = None
     lift = 0.0
@@ -189,8 +231,10 @@ def _pick(node, size):
         m = len(sphere.members)
         k = min(size - m, unassigned.size)
         if k > 0:
+            d2 *= m  # the scores, in place of the distances
+            d2 += table[k - 1][unassigned]
             d2.partition(k - 1)
-            lift += sphere.C * m / (m + k) * float(d2[:k].sum())
+            lift += sphere.C / (m + k) * float(d2[:k].sum())
     if closest is None:
         return unassigned.item(0), 0.0
     return unassigned.item(closest.argmax()), lift  # first maximum: lowest index
@@ -402,6 +446,7 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
     root = _Node(np.full(n, UNASSIGNED, dtype=np.int16), 0, (None,) * p, 0.0)
     counter = itertools.count()
     heap = [(root.lb, 0, next(counter), root)] if feasible and p > 1 else []
+    table = _neighbour_table(gram_mat, size) if heap else None
     node_count = 0
     timed_out = False
     # the largest key popped so far: a popped key is the smallest open one,
@@ -430,7 +475,7 @@ def solve_exact(problem: MsvddProblem) -> MsvddSolution:
 
         if node.pick is None:
             # first pop: lift the key and requeue; expand when it comes out again
-            node.pick = _pick(node, size)
+            node.pick = _pick(node, table)
             lifted = lb + node.pick[1]
             if lifted > lb:
                 if lifted < bound:

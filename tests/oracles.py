@@ -11,7 +11,10 @@ curve whose area `auc_roc` gives) and a monotonicity check on the sphere
 solver.  `expand_reference` is the search's node expansion as it was first
 written, with counts from `np.bincount` and sorted member tuples and every
 child built unscreened; the lean `_expand` must match it bit for bit on the
-children the search keeps.
+children the search keeps.  `jensen_lift` is the completion lift as it was
+first written, from each sphere's centroid distances alone, which the
+pairwise lift must never fall below, and `neighbour_table_reference` builds
+the lift's nearest-neighbour table pair by pair in plain Python.
 
 Two oracles certify whole multisphere solutions.  The big-M check tests a
 solution against every (point, sphere) constraint of the paper's
@@ -34,7 +37,7 @@ import numpy as np
 
 from msvdd.detection import DetectionModel, linear_centers
 from msvdd.errors import InputError
-from msvdd.exact import _Node, _pick, _repair_cardinality, _sphere
+from msvdd.exact import _neighbour_table, _Node, _pick, _repair_cardinality, _sphere
 from msvdd.kernels import GramMatrix, KernelKind, KernelSpec
 from msvdd.solution import (
     MsvddSolution,
@@ -347,7 +350,7 @@ def expand_reference(node, gram_matrix, C, p, floor):
     tuple sorted afresh, and every child built, with no screen and no prune
     bound."""
     sphere_of, spheres = node.sphere_of, node.spheres
-    point, _ = node.pick or _pick(node, 0)
+    point, _ = node.pick or _pick(node, _neighbour_table(gram_matrix, 0))
     counts = np.bincount(sphere_of[sphere_of >= 0], minlength=p)[:p]
     deficit = int(np.maximum(floor - counts, 0).sum())
     left = sphere_of.size - node.depth - 1
@@ -365,3 +368,37 @@ def expand_reference(node, gram_matrix, C, p, floor):
         child_of[point] = j
         children.append(_Node(child_of, node.depth + 1, child_spheres, lb))
     return children
+
+
+def jensen_lift(node, size) -> float:
+    """The completion lift about each sphere's centroid by Jensen's
+    inequality: a nonempty sphere of m < ``size`` members that must take k
+    of the unassigned points adds C * m / (m + k) times its k smallest
+    squared distances to them, each column sorted in full."""
+    unassigned = np.flatnonzero(node.sphere_of < 0)
+    lift = 0.0
+    for sphere in node.spheres:
+        if sphere is None:
+            continue
+        m = len(sphere.members)
+        k = min(size - m, unassigned.size)
+        if k > 0:
+            nearest = np.sort(sphere.column[unassigned])[:k]
+            lift += sphere.C * m / (m + k) * float(nearest.sum())
+    return lift
+
+
+def neighbour_table_reference(gram_matrix: GramMatrix, size) -> np.ndarray:
+    """`msvdd.exact._neighbour_table` one point at a time: row r, column u is
+    half the running sum of u's r smallest distances
+    max(V_uu + V_vv - 2 V_uv, 0) to the other points v, in increasing order."""
+    V = gram_matrix.values
+    n = V.shape[0]
+    table = np.zeros((size, n))
+    for u in range(n):
+        dist = sorted(max(V[u, u] + V[v, v] - 2.0 * V[u, v], 0.0) for v in range(n) if v != u)
+        total = 0.0
+        for r in range(1, size):
+            total += dist[r - 1]
+            table[r, u] = 0.5 * total
+    return table

@@ -16,6 +16,7 @@ from msvdd.heuristic import solve_heuristic
 from msvdd.exact import (
     MsvddProblem,
     _expand,
+    _neighbour_table,
     _node_of,
     _pick,
     _repair_cardinality,
@@ -42,6 +43,8 @@ from oracles import (
     evaluate_assignment,
     expand_reference,
     heuristic_best_root,
+    jensen_lift,
+    neighbour_table_reference,
     verify_bigM_feasibility,
     xi_full,
 )
@@ -101,7 +104,7 @@ class TestDeltaDual:
 def expand(node, g, C, p, floor):
     """`_expand` on a node, after the branch point pick that the search takes
     when it first pops a node."""
-    node.pick = _pick(node, 0)
+    node.pick = _pick(node, _neighbour_table(g, 0))
     return _expand(node, g, C, p, floor)
 
 
@@ -363,17 +366,22 @@ class TestLeanExpand:
 class TestCompletionLift:
     def test_lift_by_hand(self):
         # C = 1/3: a sphere is valued C * scatter up to 3 members.  The sphere
-        # {0} must take both free points at 1 and 3 (k = 2), so it adds
-        # C * 1/3 * (1 + 9); the completion {0, 1, 3} costs C * 42/9
+        # {0} must take both free points at 1 and 3 (k = 2, g = 3).  Point 1
+        # scores 1 * 1 + 1/2 * 1 (its nearest other point is 0, at 1) and
+        # point 3 scores 1 * 9 + 1/2 * 4 (its nearest is 1, at 4), so the
+        # sphere adds C / 3 * 12.5 = 25/18; the completion {0, 1, 3} costs
+        # C * 42/9 = 42/27, and the Jensen lift about {0} was C / 3 * 10
         g = gram(LINEAR, [[0.0], [1.0], [3.0]])
         C = 1.0 / 3.0
         assert capacity(C) == 3
         node = _node_of(np.array([0, -1, -1]), g, C, 1)
-        point, lift = _pick(node, capacity(C))
+        point, lift = _pick(node, _neighbour_table(g, capacity(C)))
         assert point == 2
-        assert lift == pytest.approx(10.0 / 9.0, abs=1e-12)
+        assert lift == pytest.approx(25.0 / 18.0, abs=1e-12)
+        assert jensen_lift(node, capacity(C)) == pytest.approx(10.0 / 9.0, abs=1e-12)
         best = evaluate_assignment(g, np.array([0, 0, 0]), 1, C)
         assert best.objective == pytest.approx(42.0 / 27.0, abs=1e-9)
+        assert lift <= best.objective
 
     @pytest.mark.parametrize("C,size", [(0.2, 5), (0.3, 3), (0.5, 2), (0.45, 2), (1.0, 1)])
     def test_centroid_size(self, C, size):
@@ -398,9 +406,9 @@ class TestCompletionLift:
         free = r.choice(n, size=int(r.integers(n // 2, min(n - 1, 7) + 1)), replace=False)
         base[free] = -1
         node = _node_of(base, g, C, p)
-        lift = _pick(node, capacity(C))[1]
+        lift = _pick(node, _neighbour_table(g, capacity(C)))[1]
         assert lift >= 0.0
-        assert _pick(node, 0)[1] == 0.0
+        assert _pick(node, _neighbour_table(g, 0))[1] == 0.0
         best = math.inf
         for combo in itertools.product(range(p), repeat=free.size):
             full = base.copy()
@@ -409,6 +417,60 @@ class TestCompletionLift:
             if sol is not None:
                 best = min(best, sol.objective)
         assert node.lb + lift <= best + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_pairwise_lift_never_below_jensen(self, seed):
+        # every score m * d_u + h[k - 1][u] is at least m * d_u, so the k
+        # smallest scores over g bound the k smallest distances times m / g
+        r = np.random.default_rng(seed)
+        C = float(r.uniform(0.04, 0.5))
+        size = capacity(C)
+        n = int(r.integers(max(6, size + 2), 40))
+        p = int(r.integers(1, 4))
+        spec = rbf(float(r.uniform(0.2, 2.0))) if r.random() < 0.5 else LINEAR
+        pts = r.normal(scale=1.5, size=(n, 2))
+        pts[r.integers(0, n, size=n // 5)] = pts[0]  # duplicates: D = 0
+        g = gram(spec, pts)
+        base = r.integers(0, p, size=n)
+        base[r.choice(n, size=int(r.integers(1, n)), replace=False)] = -1
+        node = _node_of(base, g, C, p)
+        jensen = jensen_lift(node, size)
+        lift = _pick(node, _neighbour_table(g, size))[1]
+        assert lift >= jensen - 1e-12 * max(1.0, jensen)
+
+    @pytest.mark.parametrize("spec", [LINEAR, rbf(0.5)], ids=["linear", "rbf"])
+    @pytest.mark.parametrize("block", [lambda n: n - 1, lambda n: 3 * n],
+                             ids=["under-a-row", "three-rows"])
+    def test_row_blocks_equal_the_full_build(self, spec, block, rng, monkeypatch):
+        # blocks of rows, one row when the block holds fewer than n entries,
+        # give the table a pair-by-pair build gives; duplicates are at D = 0
+        n = 17
+        pts = rng.normal(size=(n, 2))
+        pts[[5, 11]] = pts[2]
+        g = gram(spec, pts)
+        monkeypatch.setattr(msvdd.exact, "_BLOCK", block(n))
+        table = _neighbour_table(g, 6)
+        assert table.shape == (6, n)
+        np.testing.assert_array_equal(table, neighbour_table_reference(g, 6))
+        assert not table[0].any()
+        assert table[2, [2, 5, 11]] == pytest.approx(0.0, abs=1e-12)
+        assert _neighbour_table(g, 0).shape == (0, n)
+
+    def test_distances_rounded_below_zero_count_as_zero(self):
+        # near-duplicates far from the origin: V_uu + V_vv - 2 V_uv rounds
+        # below 0 for some pair, and the table's sums still never fall below 0
+        r = np.random.default_rng(0)
+        pts = r.normal(size=(17, 2)) + 100.0
+        pts[[5, 11]] = pts[2] + 1e-7 * r.normal(size=(2, 2))
+        g = gram(LINEAR, pts)
+        diag = g.values.diagonal()
+        raw = diag[:, None] + diag - 2.0 * g.values
+        np.fill_diagonal(raw, 1.0)
+        assert raw.min() < 0.0  # the premise
+        table = _neighbour_table(g, 6)
+        assert table.min() == 0.0
+        np.testing.assert_array_equal(table, neighbour_table_reference(g, 6))
 
 
 class TestRepairCardinality:
@@ -644,13 +706,24 @@ class TestSolveExact:
 
     def test_completion_lift_cuts_the_rbf_tree(self):
         # the benchmark's rbf40p2 instance; without the completion lift the
-        # search expands 911 nodes
+        # search expands 911 nodes, with the lift from centroid distances
+        # alone (Jensen) 327, and with the pair terms 125
         train = generate_synthetic(SyntheticSpec(40, 1, 1, 0.1, seed=0)).subset("train")
         g = gram(rbf(1.0), train.points)
         sol = solve_exact(MsvddProblem(gram=g, p=2, C=0.2, seed=0))
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(0.966321139539, abs=1e-6)
-        assert sol.node_count <= 400
+        assert sol.node_count <= 200
+
+    def test_pair_terms_cut_the_hard_rbf_tree(self):
+        # the optimum is a big sphere and a satellite of 10 points at radius
+        # zero: the Jensen lift expands 4,640 nodes, the pair terms 763
+        train = generate_synthetic(SyntheticSpec(100, 1, 1, 0.1, seed=0)).subset("train")
+        g = gram(rbf(1.0), train.points)
+        sol = solve_exact(MsvddProblem(gram=g, p=2, C=0.1, seed=0))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.node_count <= 800
+        assert sol.objective == pytest.approx(float.fromhex("0x1.ffa1846b600aap-1"), rel=1e-12)
 
     def test_midsearch_timeout_bound_is_valid(self):
         rng = np.random.default_rng(99)
